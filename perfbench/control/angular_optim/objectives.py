@@ -1,0 +1,265 @@
+"""Analytic test objectives: three 1-D piecewise functions, Rosenbrock, quadratic.
+
+Each objective carries its evaluation, an analytic gradient, a documented
+per-coordinate domain, known minima, and the list of non-smooth boundary
+points.  Branch conditions are applied exactly as written in the piecewise
+definitions below ("x <= 0" takes the left branch at 0), and at a boundary
+the gradient of the branch selected by that convention is returned.
+
+Continuity at the branch boundaries was checked numerically:
+
+* f1 is continuous at 0 (both branches give 0.09 up to one ulp).
+* f2 is NOT continuous at -0.9: the left branch gives 0.85, the right branch
+  0.8353010774642377.  The measured jump is recorded as ``F2_BRANCH_GAP``.
+* f3 is continuous at all five boundaries (-0.5, -0.4, 0, 0.4, 0.5).
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from angular_optim.numerics import Vector, as_vector
+
+# Measured at x = -0.9: left branch 0.85 minus right branch
+# (-0.9)^3 + (-0.9) sin(-7.2) + 0.85 = 0.8353010774642377.
+F2_BRANCH_GAP = 0.01469892253576377
+
+
+@dataclass(frozen=True)
+class Objective:
+    """A differentiable-almost-everywhere test problem.
+
+    ``known_minima`` holds (location, value) pairs with values frozen from
+    direct float64 evaluation, so eval(location) == value to within 1e-12.
+    """
+
+    name: str
+    dim: int
+    eval_fn: Callable[[Vector], float]
+    grad_fn: Callable[[Vector], Vector]
+    domain: tuple[tuple[float, float], ...]
+    known_minima: tuple[tuple[tuple[float, ...], float], ...] = ()
+    nonsmooth_points: tuple[float, ...] = ()
+
+    def eval(self, x: Vector) -> float:
+        x = np.asarray(x, dtype=np.float64)
+        if x.size != self.dim:
+            raise ValueError(f"{self.name} expects dim {self.dim}, got {x.size}")
+        return float(self.eval_fn(x))
+
+    def grad(self, x: Vector) -> Vector:
+        x = np.asarray(x, dtype=np.float64)
+        if x.size != self.dim:
+            raise ValueError(f"{self.name} expects dim {self.dim}, got {x.size}")
+        g = np.asarray(self.grad_fn(x), dtype=np.float64)
+        if g.size != self.dim:
+            raise AssertionError("gradient dim mismatch")
+        return g
+
+
+# ---------------------------------------------------------------------------
+# 1-D piecewise functions
+
+
+def f1(x: float) -> float:
+    """(x+0.3)^2 for x <= 0, else (x-0.2)^2 + 0.05.
+
+    Global minimum 0 at x = -0.3, local minimum 0.05 at x = 0.2.
+    """
+    if x <= 0.0:
+        return (x + 0.3) ** 2
+    return (x - 0.2) ** 2 + 0.05
+
+
+def f1_deriv(x: float) -> float:
+    if x <= 0.0:
+        return 2.0 * (x + 0.3)
+    return 2.0 * (x - 0.2)
+
+
+def f2(x: float) -> float:
+    """-40x - 35.15 for x <= -0.9, else x^3 + x sin(8x) + 0.85.
+
+    The two branches do not meet at -0.9; see F2_BRANCH_GAP.
+    """
+    if x <= -0.9:
+        return -40.0 * x - 35.15
+    return x**3 + x * math.sin(8.0 * x) + 0.85
+
+
+def f2_deriv(x: float) -> float:
+    if x <= -0.9:
+        return -40.0
+    return 3.0 * x**2 + math.sin(8.0 * x) + 8.0 * x * math.cos(8.0 * x)
+
+
+def f3(x: float) -> float:
+    """Six-branch piecewise-smooth valley, continuous, global minimum 0 at 0."""
+    if x <= -0.5:
+        return x * x
+    if x <= -0.4:
+        return 0.75 + x
+    if x <= 0.0:
+        return -7.0 * x / 8.0
+    if x <= 0.4:
+        return 7.0 * x / 8.0
+    if x <= 0.5:
+        return 0.75 - x
+    return x * x
+
+
+def f3_deriv(x: float) -> float:
+    if x <= -0.5:
+        return 2.0 * x
+    if x <= -0.4:
+        return 1.0
+    if x <= 0.0:
+        return -7.0 / 8.0
+    if x <= 0.4:
+        return 7.0 / 8.0
+    if x <= 0.5:
+        return -1.0
+    return 2.0 * x
+
+
+# ---------------------------------------------------------------------------
+# N-dimensional objectives
+
+
+def rosenbrock(x: Vector, a: float = 1.0, b: float = 100.0) -> float:
+    """sum_i b (x_{i+1} - x_i^2)^2 + (a - x_i)^2 over i = 0 .. N-2."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.size < 2:
+        raise ValueError("rosenbrock needs dim >= 2")
+    return float(np.sum(b * (x[1:] - x[:-1] ** 2) ** 2 + (a - x[:-1]) ** 2))
+
+
+def rosenbrock_grad(x: Vector, a: float = 1.0, b: float = 100.0) -> Vector:
+    x = np.asarray(x, dtype=np.float64)
+    if x.size < 2:
+        raise ValueError("rosenbrock needs dim >= 2")
+    g = np.zeros_like(x)
+    # d/dx_i of the i-th term: -4b x_i (x_{i+1} - x_i^2) - 2 (a - x_i)
+    g[:-1] += -4.0 * b * x[:-1] * (x[1:] - x[:-1] ** 2) - 2.0 * (a - x[:-1])
+    # d/dx_{i+1} of the i-th term: 2b (x_{i+1} - x_i^2)
+    g[1:] += 2.0 * b * (x[1:] - x[:-1] ** 2)
+    return g
+
+
+def quadratic(x: Vector, center: Vector) -> float:
+    """Squared distance ||x - center||^2."""
+    x = np.asarray(x, dtype=np.float64)
+    center = np.asarray(center, dtype=np.float64)
+    if x.shape != center.shape:
+        raise ValueError("dim mismatch between x and center")
+    d = x - center
+    return float(np.dot(d, d))
+
+
+def quadratic_grad(x: Vector, center: Vector) -> Vector:
+    x = np.asarray(x, dtype=np.float64)
+    center = np.asarray(center, dtype=np.float64)
+    if x.shape != center.shape:
+        raise ValueError("dim mismatch between x and center")
+    return 2.0 * (x - center)
+
+
+# ---------------------------------------------------------------------------
+# Registry
+
+def _scalar_objective(name, fn, deriv, domain, minima, nonsmooth) -> Objective:
+    return Objective(
+        name=name,
+        dim=1,
+        eval_fn=lambda x: fn(float(x[0])),
+        grad_fn=lambda x: np.array([deriv(float(x[0]))]),
+        domain=(domain,),
+        known_minima=minima,
+        nonsmooth_points=nonsmooth,
+    )
+
+
+def _f1_objective() -> Objective:
+    return _scalar_objective(
+        "f1", f1, f1_deriv, (-2.0, 2.0),
+        (((-0.3,), 0.0), ((0.2,), 0.05)),
+        (0.0,),
+    )
+
+
+def _f2_objective() -> Objective:
+    # Minima located by bracketing the derivative's sign changes and frozen
+    # from direct float64 evaluation of the right branch.
+    return _scalar_objective(
+        "f2", f2, f2_deriv, (-2.0, 1.5),
+        (
+            ((-0.6429185989152617,), 0.00011977146994468502),
+            ((0.0,), 0.85),
+            ((0.5880534760792461,), 0.4653181034574271),
+        ),
+        (-0.9,),
+    )
+
+
+def _f3_objective() -> Objective:
+    return _scalar_objective(
+        "f3", f3, f3_deriv, (-2.0, 2.0),
+        (((0.0,), 0.0),),
+        (-0.5, -0.4, 0.0, 0.4, 0.5),
+    )
+
+
+def rosenbrock_objective(dim: int = 2, a: float = 1.0, b: float = 100.0) -> Objective:
+    if dim < 2:
+        raise ValueError("rosenbrock needs dim >= 2")
+    return Objective(
+        name=f"rosenbrock{dim}" if dim != 2 else "rosenbrock",
+        dim=dim,
+        eval_fn=lambda x: rosenbrock(x, a, b),
+        grad_fn=lambda x: rosenbrock_grad(x, a, b),
+        domain=tuple((-2.048, 2.048) for _ in range(dim)),
+        known_minima=((tuple(a for _ in range(dim)), 0.0),),
+        nonsmooth_points=(),
+    )
+
+
+def quadratic_objective(center: Vector) -> Objective:
+    center = as_vector(center)
+    return Objective(
+        name="quadratic",
+        dim=center.size,
+        eval_fn=lambda x: quadratic(x, center),
+        grad_fn=lambda x: quadratic_grad(x, center),
+        domain=tuple((-5.0, 5.0) for _ in range(center.size)),
+        known_minima=((tuple(center.tolist()), 0.0),),
+        nonsmooth_points=(),
+    )
+
+
+def get_objective(name: str, dim: int | None = None) -> Objective:
+    """Look up an objective by name.
+
+    ``dim`` applies to "rosenbrock" (default 2) and "quadratic" (default 10,
+    centered at the origin); the 1-D functions reject any other dim.
+    """
+    if name == "f1":
+        obj = _f1_objective()
+    elif name == "f2":
+        obj = _f2_objective()
+    elif name == "f3":
+        obj = _f3_objective()
+    elif name == "rosenbrock":
+        obj = rosenbrock_objective(dim if dim is not None else 2)
+        return obj
+    elif name == "quadratic":
+        n = dim if dim is not None else 10
+        return quadratic_objective(np.zeros(n))
+    else:
+        raise KeyError(f"unknown objective {name!r}")
+    if dim is not None and dim != 1:
+        raise ValueError(f"{name} is 1-D")
+    return obj
