@@ -1,6 +1,6 @@
 """Gradient-based optimizers with an angular step coefficient, plus benchmarks.
 
-The package implements ten update rules (SGD, SGDM, RMSprop, Adam, AdamW,
+The package implements nine update rules (SGD, SGDM, RMSprop, Adam, AdamW,
 RAdam, diffGrad, AdaBelief, and the cos/tan variants of AngularGrad) behind
 one stepping contract, a set of analytic test objectives, a small MLP with
 manual reverse-mode gradients, and a deterministic experiment harness with a

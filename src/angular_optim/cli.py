@@ -31,7 +31,14 @@ from angular_optim.harness import (
     trajectory_to_csv,
     write_text_atomic,
 )
-from angular_optim.models import Dataset, MlpSpec, loss_and_grad, make_blobs, train_mlp
+from angular_optim.models import (
+    Dataset,
+    MlpSpec,
+    NonFiniteLossError,
+    loss_and_grad,
+    make_blobs,
+    train_mlp,
+)
 from angular_optim.numerics import (
     finite_diff_grad,
     fmt_float,
@@ -259,7 +266,7 @@ def cmd_mlp(args) -> int:
             status = "ok"
             try:
                 _params, records = train_mlp(mlp_spec, data, opt_config, epochs, batch, rng)
-            except NonFiniteStepError as err:
+            except (NonFiniteStepError, NonFiniteLossError) as err:
                 status = f"aborted: {err}"
                 records = []
             lines = ["epoch,mean_batch_loss,train_loss,train_accuracy"]
@@ -360,6 +367,16 @@ def cmd_gradcheck(args) -> int:
         if worst > tol:
             failures.append(label)
 
+    def worst_error(objective, sample):
+        worst = 0.0
+        for _ in range(n_points):
+            x = sample(objective)
+            worst = max(
+                worst,
+                relative_error(objective.grad(x), finite_diff_grad(objective.eval, x)),
+            )
+        return worst
+
     def sample_point(objective):
         while True:
             x = np.array(
@@ -372,34 +389,15 @@ def cmd_gradcheck(args) -> int:
 
     for name in ("f1", "f2", "f3"):
         objective = get_objective(name)
-        worst = 0.0
-        for _ in range(n_points):
-            x = sample_point(objective)
-            worst = max(
-                worst,
-                relative_error(objective.grad(x), finite_diff_grad(objective.eval, x)),
-            )
-        check(name, worst, tol_obj)
+        check(name, worst_error(objective, sample_point), tol_obj)
 
     for dim in config["rosenbrock_dims"]:
         objective = get_objective("rosenbrock", dim=int(dim))
-        worst = 0.0
-        for _ in range(n_points):
-            x = rng.uniform(-2.048, 2.048, size=int(dim))
-            worst = max(
-                worst,
-                relative_error(objective.grad(x), finite_diff_grad(objective.eval, x)),
-            )
+        worst = worst_error(objective, lambda o: rng.uniform(-2.048, 2.048, size=o.dim))
         check(f"rosenbrock dim {dim}", worst, tol_obj)
 
     objective = get_objective("quadratic", dim=int(config["quadratic_dim"]))
-    worst = 0.0
-    for _ in range(n_points):
-        x = rng.uniform(-5.0, 5.0, size=objective.dim)
-        worst = max(
-            worst,
-            relative_error(objective.grad(x), finite_diff_grad(objective.eval, x)),
-        )
+    worst = worst_error(objective, lambda o: rng.uniform(-5.0, 5.0, size=o.dim))
     check("quadratic", worst, tol_obj)
 
     from angular_optim.models import init_params

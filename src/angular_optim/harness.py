@@ -158,15 +158,16 @@ def single_run(
         except NonFiniteStepError as err:
             status = f"aborted: {err}"
             break
-        d = new - params
-        params = new
         with np.errstate(over="ignore", invalid="ignore"):
+            d = new - params
+            norm = float(np.sqrt(np.dot(d, d)))
+            params = new
             loss = objective.eval(params)
         ts.append(i)
         losses.append(loss)
         alphas.append(state.alpha_t)
         phis.append(float(np.mean(state.last_phi)) if state.last_phi is not None else 1.0)
-        norms.append(float(np.sqrt(np.dot(d, d))))
+        norms.append(norm)
         if thetas is not None:
             thetas.append(params.copy())
         if not np.isfinite(loss):
@@ -258,24 +259,6 @@ def compute_regret(
         theta_star=theta_star,
         theta_star_source=source,
     )
-
-
-def rosenbrock_trace(
-    optimizers: tuple[tuple[str, OptimizerConfig], ...],
-    theta0=(-2.0, 2.0),
-    iterations: int = 5000,
-) -> dict[str, Trajectory]:
-    """2-D Rosenbrock paths with full parameter snapshots for overlays."""
-    spec = ExperimentSpec(
-        task="rosenbrock",
-        optimizers=optimizers,
-        iterations=iterations,
-        seeds=(0,),
-        theta0=np.array(theta0, dtype=np.float64),
-        record_params=True,
-    )
-    runs = run_experiment(spec)
-    return {name: trajs[0] for name, trajs in runs.items()}
 
 
 def grid_eval(objective: Objective, x_range, y_range, resolution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -13,8 +13,6 @@ cross-entropy, both averaged over the batch.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +21,10 @@ from angular_optim.numerics import Vector
 
 ACTIVATIONS = ("tanh", "relu")
 LOSSES = ("mse", "softmax_cross_entropy")
+
+
+class NonFiniteLossError(RuntimeError):
+    """The loss of a batch evaluated to NaN/Inf: the run diverged."""
 
 
 @dataclass(frozen=True)
@@ -113,7 +115,6 @@ class Dataset:
 
     features: np.ndarray
     labels: np.ndarray
-    split: str = "train"
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -158,36 +159,6 @@ def make_blobs(
         feats.append(center + rng.normal(size=(n_per_class, 2)))
         labels.append(np.full(n_per_class, c, dtype=np.int64))
     return Dataset(features=np.vstack(feats), labels=np.concatenate(labels))
-
-
-def dataset_to_csv(data: Dataset) -> str:
-    """Header row, feature columns, then the integer label column."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    d = data.features.shape[1]
-    writer.writerow([f"x{i}" for i in range(d)] + ["label"])
-    for row, label in zip(data.features, data.labels):
-        writer.writerow([repr(float(v)) for v in row] + [int(label)])
-    return buf.getvalue()
-
-
-def dataset_from_csv(text: str, split: str = "train") -> Dataset:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if not header or header[-1] != "label":
-        raise ValueError("expected a header ending in 'label'")
-    feats = []
-    labels = []
-    for row in reader:
-        if not row:
-            continue
-        feats.append([float(v) for v in row[:-1]])
-        labels.append(int(row[-1]))
-    return Dataset(
-        features=np.array(feats, dtype=np.float64),
-        labels=np.array(labels, dtype=np.int64),
-        split=split,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +216,7 @@ def loss_and_grad(
         delta = 2.0 * diff / n
 
     if not np.isfinite(loss):
-        raise ValueError("non-finite loss")
+        raise NonFiniteLossError("non-finite loss")
 
     grad = np.zeros_like(params.flat)
     for i in range(len(params.layout) - 1, -1, -1):
@@ -297,7 +268,8 @@ def train_mlp(
     The generator drives initialization first and the per-epoch shuffles
     after, so a single seed pins the whole run.  Returns the trained
     parameters and one record per epoch (mean minibatch loss during the
-    epoch, then full-train loss and accuracy at the epoch's end).
+    epoch, then full-train loss and accuracy at the epoch's end).  A diverged
+    run raises NonFiniteLossError or NonFiniteStepError.
     """
     from angular_optim.optimizers import init_state, step
 
@@ -307,21 +279,26 @@ def train_mlp(
     state = init_state(config, params.flat.size)
     records = []
     n = len(data)
-    for epoch in range(1, epochs + 1):
-        order = rng.permutation(n)
-        batch_losses = []
-        for lo in range(0, n, batch_size):
-            idx = order[lo : lo + batch_size]
-            loss, grad = loss_and_grad(params, spec, data.features[idx], data.labels[idx])
-            batch_losses.append(loss)
-            params.flat = step(state, config, params.flat, grad)
-        full_loss, _ = loss_and_grad(params, spec, data.features, data.labels)
-        records.append(
-            EpochRecord(
-                epoch=epoch,
-                mean_batch_loss=float(np.mean(batch_losses)),
-                train_loss=full_loss,
-                train_accuracy=accuracy(params, spec, data),
+    # divergence is handled (loss_and_grad and step raise), so overflow on an
+    # exploding run must not warn
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(1, epochs + 1):
+            order = rng.permutation(n)
+            batch_losses = []
+            for lo in range(0, n, batch_size):
+                idx = order[lo : lo + batch_size]
+                loss, grad = loss_and_grad(
+                    params, spec, data.features[idx], data.labels[idx]
+                )
+                batch_losses.append(loss)
+                params.flat = step(state, config, params.flat, grad)
+            full_loss, _ = loss_and_grad(params, spec, data.features, data.labels)
+            records.append(
+                EpochRecord(
+                    epoch=epoch,
+                    mean_batch_loss=float(np.mean(batch_losses)),
+                    train_loss=full_loss,
+                    train_accuracy=accuracy(params, spec, data),
+                )
             )
-        )
     return params, records

@@ -31,15 +31,6 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def elementwise_map2(a: Vector, b: Vector, f: Callable[[float, float], float]) -> Vector:
-    """Apply a scalar binary function componentwise; inputs are not mutated."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    return np.array([f(float(x), float(y)) for x, y in zip(a, b)], dtype=np.float64)
-
-
 def mean(a: Vector) -> float:
     """Arithmetic mean of a non-empty vector."""
     a = np.asarray(a, dtype=np.float64)

@@ -1,34 +1,34 @@
-"""The stepping engine: ten update rules behind one contract, plus wrappers.
+"""The stepping engine: nine update rules behind one contract, plus wrappers.
 
 Rules: sgd, sgdm, rmsprop, adam, adamw, radam, diffgrad, adabelief, and
-angulargrad with ``angle_variant`` cos or tan.  Gradient centralization and
-hypergradient learning-rate adaptation compose with any rule through the
-``step`` dispatcher.
+angulargrad with ``angle_variant`` cos or tan.  Gradient centralization,
+decoupled weight decay and hypergradient learning-rate adaptation compose
+with any rule through the ``step`` dispatcher.
 
-Conventions that every rule shares:
+All rules run through one kernel:
 
-* State vectors (moments, previous gradient, previous angle) start at zero,
-  so the gradient "before the first step" is 0 and the first angle compares
-  against a zero previous angle.
-* The iteration counter ``t`` starts at 0 and the bias-correction powers use
-  t = 1 for the first step.
-* Epsilon is added outside the square root: step = alpha * mhat / (sqrt(vhat) + eps).
-* Each rule reads its live learning rate from ``state.alpha_t`` so milestone
-  schedules and hypergradient adaptation apply uniformly.
-* A step that would produce a non-finite parameter raises NonFiniteStepError
-  carrying (iteration, coordinate, rule).
+* sgdm keeps the accumulator m = gamma * m + g and steps theta -= alpha * m
+  (the convention of the major deep-learning frameworks, not the damped form
+  that scales the fresh gradient by (1 - gamma)).  sgd is sgdm with gamma 0;
+  it ignores ``momentum_gamma``.
+* rmsprop steps theta -= alpha * g / (sqrt(v) + eps), with v smoothed by
+  rho = ``beta2`` and no bias correction.
+* Every other rule is Adam with bias correction and one per-coordinate scale:
+  theta -= alpha * scale * mhat / (sqrt(v / (1 - beta2^t)) + eps), where
+  scale is 1 (adam, adamw, adabelief), diffGrad's xi = sigmoid(|g_prev - g|),
+  RAdam's r_t, or AngularGrad's phi.  AdaBelief feeds v with (g - m)^2
+  instead of g^2.  While RAdam's variance is not yet rectifiable, scale and
+  denominator are both 1, a bias-corrected momentum step theta -= alpha * mhat.
+* adamw is adam: the dispatcher's decoupled decay supplies its
+  -alpha * lambda * theta term, with the shrinking sign.
 
-Two deliberate conventions deserve a note because more than one appears in
-the literature:
-
-* sgdm uses the accumulator form buf = gamma * buf + g; theta -= alpha * buf
-  (the convention of the major deep-learning frameworks), not the damped
-  form that scales the fresh gradient by (1 - gamma).
-* adamw applies decoupled decay with the shrinking sign,
-  theta <- theta - alpha * mhat / (sqrt(vhat) + eps) - alpha * lambda * theta.
-* radam falls back to a bias-corrected momentum step (theta -= alpha * mhat)
-  while the variance estimate is not yet rectifiable, and its rectified
-  branch divides by sqrt(vhat) + eps like the rest of the Adam family.
+State vectors start at zero, so the gradient "before the first step" is 0 and
+the first angle compares against a zero previous angle.  The counter ``t``
+starts at 0, so the bias-correction powers use t = 1 on the first step.  The
+kernel reads its live learning rate from ``state.alpha_t``, so milestone
+schedules and hypergradient adaptation apply uniformly.  A step that would
+produce a non-finite parameter raises NonFiniteStepError carrying
+(iteration, coordinate, rule).
 """
 
 from __future__ import annotations
@@ -122,18 +122,22 @@ class OptimizerConfig:
 class OptimizerState:
     """Mutable per-run state; all vectors share the parameter dimension.
 
-    ``last_phi`` is a diagnostic slot: angulargrad_step records the phi
-    vector it applied so the harness can log its mean per iteration.
+    * ``t``: steps taken so far.
+    * ``m``: first moment, or the sgd/sgdm momentum accumulator.
+    * ``v``: second moment (AdaBelief: of g - m; RMSprop: uncorrected).
+    * ``prev_grad``: the gradient of the previous step.
+    * ``prev_angle``: AngularGrad's previous raw angle A_{t-1}.
+    * ``alpha_t``: the live learning rate.
+    * ``last_phi``: a diagnostic slot holding the phi vector AngularGrad
+      applied, so the harness can log its mean per iteration.
     """
 
     t: int
     m: Vector
     v: Vector
-    s: Vector
     prev_grad: Vector
     prev_angle: Vector
     alpha_t: float
-    momentum_buf: Vector
     last_phi: Vector | None = field(default=None)
 
 
@@ -145,11 +149,9 @@ def init_state(config: OptimizerConfig, dim: int) -> OptimizerState:
         t=0,
         m=z(),
         v=z(),
-        s=z(),
         prev_grad=z(),
         prev_angle=z(),
         alpha_t=config.alpha,
-        momentum_buf=z(),
     )
 
 
@@ -195,76 +197,7 @@ def angular_coefficient(
 
 
 # ---------------------------------------------------------------------------
-# Update rules.  Each advances state.t, refreshes the moment estimates it
-# owns, stores prev_grad, and returns the new parameter vector.
-
-
-def _bias_corrected_moments(state, config, grad):
-    t = state.t + 1
-    m = config.beta1 * state.m + (1.0 - config.beta1) * grad
-    v = config.beta2 * state.v + (1.0 - config.beta2) * grad * grad
-    mhat = m / (1.0 - config.beta1**t)
-    vhat = v / (1.0 - config.beta2**t)
-    return t, m, v, mhat, vhat
-
-
-def _commit(state, t, grad, m=None, v=None, s=None):
-    state.t = t
-    if m is not None:
-        state.m = m
-    if v is not None:
-        state.v = v
-    if s is not None:
-        state.s = s
-    state.prev_grad = np.array(grad, dtype=np.float64, copy=True)
-
-
-def sgd_step(state, config, params, grad):
-    """Plain descent: theta -= alpha * g."""
-    new = params - state.alpha_t * grad
-    _commit(state, state.t + 1, grad)
-    return new
-
-
-def sgdm_step(state, config, params, grad):
-    """Accumulator momentum: buf = gamma * buf + g; theta -= alpha * buf."""
-    buf = config.momentum_gamma * state.momentum_buf + grad
-    new = params - state.alpha_t * buf
-    _commit(state, state.t + 1, grad)
-    state.momentum_buf = buf
-    return new
-
-
-def rmsprop_step(state, config, params, grad):
-    """v = rho * v + (1-rho) g^2; theta -= alpha * g / (sqrt(v) + eps).
-
-    The smoothing constant rho is read from config.beta2; no bias correction.
-    """
-    rho = config.beta2
-    v = rho * state.v + (1.0 - rho) * grad * grad
-    new = params - state.alpha_t * grad / (np.sqrt(v) + config.epsilon)
-    _commit(state, state.t + 1, grad, v=v)
-    return new
-
-
-def adam_step(state, config, params, grad):
-    """Adam with bias correction: theta -= alpha * mhat / (sqrt(vhat) + eps)."""
-    t, m, v, mhat, vhat = _bias_corrected_moments(state, config, grad)
-    new = params - state.alpha_t * mhat / (np.sqrt(vhat) + config.epsilon)
-    _commit(state, t, grad, m=m, v=v)
-    return new
-
-
-def adamw_step(state, config, params, grad):
-    """Adam plus decoupled decay: an extra -alpha * lambda * theta term."""
-    t, m, v, mhat, vhat = _bias_corrected_moments(state, config, grad)
-    new = (
-        params
-        - state.alpha_t * mhat / (np.sqrt(vhat) + config.epsilon)
-        - state.alpha_t * config.weight_decay_lambda * params
-    )
-    _commit(state, t, grad, m=m, v=v)
-    return new
+# The rule kernel
 
 
 def radam_terms(t: int, beta2: float) -> tuple[float, float, float | None]:
@@ -285,68 +218,47 @@ def radam_terms(t: int, beta2: float) -> tuple[float, float, float | None]:
     return rho_inf, rho_t, None
 
 
-def radam_step(state, config, params, grad):
-    """Rectified Adam: adaptive step once the variance is rectifiable.
+def _rule_kernel(state, config, params, grad):
+    """Advance state by one step of ``config.rule`` and return the new params.
 
-    While r_t is None the rule takes the momentum-only fallback
-    theta -= alpha * mhat; afterwards alpha * r_t * mhat / (sqrt(vhat) + eps).
+    The forms of the rules are listed in the module docstring.
     """
-    t, m, v, mhat, vhat = _bias_corrected_moments(state, config, grad)
-    _, _, r_t = radam_terms(t, config.beta2)
-    if r_t is not None:
-        new = params - state.alpha_t * r_t * mhat / (np.sqrt(vhat) + config.epsilon)
-    else:
-        new = params - state.alpha_t * mhat
-    _commit(state, t, grad, m=m, v=v)
-    return new
-
-
-def diffgrad_step(state, config, params, grad):
-    """Friction-scaled Adam: xi = sigmoid(|g_prev - g|) multiplies the step."""
-    xi = 1.0 / (1.0 + np.exp(-np.abs(state.prev_grad - grad)))
-    t, m, v, mhat, vhat = _bias_corrected_moments(state, config, grad)
-    new = params - state.alpha_t * xi * mhat / (np.sqrt(vhat) + config.epsilon)
-    _commit(state, t, grad, m=m, v=v)
-    return new
-
-
-def adabelief_step(state, config, params, grad):
-    """Belief-tracking Adam: s = beta2 * s + (1-beta2)(g - m_t)^2, both corrected."""
+    rule = config.rule
     t = state.t + 1
-    m = config.beta1 * state.m + (1.0 - config.beta1) * grad
-    resid = grad - m
-    s = config.beta2 * state.s + (1.0 - config.beta2) * resid * resid
-    mhat = m / (1.0 - config.beta1**t)
-    shat = s / (1.0 - config.beta2**t)
-    new = params - state.alpha_t * mhat / (np.sqrt(shat) + config.epsilon)
-    _commit(state, t, grad, m=m, s=s)
-    return new
-
-
-def angulargrad_step(state, config, params, grad, phi_override: float | None = None):
-    """Adam step scaled by the angular coefficient phi.
-
-    A_t compares the incoming gradient against the previous one elementwise;
-    A_min = min(previous angle, A_t) picks the flatter of the two consecutive
-    angles; phi = tanh(|cos or tan of A_min|) * lambda1 + lambda2 multiplies
-    the bias-corrected Adam step.  State keeps A_t as the next prev_angle.
-
-    ``phi_override`` is a test hook: a scalar that replaces the computed phi
-    vector (1.0 reduces the rule to adam_step exactly).
-    """
-    a_t = angle_between(grad, state.prev_grad)
-    a_min = np.minimum(state.prev_angle, a_t)
-    if phi_override is None:
-        phi = angular_coefficient(
-            a_min, config.angle_variant, config.lambda1, config.lambda2
-        )
+    m, v = state.m, state.v
+    if rule in ("sgd", "sgdm"):
+        gamma = config.momentum_gamma if rule == "sgdm" else 0.0
+        m = gamma * m + grad
+        new = params - state.alpha_t * m
+    elif rule == "rmsprop":
+        v = config.beta2 * v + (1.0 - config.beta2) * grad * grad
+        new = params - state.alpha_t * grad / (np.sqrt(v) + config.epsilon)
     else:
-        phi = np.full(params.shape, float(phi_override))
-    t, m, v, mhat, vhat = _bias_corrected_moments(state, config, grad)
-    new = params - state.alpha_t * phi * mhat / (np.sqrt(vhat) + config.epsilon)
-    _commit(state, t, grad, m=m, v=v)
-    state.prev_angle = a_t
-    state.last_phi = phi
+        m = config.beta1 * m + (1.0 - config.beta1) * grad
+        d = grad - m if rule == "adabelief" else grad
+        v = config.beta2 * v + (1.0 - config.beta2) * d * d
+        mhat = m / (1.0 - config.beta1**t)
+        denom = np.sqrt(v / (1.0 - config.beta2**t)) + config.epsilon
+        scale = 1.0
+        if rule == "diffgrad":
+            scale = 1.0 / (1.0 + np.exp(-np.abs(state.prev_grad - grad)))
+        elif rule == "radam":
+            r_t = radam_terms(t, config.beta2)[2]
+            if r_t is None:
+                scale = denom = 1.0
+            else:
+                scale = r_t
+        elif rule == "angulargrad":
+            a_t = angle_between(grad, state.prev_grad)
+            scale = angular_coefficient(
+                np.minimum(state.prev_angle, a_t),
+                config.angle_variant, config.lambda1, config.lambda2,
+            )
+            state.prev_angle = a_t
+            state.last_phi = scale
+        new = params - state.alpha_t * scale * mhat / denom
+    state.t, state.m, state.v = t, m, v
+    state.prev_grad = np.array(grad, dtype=np.float64, copy=True)
     return new
 
 
@@ -371,17 +283,9 @@ def hgd_adapt(alpha_prev: float, grad_t: Vector, grad_tm1: Vector, omega: float)
     return float(alpha_prev + omega * np.dot(grad_t, grad_tm1))
 
 
-_RULE_TABLE = {
-    "sgd": sgd_step,
-    "sgdm": sgdm_step,
-    "rmsprop": rmsprop_step,
-    "adam": adam_step,
-    "adamw": adamw_step,
-    "radam": radam_step,
-    "diffgrad": diffgrad_step,
-    "adabelief": adabelief_step,
-    "angulargrad": angulargrad_step,
-}
+# One kernel serves every rule; the per-rule table stays so that tracing
+# tools (perfbench/spans.py) can wrap and time each rule separately.
+_RULE_TABLE = {rule: _rule_kernel for rule in RULES}
 
 
 def step(state: OptimizerState, config: OptimizerConfig, params: Vector, grad: Vector) -> Vector:
@@ -390,8 +294,8 @@ def step(state: OptimizerState, config: OptimizerConfig, params: Vector, grad: V
     The hypergradient update adjusts state.alpha_t before the rule runs, so
     the adapted rate applies to the current step (the first step sees no
     change because the stored previous gradient is zero).  Decoupled weight
-    decay composes with any rule; adamw folds its own decay term, every other
-    rule gets the same shrink applied here when weight_decay_lambda > 0.
+    decay composes with any rule: when weight_decay_lambda > 0 the step also
+    shrinks theta by alpha_t * lambda * theta, which is all adamw adds to adam.
     """
     params = np.asarray(params, dtype=np.float64)
     grad = np.asarray(grad, dtype=np.float64)
@@ -409,7 +313,7 @@ def step(state: OptimizerState, config: OptimizerConfig, params: Vector, grad: V
     # any non-finite result into NonFiniteStepError instead of a warning
     with np.errstate(over="ignore", invalid="ignore"):
         new = _RULE_TABLE[config.rule](state, config, params, grad)
-        if config.weight_decay_lambda > 0.0 and config.rule != "adamw":
+        if config.weight_decay_lambda > 0.0:
             new = new - state.alpha_t * config.weight_decay_lambda * params
     bad = first_nonfinite(new)
     if bad is not None:

@@ -22,10 +22,9 @@ from angular_optim.harness import Trajectory, tail_oscillation
 from angular_optim.numerics import make_rng
 from angular_optim.optimizers import (
     OptimizerConfig,
-    adam_step,
     angular_coefficient,
-    angulargrad_step,
     init_state,
+    step,
 )
 
 PHI_COS_MAX = 0.8807970779778824  # 0.5 * tanh(1) + 0.5
@@ -204,7 +203,10 @@ def test_criterion_05_adam_reduction():
     failures = []
     for seed in range(10):
         rng = make_rng(seed)
-        cfg_ag = OptimizerConfig(rule="angulargrad", alpha=1e-3)
+        # lambda1 = 0, lambda2 = 1 holds phi at exactly 1
+        cfg_ag = OptimizerConfig(
+            rule="angulargrad", alpha=1e-3, lambda1=0.0, lambda2=1.0
+        )
         cfg_ad = OptimizerConfig(rule="adam", alpha=1e-3)
         state_ag = init_state(cfg_ag, 64)
         state_ad = init_state(cfg_ad, 64)
@@ -212,14 +214,14 @@ def test_criterion_05_adam_reduction():
         p_ad = np.zeros(64)
         for t in range(1000):
             g = rng.normal(size=64)
-            p_ag = angulargrad_step(state_ag, cfg_ag, p_ag, g, phi_override=1.0)
-            p_ad = adam_step(state_ad, cfg_ad, p_ad, g)
+            p_ag = step(state_ag, cfg_ag, p_ag, g)
+            p_ad = step(state_ad, cfg_ad, p_ad, g)
             if not np.array_equal(p_ag, p_ad):
                 failures.append(f"seed {seed} diverges at step {t + 1}")
                 break
         if failures:
             break
-    report(5, "phi-override reduces to adam bitwise", failures,
+    report(5, "phi = 1 reduces to adam bitwise", failures,
            extra="10 seeds x 1000 steps, dim 64")
 
 

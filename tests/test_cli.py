@@ -1,6 +1,7 @@
 """End-to-end CLI runs: artifacts, exit codes, overrides, determinism."""
 
 import json
+import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -170,6 +171,25 @@ class TestMlp:
         assert len(entry["final_train_loss"]) == 1
         assert entry["status"] == ["ok"]
         assert 0.0 <= entry["mean_final_accuracy"] <= 1.0
+
+    def test_divergence_exit_codes(self, tmp_path):
+        cfg = tmp_path / "hot.json"
+        cfg.write_text(json.dumps({
+            "optimizers": {"sgd": {"rule": "sgd", "alpha": 1e6}},
+            "seeds": [0],
+            "epochs": 2,
+        }))
+        out = tmp_path / "a"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("mlp", "--config", str(cfg), "--out", str(out)) == 1
+            assert run("mlp", "--config", str(cfg), "--out", str(tmp_path / "b"),
+                       "--allow-divergence") == 0
+        summary = json.loads((out / "mlp_summary.json").read_text())
+        assert summary["sgd"]["status"][0].startswith("aborted: ")
+        # a bad value that train_mlp itself rejects is still a config error
+        cfg.write_text(json.dumps({"seeds": [0], "batch_size": 0}))
+        assert run("mlp", "--config", str(cfg), "--out", str(tmp_path / "c")) == 2
 
     def test_epochs_override(self, tmp_path):
         out = tmp_path / "a"

@@ -17,7 +17,6 @@ from angular_optim.harness import (
     regret_to_csv,
     resolve_theta0,
     resolve_threads,
-    rosenbrock_trace,
     run_experiment,
     single_run,
     summary_to_json,
@@ -236,14 +235,6 @@ class TestRosenbrockHelpers:
         traj = single_run(obj, OptimizerConfig(rule="adam", alpha=1e-3), [1.0, 1.0], 20)
         assert np.all(traj.loss == 0.0)
         assert np.array_equal(traj.final_params, [1.0, 1.0])
-
-    def test_trace_records_paths(self):
-        traces = rosenbrock_trace(
-            (("adam", OptimizerConfig(rule="adam", alpha=1e-3)),), iterations=50
-        )
-        traj = traces["adam"]
-        assert traj.thetas is not None
-        assert traj.thetas.shape == (50, 2)
 
     def test_grid_eval_values(self):
         obj = get_objective("rosenbrock")

@@ -11,8 +11,6 @@ from angular_optim.models import (
     MlpParams,
     MlpSpec,
     accuracy,
-    dataset_from_csv,
-    dataset_to_csv,
     init_params,
     layout_for,
     loss_and_grad,
@@ -198,18 +196,6 @@ class TestDatasets:
             Dataset(features=np.zeros((4, 2)), labels=np.zeros(3, dtype=int))
         with pytest.raises(ValueError):
             Dataset(features=np.zeros((2, 2)), labels=np.array([0, 2]))
-
-    def test_csv_round_trip(self):
-        data = make_blobs(make_rng(5), 10, 3, 4.0)
-        text = dataset_to_csv(data)
-        assert text.splitlines()[0] == "x0,x1,label"
-        back = dataset_from_csv(text)
-        assert np.array_equal(back.features, data.features)
-        assert np.array_equal(back.labels, data.labels)
-
-    def test_csv_bad_header(self):
-        with pytest.raises(ValueError):
-            dataset_from_csv("a,b\n1,2\n")
 
 
 class TestPredictAndAccuracy:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from angular_optim.numerics import (
     as_vector,
-    elementwise_map2,
     finite_diff_grad,
     first_nonfinite,
     fmt_float,
@@ -16,31 +15,6 @@ from angular_optim.numerics import (
     relative_error,
 )
 from angular_optim.objectives import get_objective, rosenbrock
-
-
-class TestElementwiseMap2:
-    def test_add(self):
-        out = elementwise_map2(np.array([1.0, 2.0]), np.array([3.0, 4.0]), lambda a, b: a + b)
-        assert np.array_equal(out, [4.0, 6.0])
-
-    def test_sub_self_is_zero(self):
-        a = np.array([1.0, 2.0])
-        out = elementwise_map2(a, a, lambda x, y: x - y)
-        assert np.array_equal(out, [0.0, 0.0])
-
-    def test_min_idempotent(self):
-        out = elementwise_map2(np.array([0.5]), np.array([0.5]), min)
-        assert np.array_equal(out, [0.5])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            elementwise_map2(np.array([1.0]), np.array([1.0, 2.0]), min)
-
-    def test_inputs_not_mutated(self):
-        a = np.array([1.0, 2.0])
-        b = np.array([3.0, 4.0])
-        elementwise_map2(a, b, lambda x, y: x * y)
-        assert np.array_equal(a, [1.0, 2.0]) and np.array_equal(b, [3.0, 4.0])
 
 
 class TestMean:

@@ -18,7 +18,6 @@ from angular_optim.optimizers import (
     OptimizerState,
     angle_between,
     angular_coefficient,
-    angulargrad_step,
     gc_transform,
     hgd_adapt,
     init_state,
@@ -141,13 +140,19 @@ class TestAngularCoefficient:
         assert phi[0] == pytest.approx(TANH_1 * 0.25 + 0.1, abs=1e-15)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.floats(0.0, math.pi / 2.0, allow_nan=False))
-    def test_bounds(self, a):
+    @given(
+        st.floats(0.0, math.pi / 2.0, allow_nan=False),
+        st.floats(0.0, 10.0, allow_nan=False),
+        st.floats(0.0, 10.0, allow_nan=False),
+    )
+    def test_bounds(self, a, lambda1, lambda2):
         for variant in ANGLE_VARIANTS:
             phi = angular_coefficient(np.array([a]), variant, 0.5, 0.5)[0]
             assert 0.5 <= phi <= 1.0
             if variant == "cos":
                 assert phi <= PHI_COS_MAX
+            phi = angular_coefficient(np.array([a]), variant, lambda1, lambda2)[0]
+            assert lambda2 <= phi <= lambda1 + lambda2
 
     def test_monotonicity(self):
         grid = np.linspace(0.0, math.pi / 2.0, 4001)
@@ -197,11 +202,29 @@ class TestFirstSteps:
         assert traj[1][0] == 0.875
         assert traj[2][0] == 0.765625
 
-    def test_adamw_gradient_term_matches_adam(self):
-        # lambda = 0 reduces adamw to adam exactly
-        _, w = run_steps("adamw", [[0.5], [0.3]], [0.0], alpha=0.1)
-        _, a = run_steps("adam", [[0.5], [0.3]], [0.0], alpha=0.1)
-        assert np.array_equal(w[-1], a[-1])
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=3, max_size=3),
+            min_size=1,
+            max_size=20,
+        ),
+        st.floats(0.0, 1.0, allow_nan=False),
+        st.floats(0.0, 0.99, allow_nan=False),
+    )
+    def test_adamw_gradient_term_matches_adam(self, grads, lam, gamma):
+        # bitwise aliases: adamw is adam under the dispatcher's decoupled
+        # decay, and sgd is sgdm with gamma 0 whatever its momentum_gamma
+        pairs = (
+            (("adamw", {"weight_decay_lambda": lam}), ("adam", {"weight_decay_lambda": lam})),
+            (("sgd", {"momentum_gamma": gamma}), ("sgdm", {"momentum_gamma": 0.0})),
+        )
+        theta0 = [0.5, -1.5, 2.0]
+        for (rule_a, kw_a), (rule_b, kw_b) in pairs:
+            _, a = run_steps(rule_a, grads, theta0, alpha=0.01, **kw_a)
+            _, b = run_steps(rule_b, grads, theta0, alpha=0.01, **kw_b)
+            for pa, pb in zip(a, b):
+                assert np.array_equal(pa, pb)
 
     def test_radam_fallback_first_step(self):
         # t = 1, beta2 = 0.999: rho_1 = 1 <= 4, so theta -= alpha * mhat
@@ -222,9 +245,9 @@ class TestFirstSteps:
 
     def test_adabelief_first_step(self):
         state, traj = run_steps("adabelief", [[1.0]], [0.0], alpha=0.1)
-        # m1 = 0.1, resid = 0.9, s1 = 0.001 * 0.81, shat = 0.81
+        # m1 = 0.1, resid = 0.9, v1 = 0.001 * 0.81, vhat = 0.81
         assert state.m[0] == pytest.approx(0.1, abs=1e-16)
-        assert state.s[0] == pytest.approx(8.1e-4, abs=1e-18)
+        assert state.v[0] == pytest.approx(8.1e-4, abs=1e-18)
         assert traj[1][0] == pytest.approx(-0.1111111098765433, abs=1e-13)
 
     def test_adabelief_outpaces_adam_on_constant_gradient(self):
@@ -242,6 +265,23 @@ class TestFirstSteps:
         # a_min = 0: tan gives phi = 0.5 exactly
         _, traj = run_steps("angulargrad", [[0.5]], [0.0], alpha=0.1, angle_variant="tan")
         assert traj[1][0] == pytest.approx(-0.04999999900000002, abs=1e-16)
+
+    def test_a_min_uses_previous_raw_angle(self):
+        # small angle, then two large ones: A_min pairs the last two raw
+        # angles, it is not a running minimum over the whole history
+        g1, g2, g3 = np.array([0.1]), np.array([-5.0]), np.array([0.5])
+        a1 = angle_between(g1, np.zeros(1))
+        a2 = angle_between(g2, g1)
+        a3 = angle_between(g3, g2)
+        assert a1[0] < 0.2 and a2[0] > 1.0 and a3[0] > 1.0
+        for variant in ANGLE_VARIANTS:
+            state, _ = run_steps(
+                "angulargrad", [g1, g2, g3], [0.0], alpha=0.1, angle_variant=variant
+            )
+            pairwise = angular_coefficient(np.minimum(a2, a3), variant, 0.5, 0.5)
+            running = angular_coefficient(a1, variant, 0.5, 0.5)
+            assert np.array_equal(state.last_phi, pairwise)
+            assert not np.array_equal(state.last_phi, running)
 
     def test_angulargrad_state_updates(self):
         state, _ = run_steps("angulargrad", [[0.5]], [0.0], alpha=0.1)
@@ -275,28 +315,27 @@ class TestRadamTerms:
 
 
 class TestPhiOverride:
+    """phi held constant: lambda1 = 0 makes phi = lambda2 exactly."""
+
     def test_reduces_to_adam_bitwise(self):
         rng = make_rng(3)
         grads = rng.normal(size=(50, 8))
-        cfg_ag = OptimizerConfig(rule="angulargrad", alpha=0.01)
+        cfg_ag = OptimizerConfig(rule="angulargrad", alpha=0.01, lambda1=0.0, lambda2=1.0)
         cfg_ad = OptimizerConfig(rule="adam", alpha=0.01)
         p_ag = np.zeros(8)
         p_ad = np.zeros(8)
         s_ag = init_state(cfg_ag, 8)
         s_ad = init_state(cfg_ad, 8)
         for g in grads:
-            p_ag = angulargrad_step(s_ag, cfg_ag, p_ag, g, phi_override=1.0)
+            p_ag = step(s_ag, cfg_ag, p_ag, g)
             p_ad = step(s_ad, cfg_ad, p_ad, g)
             assert np.array_equal(p_ag, p_ad)
 
     def test_override_scales_step(self):
-        cfg = OptimizerConfig(rule="angulargrad", alpha=0.1)
-        s1 = init_state(cfg, 1)
-        s2 = init_state(cfg, 1)
-        g = np.array([0.5])
-        full = angulargrad_step(s1, cfg, np.zeros(1), g, phi_override=1.0)
-        half = angulargrad_step(s2, cfg, np.zeros(1), g, phi_override=0.5)
-        assert half[0] == pytest.approx(0.5 * full[0], abs=1e-18)
+        g = [[0.5]]
+        _, full = run_steps("angulargrad", g, [0.0], alpha=0.1, lambda1=0.0, lambda2=1.0)
+        _, half = run_steps("angulargrad", g, [0.0], alpha=0.1, lambda1=0.0, lambda2=0.5)
+        assert half[1][0] == pytest.approx(0.5 * full[1][0], abs=1e-18)
 
 
 class TestSharedContract:
@@ -366,8 +405,7 @@ class TestSharedContract:
     def test_init_state_zeroed(self):
         state = init_state(OptimizerConfig(), 3)
         assert state.t == 0
-        for vec in (state.m, state.v, state.s, state.prev_grad, state.prev_angle,
-                    state.momentum_buf):
+        for vec in (state.m, state.v, state.prev_grad, state.prev_angle):
             assert np.array_equal(vec, np.zeros(3))
         assert state.alpha_t == 1e-3
         assert state.last_phi is None
@@ -419,7 +457,7 @@ class TestDispatcherComposition:
         assert traj[1][0] == pytest.approx(0.99, abs=1e-15)
 
     def test_weight_decay_not_doubled_for_adamw(self):
-        # adamw folds its own decay; the dispatcher must not add a second one
+        # adamw's decay comes from the dispatcher alone and is applied once
         _, traj = run_steps(
             "adamw", [[0.0]], [1.0], alpha=0.5, weight_decay_lambda=0.25
         )
