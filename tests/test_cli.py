@@ -1,5 +1,6 @@
 """End-to-end CLI runs: artifacts, exit codes, overrides, determinism."""
 
+import hashlib
 import json
 import warnings
 import xml.etree.ElementTree as ET
@@ -245,6 +246,82 @@ class TestPlot:
         assert run("plot", str(tmp_path / "nope.csv"), "--out", str(tmp_path)) == 2
 
 
+# sha256 of every file the default toy and regret protocols write.  The
+# benchmark gate pins the rosenbrock and mlp artifacts; these pin the rest,
+# so any change to the engine, the CLI or the serializers that moves one byte
+# of a default artifact fails here.
+PINNED_DEFAULT_ARTIFACTS = {
+    "toy": {
+        "toy_f1_adabelief_s0.csv":
+            "bd88c095ab3df6af1be875195a29adb91f89ba447927ab6e90f9885deec99733",
+        "toy_f1_adam_s0.csv":
+            "20af949a78c972459d2e06202fccd571dbd321ad9cc3f393641f5f26909e11c0",
+        "toy_f1_angulargrad_cos_s0.csv":
+            "5f24237ddf29888be8716c60cc66bf5326550d766cddd3c735ce7cb9e7dbe811",
+        "toy_f1_angulargrad_tan_s0.csv":
+            "bdd4e4fb1195b64d05e5de8e3138c9cb028a886611ae7b725dc8f445261496bc",
+        "toy_f1_diffgrad_s0.csv":
+            "cc392f56d75d25bae2f5f833091612b46197b8e4cac34c5ea3419651c3c3a063",
+        "toy_f1_loss.svg":
+            "8644297a7c149875a256e07ae1988dd00bdb54098625bbdf6c24f6990fccdea1",
+        "toy_f1_sgdm_s0.csv":
+            "6ce0a60c61f9453ce5dd9700f2df7076b1ec398962a85bfa183317d57c6ba3fd",
+        "toy_f1_summary.json":
+            "081fec5b959c867494aee005b7a4edb819724637242284533a41dfb9dc2fed93",
+        "toy_f1_theta.svg":
+            "350c3d9799a5f2d6f8e0387e3a2995fbb2489517b771a4b36de169badabcd7a0",
+        "toy_f2_adabelief_s0.csv":
+            "7ef9baa914debf2ab9f4e077cc657e6a9c97beebee13d626ae821243f4a0fe9f",
+        "toy_f2_adam_s0.csv":
+            "1ebb129bfdc75d5ea040428cf26e6a2915520727a482714dc21fabe964e286c2",
+        "toy_f2_angulargrad_cos_s0.csv":
+            "f78c2ce3ce15a9b396dee2edcebf5d024771d6aead9840cbab434833e1e20ea6",
+        "toy_f2_angulargrad_tan_s0.csv":
+            "17f611fa32676859ef3663b9b129d3a62b6319beed4f366b39c954370aa9fed8",
+        "toy_f2_diffgrad_s0.csv":
+            "d18db80db478aa5a773864bfc615a686d1e394dad175bd434e9d7193be6095ea",
+        "toy_f2_loss.svg":
+            "ca7e628a17b1f8c320f4dd150bef22f155ae210174ec38ae4e967d273ad6d45c",
+        "toy_f2_sgdm_s0.csv":
+            "b365c13f4f3ba112e9da98a0e4ac89ffc8c2f78362e4ca83a435710beac9d958",
+        "toy_f2_summary.json":
+            "fe29e69a9fdb7c6fbccb5dd34a02f03eabe2ddebff9aaca00f713f954bf062be",
+        "toy_f2_theta.svg":
+            "1b63c22c011b6697cbd9aa9337a1b74975eadc52cef14524b0994a796b7c5a96",
+        "toy_f3_adabelief_s0.csv":
+            "980bcc548aa44e3f58b94051f252f0e5901052396f26083e35cbae70ded9ced6",
+        "toy_f3_adam_s0.csv":
+            "aa926dc14c4fe300c7ae03ee3dce39671bc6db5e310dbadd25d4b3108aec5719",
+        "toy_f3_angulargrad_cos_s0.csv":
+            "67cba5a584fd92b04933e350db5c2b7a0b3e856f624ed60e5a7308647a39e0f8",
+        "toy_f3_angulargrad_tan_s0.csv":
+            "0c1d8f76f0b4ac84f769462effd88e724a07807155ad748073f3f1817c165b05",
+        "toy_f3_diffgrad_s0.csv":
+            "1e6a016a9ba50c71902085d5a463d849481636899aad0a5c2fb8a0b648b866d2",
+        "toy_f3_loss.svg":
+            "ae9290ab7f7594234d14fd8ec55e420b2c24b862ff9dce1dcb4f7c2b00e26727",
+        "toy_f3_sgdm_s0.csv":
+            "92a224f19e5b977ee048d8c54b1a6e68d28ce7764c53a15a676e6e9bfae5b7a9",
+        "toy_f3_summary.json":
+            "9c929a1432ead0917835a5171cd7f12680acd985c8a8b18c5d274220771bbe39",
+        "toy_f3_theta.svg":
+            "a15b5b8a3442ff176941286e240f52cf0d80c14a48d6f7eef060e0bd77891d43",
+    },
+    "regret": {
+        "regret_adam_s0.csv":
+            "4d848517234567ba9b978322420164af57913a9853ad92efebabe2accf86ad97",
+        "regret_angulargrad_cos_s0.csv":
+            "7411bb522b3cc7a644817a798a39ce5b4733d87944341b977c2a05d785cd1493",
+        "regret_angulargrad_tan_s0.csv":
+            "8e54635de4232714729c5ca299859e5264c1ad441e5fb5a5161c29c91fd267a2",
+        "regret_avg.svg":
+            "294d1e4dec549365ccd203512aca98a170a1fd1a706bdd6a2d5fcec4bcfe99da",
+        "regret_summary.json":
+            "bb771590de4e75b896ea1ddd9d5d31b83e8f18857432dfd740a23b8f7c523e70",
+    },
+}
+
+
 class TestDeterminism:
     def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
         cfg = toy_config(tmp_path, seeds=[0, 1])
@@ -271,3 +348,12 @@ class TestDeterminism:
         monkeypatch.setenv("ANGULAR_OPTIM_THREADS", "lots")
         cfg = toy_config(tmp_path)
         assert run("toy", "--config", cfg, "--out", str(tmp_path / "a")) == 2
+
+    @pytest.mark.parametrize("command", sorted(PINNED_DEFAULT_ARTIFACTS))
+    def test_default_artifacts_match_pinned_digests(self, tmp_path, command):
+        out = tmp_path / command
+        assert run(command, "--out", str(out)) == 0
+        digests = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()
+        }
+        assert digests == PINNED_DEFAULT_ARTIFACTS[command]
