@@ -14,18 +14,20 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from angular_optim import defaults
 from angular_optim.harness import (
+    ROSENBROCK_DIST_THRESHOLD,
     ExperimentSpec,
+    Trajectory,
     aggregate,
     compute_regret,
     grid_eval,
     grid_to_csv,
     regret_to_csv,
-    resolve_threads,
     run_experiment,
     summary_to_json,
     trajectory_to_csv,
@@ -74,6 +76,12 @@ def _load_config(command: str, path: str | None) -> dict:
     for key, value in user.items():
         if key not in config:
             raise ConfigError(f"unknown config key {key!r} for command {command!r}")
+        # "grid" and "blobs" may use only their default keys; optimizer names
+        # are the user's own and theta0 may be a vector
+        nested = isinstance(value, dict) and isinstance(config[key], dict)
+        for sub in value if nested and key not in ("optimizers", "theta0") else ():
+            if sub not in config[key]:
+                raise ConfigError(f"unknown config key '{key}.{sub}' for command {command!r}")
         config[key] = value
     return config
 
@@ -117,56 +125,51 @@ def _build_optimizers(config: dict) -> tuple[tuple[str, OptimizerConfig], ...]:
     return tuple(out)
 
 
-def _milestones(config: dict) -> tuple[tuple[int, float], ...]:
-    raw = config.get("lr_milestones", [])
+def _run(config: dict, task: str) -> tuple[ExperimentSpec, dict[str, list[Trajectory]]]:
+    """Build the ExperimentSpec a protocol config describes for ``task`` and run it."""
+    dim = config.get("dim")
     try:
-        return tuple((int(it), float(div)) for it, div in raw)
+        milestones = tuple((int(it), float(div)) for it, div in config["lr_milestones"])
     except (TypeError, ValueError):
-        raise ConfigError(f"bad lr_milestones {raw!r}")
+        raise ConfigError(f"bad lr_milestones {config['lr_milestones']!r}")
+    spec = ExperimentSpec(
+        task=task,
+        optimizers=_build_optimizers(config),
+        iterations=int(config["iterations"]),
+        seeds=tuple(config["seeds"]),
+        theta0=config["theta0"],
+        record_params=bool(config["record_params"]),
+        lr_milestones=milestones,
+        dim=None if dim is None else int(dim),
+    )
+    return spec, run_experiment(spec)
 
 
-def _divergence_exit(statuses: list[str], allow: bool) -> int:
-    bad = [s for s in statuses if s != "ok"]
-    if bad:
-        for s in bad:
-            print(f"warning: {s}", file=sys.stderr)
-        if not allow:
-            return 1
-    return 0
+def _write_runs(out: Path, prefix: str, seeds, runs: dict, to_csv=trajectory_to_csv) -> list[str]:
+    """Write ``to_csv(run)`` to <prefix>_<name>_s<seed>.csv for every run.
+
+    ``runs`` maps each optimizer name to one result per seed, each with a
+    ``status``; the statuses are returned in (optimizer, seed) order.
+    """
+    statuses = []
+    for name, results in runs.items():
+        for seed, result in zip(seeds, results):
+            write_text_atomic(out / f"{prefix}_{name}_s{seed}.csv", to_csv(result))
+            statuses.append(result.status)
+    return statuses
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Protocols: each takes the resolved config, the output directory and the
+# --log-scale flag, and returns its run statuses
 
 
-def cmd_toy(args) -> int:
-    config = _apply_overrides(_load_config("toy", args.config), args)
-    optimizers = _build_optimizers(config)
-    out = Path(args.out)
-    threads = resolve_threads()
+def _toy(config: dict, out: Path, log_scale: bool) -> list[str]:
     statuses = []
     for task in config["tasks"]:
-        spec = ExperimentSpec(
-            task=task,
-            optimizers=optimizers,
-            iterations=int(config["iterations"]),
-            seeds=tuple(config["seeds"]),
-            theta0=np.array(config["theta0"], dtype=np.float64),
-            record_params=bool(config["record_params"]),
-            lr_milestones=_milestones(config),
-        )
-        runs = run_experiment(spec, threads=threads)
-        loss_series, theta_series = [], []
-        for name, trajs in runs.items():
-            for seed, traj in zip(spec.seeds, trajs):
-                write_text_atomic(
-                    out / f"toy_{task}_{name}_s{seed}.csv", trajectory_to_csv(traj)
-                )
-                statuses.append(traj.status)
-            first = trajs[0]
-            loss_series.append(Series(name, first.t, first.loss))
-            if first.thetas is not None:
-                theta_series.append(Series(name, first.t, first.thetas[:, 0]))
+        spec, runs = _run(config, task)
+        statuses += _write_runs(out, f"toy_{task}", spec.seeds, runs)
+        firsts = {name: trajs[0] for name, trajs in runs.items()}
         write_text_atomic(
             out / f"toy_{task}_summary.json",
             summary_to_json(aggregate(runs, spec.iterations)),
@@ -174,54 +177,36 @@ def cmd_toy(args) -> int:
         write_text_atomic(
             out / f"toy_{task}_loss.svg",
             render_line_chart(
-                loss_series, title=f"{task}: loss vs iteration",
-                xlabel="iteration", ylabel="loss", log_y=args.log_scale,
+                [Series(name, first.t, first.loss) for name, first in firsts.items()],
+                title=f"{task}: loss vs iteration",
+                xlabel="iteration", ylabel="loss", log_y=log_scale,
             ),
         )
         write_text_atomic(
             out / f"toy_{task}_theta.svg",
             render_line_chart(
-                theta_series, title=f"{task}: theta vs iteration",
-                xlabel="iteration", ylabel="theta",
+                [
+                    Series(name, first.t, first.thetas[:, 0])
+                    for name, first in firsts.items()
+                    if first.thetas is not None
+                ],
+                title=f"{task}: theta vs iteration", xlabel="iteration", ylabel="theta",
             ),
         )
-    return _divergence_exit(statuses, args.allow_divergence)
+    return statuses
 
 
-def cmd_rosenbrock(args) -> int:
-    config = _apply_overrides(_load_config("rosenbrock", args.config), args)
-    optimizers = _build_optimizers(config)
-    out = Path(args.out)
-    spec = ExperimentSpec(
-        task=config["task"],
-        optimizers=optimizers,
-        iterations=int(config["iterations"]),
-        seeds=tuple(config["seeds"]),
-        theta0=np.array(config["theta0"], dtype=np.float64),
-        record_params=True,
-        lr_milestones=_milestones(config),
-        dim=int(config["dim"]),
-    )
-    runs = run_experiment(spec, threads=resolve_threads())
-    objective = get_objective(config["task"], dim=int(config["dim"]))
+def _rosenbrock(config: dict, out: Path, log_scale: bool) -> list[str]:
+    spec, runs = _run(config, config["task"])
+    objective = get_objective(config["task"], dim=spec.dim)
     target = np.array(objective.known_minima[0][0])
-    statuses = []
-    path_series = []
-    for name, trajs in runs.items():
-        for seed, traj in zip(spec.seeds, trajs):
-            write_text_atomic(
-                out / f"rosenbrock_{name}_s{seed}.csv", trajectory_to_csv(traj)
-            )
-            statuses.append(traj.status)
-        first = trajs[0]
-        if first.thetas is not None:
-            path_series.append(Series(name, first.thetas[:, 0], first.thetas[:, 1]))
+    statuses = _write_runs(out, "rosenbrock", spec.seeds, runs)
 
     def dist_threshold(traj):
         if traj.thetas is None:
             return traj.loss, 0.0
         dist = np.sqrt(np.sum((traj.thetas - target) ** 2, axis=1))
-        return dist, 0.1
+        return dist, ROSENBROCK_DIST_THRESHOLD
 
     write_text_atomic(
         out / "rosenbrock_summary.json",
@@ -233,17 +218,40 @@ def cmd_rosenbrock(args) -> int:
         int(grid_cfg["resolution"]),
     )
     write_text_atomic(out / "rosenbrock_grid.csv", grid_to_csv(xs, ys, Z))
+    paths = [
+        Series(name, trajs[0].thetas[:, 0], trajs[0].thetas[:, 1])
+        for name, trajs in runs.items()
+        if trajs[0].thetas is not None
+    ]
     write_text_atomic(
         out / "rosenbrock_overlay.svg",
-        render_overlay(xs, ys, Z, path_series, title="Rosenbrock trajectories"),
+        render_overlay(xs, ys, Z, paths, title="Rosenbrock trajectories"),
     )
-    return _divergence_exit(statuses, args.allow_divergence)
+    return statuses
 
 
-def cmd_mlp(args) -> int:
-    config = _apply_overrides(_load_config("mlp", args.config), args)
-    optimizers = _build_optimizers(config)
-    out = Path(args.out)
+class _MlpRun(NamedTuple):
+    records: list  # of models.EpochRecord
+    status: str
+
+
+def _mlp_to_csv(run: _MlpRun) -> str:
+    lines = ["epoch,mean_batch_loss,train_loss,train_accuracy"]
+    for rec in run.records:
+        lines.append(
+            ",".join(
+                [
+                    str(rec.epoch),
+                    fmt_float(rec.mean_batch_loss),
+                    fmt_float(rec.train_loss),
+                    fmt_float(rec.train_accuracy),
+                ]
+            )
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _mlp(config: dict, out: Path, log_scale: bool) -> list[str]:
     mlp_spec = MlpSpec(
         layer_sizes=tuple(int(n) for n in config["layer_sizes"]),
         activation=config["activation"],
@@ -253,98 +261,78 @@ def cmd_mlp(args) -> int:
     epochs = int(config["epochs"])
     batch = int(config["batch_size"])
     seeds = [int(s) for s in config["seeds"]]
+
+    def train(opt_config: OptimizerConfig, seed: int) -> _MlpRun:
+        rng = make_rng(seed)
+        data = make_blobs(
+            rng, int(blobs["n_per_class"]), int(blobs["classes"]),
+            float(blobs["separation"]),
+        )
+        try:
+            _params, records = train_mlp(mlp_spec, data, opt_config, epochs, batch, rng)
+        except (NonFiniteStepError, NonFiniteLossError) as err:
+            return _MlpRun([], f"aborted: {err}")
+        return _MlpRun(records, "ok")
+
+    runs = {
+        name: [train(opt_config, seed) for seed in seeds]
+        for name, opt_config in _build_optimizers(config)
+    }
+    statuses = _write_runs(out, "mlp", seeds, runs, _mlp_to_csv)
     summary = {}
-    statuses = []
-    for name, opt_config in optimizers:
-        finals, accs, stats = [], [], []
-        for seed in seeds:
-            rng = make_rng(seed)
-            data = make_blobs(
-                rng, int(blobs["n_per_class"]), int(blobs["classes"]),
-                float(blobs["separation"]),
-            )
-            status = "ok"
-            try:
-                _params, records = train_mlp(mlp_spec, data, opt_config, epochs, batch, rng)
-            except (NonFiniteStepError, NonFiniteLossError) as err:
-                status = f"aborted: {err}"
-                records = []
-            lines = ["epoch,mean_batch_loss,train_loss,train_accuracy"]
-            for rec in records:
-                lines.append(
-                    ",".join(
-                        [
-                            str(rec.epoch),
-                            fmt_float(rec.mean_batch_loss),
-                            fmt_float(rec.train_loss),
-                            fmt_float(rec.train_accuracy),
-                        ]
-                    )
-                )
-            write_text_atomic(out / f"mlp_{name}_s{seed}.csv", "\n".join(lines) + "\n")
-            if records:
-                finals.append(records[-1].train_loss)
-                accs.append(records[-1].train_accuracy)
-            stats.append(status)
-            statuses.append(status)
-        summary[name] = {
-            "final_train_loss": finals,
-            "final_train_accuracy": accs,
-            "mean_final_loss": float(np.mean(finals)) if finals else None,
-            "std_final_loss": (
+    for name, results in runs.items():
+        entry = summary[name] = {"status": [r.status for r in results]}
+        for metric in ("loss", "accuracy"):
+            finals = [getattr(r.records[-1], f"train_{metric}") for r in results if r.records]
+            entry[f"final_train_{metric}"] = finals
+            entry[f"mean_final_{metric}"] = float(np.mean(finals)) if finals else None
+            entry[f"std_final_{metric}"] = (
                 float(np.std(finals, ddof=1)) if len(finals) > 1 else 0.0
-            ),
-            "mean_final_accuracy": float(np.mean(accs)) if accs else None,
-            "std_final_accuracy": (
-                float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0
-            ),
-            "status": stats,
-        }
+            )
     write_text_atomic(out / "mlp_summary.json", summary_to_json(summary))
-    return _divergence_exit(statuses, args.allow_divergence)
+    return statuses
 
 
-def cmd_regret(args) -> int:
-    config = _apply_overrides(_load_config("regret", args.config), args)
-    optimizers = _build_optimizers(config)
-    out = Path(args.out)
-    dim = int(config["dim"])
-    spec = ExperimentSpec(
-        task=config["task"],
-        optimizers=optimizers,
-        iterations=int(config["iterations"]),
-        seeds=tuple(config["seeds"]),
-        theta0=config["theta0"],
-        record_params=bool(config["record_params"]),
-        lr_milestones=_milestones(config),
-        dim=dim,
-    )
-    runs = run_experiment(spec, threads=resolve_threads())
-    objective = get_objective(config["task"], dim=dim)
-    statuses = []
-    series = []
-    summary = {}
-    for name, trajs in runs.items():
-        for seed, traj in zip(spec.seeds, trajs):
-            statuses.append(traj.status)
-            record = compute_regret(traj, objective)
-            write_text_atomic(out / f"regret_{name}_s{seed}.csv", regret_to_csv(record))
-            if seed == spec.seeds[0]:
-                series.append(Series(name, record.t, record.average))
-                summary[name] = {
-                    "final_avg_regret": float(record.average[-1]),
-                    "theta_star_source": record.theta_star_source,
-                    "status": traj.status,
-                }
+def _regret(config: dict, out: Path, log_scale: bool) -> list[str]:
+    spec, runs = _run(config, config["task"])
+    objective = get_objective(config["task"], dim=spec.dim)
+    records = {
+        name: [compute_regret(traj, objective) for traj in trajs]
+        for name, trajs in runs.items()
+    }
+    statuses = _write_runs(out, "regret", spec.seeds, records, regret_to_csv)
     write_text_atomic(
         out / "regret_avg.svg",
         render_line_chart(
-            series, title="average regret vs t", xlabel="t", ylabel="R(t)/t",
+            [Series(name, recs[0].t, recs[0].average) for name, recs in records.items()],
+            title="average regret vs t", xlabel="t", ylabel="R(t)/t",
             log_x=True, log_y=True,
         ),
     )
+    summary = {
+        name: {
+            "final_avg_regret": float(recs[0].average[-1]),
+            "theta_star_source": recs[0].theta_star_source,
+            "status": recs[0].status,
+        }
+        for name, recs in records.items()
+    }
     write_text_atomic(out / "regret_summary.json", summary_to_json(summary))
-    return _divergence_exit(statuses, args.allow_divergence)
+    return statuses
+
+
+PROTOCOLS = {"toy": _toy, "rosenbrock": _rosenbrock, "mlp": _mlp, "regret": _regret}
+
+
+def run_protocol(args) -> int:
+    """Run the protocol named by the subcommand: load its config, apply the
+    flags, run, and exit 1 if any run diverged (0 with --allow-divergence)."""
+    config = _apply_overrides(_load_config(args.command, args.config), args)
+    statuses = PROTOCOLS[args.command](config, Path(args.out), args.log_scale)
+    bad = [s for s in statuses if s != "ok"]
+    for s in bad:
+        print(f"warning: {s}", file=sys.stderr)
+    return 1 if bad and not args.allow_divergence else 0
 
 
 def cmd_gradcheck(args) -> int:
@@ -463,8 +451,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_plot_files=False):
-        if with_plot_files:
+    commands = {
+        **dict.fromkeys(PROTOCOLS, run_protocol), "gradcheck": cmd_gradcheck, "plot": cmd_plot,
+    }
+    for name, func in commands.items():
+        p = sub.add_parser(name)
+        p.set_defaults(func=func)
+        if name == "plot":
             p.add_argument("files", nargs="+", help="trajectory CSV files")
         else:
             p.add_argument("--config", default=None, help="JSON config file")
@@ -477,21 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
             )
         p.add_argument("--out", default="artifacts", help="output directory")
         p.add_argument("--log-scale", action="store_true", help="log-scale loss axes")
-
-    for name, fn in (
-        ("toy", cmd_toy),
-        ("rosenbrock", cmd_rosenbrock),
-        ("mlp", cmd_mlp),
-        ("regret", cmd_regret),
-        ("gradcheck", cmd_gradcheck),
-    ):
-        p = sub.add_parser(name)
-        common(p)
-        p.set_defaults(func=fn)
-
-    p = sub.add_parser("plot")
-    common(p, with_plot_files=True)
-    p.set_defaults(func=cmd_plot)
     return parser
 
 
@@ -500,10 +478,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    except (KeyError, ValueError) as err:
+    except (ConfigError, KeyError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
 

@@ -1,10 +1,10 @@
 """Experiment execution: deterministic runs, regret tracking, aggregation, IO.
 
-A run is a pure function of its ExperimentSpec: optimizer/seed pairs execute
-independently (optionally on a thread pool, capped by ANGULAR_OPTIM_THREADS)
-and merge by key, so parallelism never changes a single output byte.  CSV
-floats are written with shortest round-trip formatting and files are written
-atomically (temp file, then rename).
+A run is a pure function of its ExperimentSpec: the (optimizer, seed) pairs
+execute one after another, each from its own seeded start, and the results
+are keyed by optimizer name in spec order.  CSV floats are written with
+shortest round-trip formatting and files are written atomically (temp file,
+then rename).
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -96,21 +95,7 @@ class RegretRecord:
     average: np.ndarray
     theta_star: Vector
     theta_star_source: str  # "known_minimum" or "best_found"
-
-
-def resolve_threads(env: dict | None = None) -> int:
-    """Worker count from ANGULAR_OPTIM_THREADS: 0 means auto, unset means 1."""
-    env = os.environ if env is None else env
-    raw = env.get("ANGULAR_OPTIM_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"ANGULAR_OPTIM_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise ValueError("ANGULAR_OPTIM_THREADS must be >= 0")
-    if n == 0:
-        return os.cpu_count() or 1
-    return n
+    status: str = "ok"  # the status of the trajectory the record was computed from
 
 
 def resolve_theta0(theta0, dim: int, rng: np.random.Generator) -> Vector:
@@ -121,10 +106,6 @@ def resolve_theta0(theta0, dim: int, rng: np.random.Generator) -> Vector:
         return rng.uniform(float(theta0["low"]), float(theta0["high"]), size=n)
     arr = np.array(theta0, dtype=np.float64, copy=True).reshape(-1)
     return arr
-
-
-def _objective_for(spec: ExperimentSpec) -> Objective:
-    return get_objective(spec.task, dim=spec.dim)
 
 
 def single_run(
@@ -189,40 +170,23 @@ def single_run(
     )
 
 
-def run_experiment(
-    spec: ExperimentSpec, threads: int | None = None
-) -> dict[str, list[Trajectory]]:
-    """All (optimizer, seed) runs of a spec, merged deterministically by key."""
-    objective = _objective_for(spec)
-    if threads is None:
-        threads = resolve_threads()
-
-    def job(name_config_seed):
-        name, config, seed = name_config_seed
-        theta0 = resolve_theta0(spec.theta0, objective.dim, make_rng(seed))
-        return single_run(
-            objective,
-            config,
-            theta0,
-            spec.iterations,
-            spec.lr_milestones,
-            spec.record_params,
-        )
-
-    jobs = [
-        (name, config, seed)
+def run_experiment(spec: ExperimentSpec) -> dict[str, list[Trajectory]]:
+    """All (optimizer, seed) runs of a spec, in optimizer then seed order."""
+    objective = get_objective(spec.task, dim=spec.dim)
+    return {
+        name: [
+            single_run(
+                objective,
+                config,
+                resolve_theta0(spec.theta0, objective.dim, make_rng(seed)),
+                spec.iterations,
+                spec.lr_milestones,
+                spec.record_params,
+            )
+            for seed in spec.seeds
+        ]
         for name, config in spec.optimizers
-        for seed in spec.seeds
-    ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, jobs))
-    else:
-        results = [job(j) for j in jobs]
-    out: dict[str, list[Trajectory]] = {name: [] for name, _ in spec.optimizers}
-    for (name, _config, _seed), traj in zip(jobs, results):
-        out[name].append(traj)
-    return out
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +222,7 @@ def compute_regret(
         average=average,
         theta_star=theta_star,
         theta_star_source=source,
+        status=trajectory.status,
     )
 
 

@@ -139,6 +139,24 @@ class TestRosenbrock:
         assert run("rosenbrock", "--config", cfg, "--out", str(out2),
                    "--allow-divergence") == 0
 
+    def test_record_params_false_drops_theta_columns(self, tmp_path):
+        cfg = self.rosen_config(tmp_path, record_params=False)
+        out = tmp_path / "a"
+        assert run("rosenbrock", "--config", cfg, "--out", str(out),
+                   "--optimizers", "adam") == 0
+        header = (out / "rosenbrock_adam_s0.csv").read_text().splitlines()[0]
+        assert header == "t,loss,alpha,phi_mean,step_norm"
+
+    def test_uniform_theta0(self, tmp_path):
+        cfg = self.rosen_config(
+            tmp_path, theta0={"rule": "uniform", "low": -1.5, "high": 1.5, "dim": 2}
+        )
+        out = tmp_path / "a"
+        assert run("rosenbrock", "--config", cfg, "--out", str(out),
+                   "--optimizers", "adam") == 0
+        header = (out / "rosenbrock_adam_s0.csv").read_text().splitlines()[0]
+        assert header.endswith(",theta_0,theta_1")
+
 
 class TestMlp:
     def mlp_config(self, tmp_path):
@@ -216,6 +234,27 @@ class TestRegret:
         assert last_avg < first_avg
         summary = json.loads((out / "regret_summary.json").read_text())
         assert summary["adam"]["theta_star_source"] == "known_minimum"
+
+
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        ("rosenbrock",
+         {"grid": {"x_range": [-2.0, 2.0], "y_range": [-1.0, 3.0], "resolutoin": 5}},
+         "grid.resolutoin"),
+        ("mlp",
+         {"blobs": {"classes": 3, "n_per_class": 20, "seperation": 4.0}},
+         "blobs.seperation"),
+    ],
+    ids=["rosenbrock-grid", "mlp-blobs"],
+)
+def test_unknown_nested_config_key_exits_2(tmp_path, capsys, command, config, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "a"
+    assert run(command, "--config", str(path), "--out", str(out)) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestGradcheck:
@@ -323,18 +362,6 @@ PINNED_DEFAULT_ARTIFACTS = {
 
 
 class TestDeterminism:
-    def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
-        cfg = toy_config(tmp_path, seeds=[0, 1])
-        outs = {}
-        for label, threads in (("serial", "1"), ("pooled", "4")):
-            monkeypatch.setenv("ANGULAR_OPTIM_THREADS", threads)
-            out = tmp_path / label
-            assert run("toy", "--config", cfg, "--out", str(out)) == 0
-            outs[label] = {
-                p.name: p.read_bytes() for p in out.iterdir()
-            }
-        assert outs["serial"] == outs["pooled"]
-
     def test_repeat_runs_byte_identical(self, tmp_path):
         cfg = toy_config(tmp_path)
         a = tmp_path / "a"
@@ -343,11 +370,6 @@ class TestDeterminism:
         run("toy", "--config", cfg, "--out", str(b))
         for p in a.iterdir():
             assert (b / p.name).read_bytes() == p.read_bytes()
-
-    def test_invalid_thread_env_exits_2(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ANGULAR_OPTIM_THREADS", "lots")
-        cfg = toy_config(tmp_path)
-        assert run("toy", "--config", cfg, "--out", str(tmp_path / "a")) == 2
 
     @pytest.mark.parametrize("command", sorted(PINNED_DEFAULT_ARTIFACTS))
     def test_default_artifacts_match_pinned_digests(self, tmp_path, command):

@@ -16,7 +16,6 @@ from angular_optim.harness import (
     iterations_to_threshold,
     regret_to_csv,
     resolve_theta0,
-    resolve_threads,
     run_experiment,
     single_run,
     summary_to_json,
@@ -65,23 +64,6 @@ class TestSpecValidation:
                 (0,),
                 [0.0],
             )
-
-
-class TestResolveThreads:
-    def test_unset_means_one(self):
-        assert resolve_threads({}) == 1
-
-    def test_explicit(self):
-        assert resolve_threads({"ANGULAR_OPTIM_THREADS": "4"}) == 4
-
-    def test_zero_means_auto(self):
-        assert resolve_threads({"ANGULAR_OPTIM_THREADS": "0"}) >= 1
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            resolve_threads({"ANGULAR_OPTIM_THREADS": "many"})
-        with pytest.raises(ValueError):
-            resolve_threads({"ANGULAR_OPTIM_THREADS": "-2"})
 
 
 class TestResolveTheta0:
@@ -185,13 +167,6 @@ class TestRunExperiment:
         runs = run_experiment(self.spec())
         assert set(runs) == {"adam", "ag_cos"}
         assert all(len(v) == 2 for v in runs.values())
-
-    def test_threads_do_not_change_bytes(self):
-        serial = run_experiment(self.spec(), threads=1)
-        pooled = run_experiment(self.spec(), threads=4)
-        for name in serial:
-            for a, b in zip(serial[name], pooled[name]):
-                assert trajectory_to_csv(a) == trajectory_to_csv(b)
 
     def test_repeat_runs_identical(self):
         a = run_experiment(self.spec())
