@@ -289,6 +289,39 @@ class TestPlot:
 # benchmark gate pins the rosenbrock and mlp artifacts; these pin the rest,
 # so any change to the engine, the CLI or the serializers that moves one byte
 # of a default artifact fails here.
+# Every rule and every wrapper (GC, hypergradient, decoupled decay) at dim 5
+# with two seeds, run through the regret protocol.
+PINNED_CONFIGS = {
+    "composition": {
+        "task": "rosenbrock", "dim": 5, "seeds": [0, 1], "iterations": 3000,
+        "theta0": {"rule": "uniform", "low": -1.5, "high": 1.5, "dim": 5},
+        "optimizers": {
+            "radam": {"rule": "radam", "alpha": 0.001},
+            "sgdm": {"rule": "sgdm", "alpha": 0.0001, "momentum_gamma": 0.9},
+            "sgd_wd": {
+                "rule": "sgd", "alpha": 0.0001, "momentum_gamma": 0.5,
+                "weight_decay_lambda": 0.01,
+            },
+            "adamw_wd": {"rule": "adamw", "alpha": 0.001, "weight_decay_lambda": 0.01},
+            "adabelief_gc": {"rule": "adabelief", "alpha": 0.001, "gc_enabled": True},
+            "angulargrad_tan_hgd": {
+                "rule": "angulargrad", "angle_variant": "tan", "alpha": 0.001,
+                "hypergrad_omega": 1e-09,
+            },
+            "diffgrad_gc_hgd": {
+                "rule": "diffgrad", "alpha": 0.001, "gc_enabled": True,
+                "hypergrad_omega": 1e-09,
+            },
+            "rmsprop_wd": {
+                "rule": "rmsprop", "alpha": 0.001, "beta2": 0.99,
+                "weight_decay_lambda": 0.01,
+            },
+        },
+    },
+}
+
+# sha256 of every artifact, keyed by "<command>" for the defaults or
+# "<command>-<PINNED_CONFIGS key>" for a config run.
 PINNED_DEFAULT_ARTIFACTS = {
     "toy": {
         "toy_f1_adabelief_s0.csv":
@@ -358,6 +391,68 @@ PINNED_DEFAULT_ARTIFACTS = {
         "regret_summary.json":
             "bb771590de4e75b896ea1ddd9d5d31b83e8f18857432dfd740a23b8f7c523e70",
     },
+    "regret-composition": {
+        "regret_adabelief_gc_s0.csv":
+            "7b48e71eea574961f7648a7f6774759dc1474d80a3fbaea908ccd8a93f852394",
+        "regret_adabelief_gc_s1.csv":
+            "04386a990272d890dc13d893c3aaa52456b8575413ab6ec0ae4aeec164ec07cf",
+        "regret_adamw_wd_s0.csv":
+            "61320415b3152ad3369167004096df41f8f50a0f984e02511a9c8ce849fc7c2b",
+        "regret_adamw_wd_s1.csv":
+            "38c875174a836f9f8d4087a34ec0ce0b4ab7ec8e1cf7bebe47374a8ee726b2bc",
+        "regret_angulargrad_tan_hgd_s0.csv":
+            "bbe4e34f7b2b59c3ba79cccd2405f3bce7fb0cfa8af2dc95a0eec6579dab1729",
+        "regret_angulargrad_tan_hgd_s1.csv":
+            "e237489b928b4cd09111d6ec6fd901ad7abadeb4416332ad65b50c8c6217053e",
+        "regret_avg.svg":
+            "ea8d3419d6dc21c2371ef146ef4d05495f79ea0d59f37090ae5b04c0886af254",
+        "regret_diffgrad_gc_hgd_s0.csv":
+            "c818e2ed59aa22252ddb0486dcdf53e558b19f6674c13f9aa8ac25e7956b54f1",
+        "regret_diffgrad_gc_hgd_s1.csv":
+            "8f82bb3ab27592a2ddfec8fb8ea5b30fa184390a8c005bb7b7a5b36c92e88ea0",
+        "regret_radam_s0.csv":
+            "ab0f5f931bbcbdf54d1575cadb02a0828f13dcf3ffbce509ed352d96ec78d8fa",
+        "regret_radam_s1.csv":
+            "8094b77b908a32d3ff625bd2c745fcae224f86e55f67210a595790af5bbaee61",
+        "regret_rmsprop_wd_s0.csv":
+            "81dedd171c1edfe84d7610a8cb2fbeffd8d3ac19cb1382b0bff8635b45f052b5",
+        "regret_rmsprop_wd_s1.csv":
+            "18ff25f1cbd096642742b01e750338f7a0fcdc825aa1c98d2cc81f5b2f4cf70e",
+        "regret_sgd_wd_s0.csv":
+            "0c5aeebcc33794f44f398fc3599fcb1adfd7d7849120b2c0540501702df88f27",
+        "regret_sgd_wd_s1.csv":
+            "0a0b6c138d4b252854b8e4e66b177b43a0a3a522f81bb5320574aacfebb48853",
+        "regret_sgdm_s0.csv":
+            "74349dccfbcd5dbfcaf8fb09c0b27830087e7e5cc2d2f079115c7ddb76639353",
+        "regret_sgdm_s1.csv":
+            "6c74e36635d176bc05e937ed61ff0659b72ce8de37db41ef8b35a440c9ac77d6",
+        "regret_summary.json":
+            "b8c388cc260c054626b327114631143f3bd09782d6d7940362551e5acb6e69b3",
+    },
+    "rosenbrock": {
+        "rosenbrock_adabelief_s0.csv":
+            "84012ec1c6240877644e7477cc7e3a1a3412d464a13d27e67795f3a1e6cad67e",
+        "rosenbrock_adam_s0.csv":
+            "6242eb3594e9c594eadeb223847030381859ed245fc840d17f957220354f8f7a",
+        "rosenbrock_adamw_s0.csv":
+            "6242eb3594e9c594eadeb223847030381859ed245fc840d17f957220354f8f7a",
+        "rosenbrock_angulargrad_cos_s0.csv":
+            "74c1586bf792d39f7be127e04ab4fccd6a943f6e24502ab73c3d10299c094533",
+        "rosenbrock_angulargrad_tan_s0.csv":
+            "ad2cd7dc5ac18506d8eccba47e0f7c8e0d679bacfb282d639c21ae55a50a96cd",
+        "rosenbrock_diffgrad_s0.csv":
+            "a60e7574d7e74fc7192ece4bbd0b430ebca50697ebd43554e8335a53029ed1ec",
+        "rosenbrock_grid.csv":
+            "49acff0cd74cce6dd88df3f8bdbad2366d62e6f77b21fb04d6e20c0449248e7e",
+        "rosenbrock_overlay.svg":
+            "978f7ca309b13189d2cb615d2b669d10a4b6f48db711945439ccc2c0fcd161f5",
+        "rosenbrock_rmsprop_s0.csv":
+            "8d0d2722d394c6f351d5a65c5cadf4a7683b0866927de229c6ae1a4f4a1b3010",
+        "rosenbrock_sgd_s0.csv":
+            "59b8186fc35acc949107897288c39f0a714edb2e2a59ad3c00ee2fa58ff73349",
+        "rosenbrock_summary.json":
+            "4fb28520f51fcab7b1a6296785468cc63393fe39ca70da6930ef9c23d82b12a9",
+    },
 }
 
 
@@ -371,11 +466,17 @@ class TestDeterminism:
         for p in a.iterdir():
             assert (b / p.name).read_bytes() == p.read_bytes()
 
-    @pytest.mark.parametrize("command", sorted(PINNED_DEFAULT_ARTIFACTS))
-    def test_default_artifacts_match_pinned_digests(self, tmp_path, command):
-        out = tmp_path / command
-        assert run(command, "--out", str(out)) == 0
+    @pytest.mark.parametrize("case", sorted(PINNED_DEFAULT_ARTIFACTS))
+    def test_default_artifacts_match_pinned_digests(self, tmp_path, case):
+        command, _, variant = case.partition("-")
+        out = tmp_path / case
+        argv = [command, "--out", str(out)]
+        if variant:
+            path = tmp_path / f"{variant}.json"
+            path.write_text(json.dumps(PINNED_CONFIGS[variant]))
+            argv += ["--config", str(path)]
+        assert run(*argv) == 0
         digests = {
             p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()
         }
-        assert digests == PINNED_DEFAULT_ARTIFACTS[command]
+        assert digests == PINNED_DEFAULT_ARTIFACTS[case]

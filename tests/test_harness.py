@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from angular_optim.harness import (
     LOSS_THRESHOLD_1D,
@@ -25,7 +27,7 @@ from angular_optim.harness import (
 )
 from angular_optim.numerics import make_rng
 from angular_optim.objectives import get_objective
-from angular_optim.optimizers import OptimizerConfig
+from angular_optim.optimizers import ANGLE_VARIANTS, RULES, OptimizerConfig
 
 
 def make_traj(losses, thetas=None, ts=None):
@@ -172,6 +174,81 @@ class TestRunExperiment:
         a = run_experiment(self.spec())
         b = run_experiment(self.spec())
         assert trajectory_to_csv(a["adam"][0]) == trajectory_to_csv(b["adam"][0])
+
+
+# Rates from well-behaved to divergent, so that some rows abort mid-run.
+_CONFIGS = st.fixed_dictionaries({
+    "rule": st.sampled_from(RULES),
+    "alpha": st.floats(-4.0, 3.0).map(lambda e: 10.0**e),
+    "beta1": st.sampled_from([0.0, 0.9, 0.95]),
+    "beta2": st.sampled_from([0.9, 0.99, 0.999]),
+    "momentum_gamma": st.sampled_from([0.0, 0.5, 0.9]),
+    "weight_decay_lambda": st.sampled_from([0.0, 0.0, 0.01, 0.5]),
+    "hypergrad_omega": st.sampled_from([0.0, 0.0, 1e-6, 1e-2]),
+    "angle_variant": st.sampled_from(ANGLE_VARIANTS),
+    "lambda1": st.sampled_from([0.5, 0.3]),
+    "gc_enabled": st.booleans(),
+})
+_TASKS = st.one_of(
+    st.tuples(st.just("rosenbrock"), st.integers(2, 5)),
+    st.tuples(st.just("quadratic"), st.integers(1, 6)),
+    st.tuples(st.sampled_from(["f1", "f2", "f3"]), st.none()),
+)
+
+
+class TestStackedRuns:
+    """Each row of a stacked run equals the same run made alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        task=_TASKS,
+        configs=st.lists(_CONFIGS, min_size=1, max_size=5),
+        seeds=st.lists(st.integers(0, 2**31), min_size=1, max_size=3),
+        iterations=st.integers(1, 60),
+        milestones=st.lists(
+            st.tuples(st.integers(1, 60), st.sampled_from([0.5, 2.0, 10.0])),
+            max_size=2, unique_by=lambda m: m[0],
+        ),
+        record_params=st.booleans(),
+    )
+    def test_rows_match_single_runs(
+        self, task, configs, seeds, iterations, milestones, record_params
+    ):
+        name, dim = task
+        objective = get_objective(name, dim=dim)
+        spec = ExperimentSpec(
+            task=name,
+            optimizers=tuple(
+                (f"o{i}", OptimizerConfig(**c)) for i, c in enumerate(configs)
+            ),
+            iterations=iterations,
+            seeds=tuple(seeds),
+            theta0={"rule": "uniform", "low": -2.0, "high": 2.0, "dim": objective.dim},
+            record_params=record_params,
+            lr_milestones=tuple(milestones),
+            dim=dim,
+        )
+
+        def alone(config, seed):
+            theta0 = resolve_theta0(spec.theta0, objective.dim, make_rng(seed))
+            return single_run(
+                objective, config, theta0, iterations, spec.lr_milestones, record_params
+            )
+
+        try:
+            expected = {n: [alone(c, s) for s in seeds] for n, c in spec.optimizers}
+        except OverflowError:
+            # f1 and f2 evaluate in Python floats, whose ** raises on overflow
+            with pytest.raises(OverflowError):
+                run_experiment(spec)
+            return
+        runs = run_experiment(spec)
+        assert list(runs) == list(expected)
+        for n, trajs in expected.items():
+            for want, got in zip(trajs, runs[n], strict=True):
+                assert got.status == want.status
+                assert trajectory_to_csv(got) == trajectory_to_csv(want)
+                assert got.final_params.tobytes() == want.final_params.tobytes()
 
 
 class TestRegret:
