@@ -205,7 +205,9 @@ def _rosenbrock(config: dict, out: Path, log_scale: bool) -> list[str]:
     def dist_threshold(traj):
         if traj.thetas is None:
             return traj.loss, 0.0
-        dist = np.sqrt(np.sum((traj.thetas - target) ** 2, axis=1))
+        # a diverged run's thetas may square to inf, which never meets it
+        with np.errstate(over="ignore"):
+            dist = np.sqrt(np.sum((traj.thetas - target) ** 2, axis=1))
         return dist, ROSENBROCK_DIST_THRESHOLD
 
     write_text_atomic(
@@ -311,7 +313,8 @@ def _regret(config: dict, out: Path, log_scale: bool) -> list[str]:
     )
     summary = {
         name: {
-            "final_avg_regret": float(recs[0].average[-1]),
+            # null when the run aborted on its first step
+            "final_avg_regret": float(recs[0].average[-1]) if len(recs[0].t) else None,
             "theta_star_source": recs[0].theta_star_source,
             "status": recs[0].status,
         }

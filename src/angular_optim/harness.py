@@ -1,10 +1,13 @@
 """Experiment execution: deterministic runs, regret tracking, aggregation, IO.
 
-A run is a pure function of its ExperimentSpec: the (optimizer, seed) pairs
-execute one after another, each from its own seeded start, and the results
-are keyed by optimizer name in spec order.  CSV floats are written with
-shortest round-trip formatting and files are written atomically (temp file,
-then rename).
+A run is a pure function of its ExperimentSpec.  Its (optimizer, seed) runs,
+each from its own seeded start, are stacked as the rows of (R, D) arrays and
+advanced together: each iteration makes one gradient, one step and one loss
+call for all of them, and a row whose run aborts drops out while the others
+go on.  Each row's trajectory is bit for bit the one its run gives alone.
+The results are keyed by optimizer name in spec order.  CSV floats are
+written with shortest round-trip formatting and files are written atomically
+(temp file, then rename).
 """
 
 from __future__ import annotations
@@ -17,11 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from angular_optim.numerics import Vector, fmt_float, make_rng
+from angular_optim.numerics import Vector, make_rng
 from angular_optim.objectives import Objective, get_objective
 from angular_optim.optimizers import (
+    ConfigStack,
     NonFiniteStepError,
     OptimizerConfig,
+    OptimizerState,
     init_state,
     step,
 )
@@ -110,83 +115,106 @@ def resolve_theta0(theta0, dim: int, rng: np.random.Generator) -> Vector:
 
 def single_run(
     objective: Objective,
-    config: OptimizerConfig,
+    config: OptimizerConfig | ConfigStack,
     theta0: Vector,
     iterations: int,
     lr_milestones: tuple[tuple[int, float], ...] = (),
     record_params: bool = False,
-) -> Trajectory:
-    """Run one optimizer on one objective from one start; never raises on
-    divergence, the abort is recorded in the trajectory status instead."""
-    params = np.array(theta0, dtype=np.float64, copy=True)
-    state = init_state(config, params.size)
+) -> Trajectory | list[Trajectory]:
+    """Run one optimizer from one start, or a stack of runs at once.
+
+    An OptimizerConfig and a start vector give one Trajectory; a ConfigStack
+    of R configs and an (R, D) array of starts give R of them, one per row (a
+    lone run is the stack of one).  Never raises on divergence: a run whose
+    gradient, parameters or loss turn non-finite stops, its status says why,
+    and the other rows go on.
+    """
+    lone = not isinstance(config, ConfigStack)
+    stack = config.stack if lone else config
+    params = np.array(theta0, dtype=np.float64).reshape(len(stack.configs), -1)
+    runs, dim = params.shape
+    state = init_state(stack, dim)
     milestones = dict(lr_milestones)
-    ts, losses, alphas, phis, norms = [], [], [], [], []
-    thetas = [] if record_params else None
-    status = "ok"
-    for i in range(1, iterations + 1):
-        if i in milestones:
-            state.alpha_t /= milestones[i]
-        # divergence is handled (abort status), so evaluation overflow on an
-        # exploding trajectory must not warn
-        with np.errstate(over="ignore", invalid="ignore"):
+    records = np.empty((4, iterations, runs))  # loss, alpha, phi_mean, step_norm
+    loss, alpha, phi, norm = records
+    thetas = np.empty((iterations, runs, dim)) if record_params else None
+    live = np.arange(runs)  # the run of each remaining row
+    recorded = np.full(runs, iterations)
+    final = np.empty((runs, dim))
+    status = ["ok"] * runs
+
+    def drop(failed: dict, steps: int):
+        """Stop the rows ``failed`` maps to a status; returns the kept rows."""
+        nonlocal params, state, stack, live
+        for row, text in failed.items():
+            status[live[row]], recorded[live[row]], final[live[row]] = text, steps, params[row]
+        keep = np.ones(live.size, dtype=bool)
+        keep[list(failed)] = False
+        params, live = params[keep], live[keep]
+        if live.size:
+            slots = {k: v[keep] if isinstance(v, np.ndarray) else v for k, v in vars(state).items()}
+            state = OptimizerState(**slots)
+            stack = ConfigStack(c for c, k in zip(stack.configs, keep) if k)
+        return keep
+
+    # divergence is handled (abort status), so overflow on an exploding
+    # trajectory must not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, iterations + 1):
+            if i in milestones:
+                state.alpha_t = state.alpha_t / milestones[i]
             grad = objective.grad(params)
-        if not np.all(np.isfinite(grad)):
-            status = f"aborted: non-finite gradient at iteration {i}"
-            break
-        try:
-            new = step(state, config, params, grad)
-        except NonFiniteStepError as err:
-            status = f"aborted: {err}"
-            break
-        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(grad).all():
+                bad = np.flatnonzero(~np.isfinite(grad).all(axis=1)).tolist()
+                text = f"aborted: non-finite gradient at iteration {i}"
+                grad = grad[drop(dict.fromkeys(bad, text), i - 1)]
+                if not live.size:
+                    break
+            try:
+                new = step(state, stack, params, grad)
+            except NonFiniteStepError as err:
+                failed = {row: f"aborted: {e}" for row, e in err.rows.items()}
+                new = err.params[drop(failed, i - 1)]
+                if not live.size:
+                    break
             d = new - params
-            norm = float(np.sqrt(np.dot(d, d)))
+            norm[i - 1, live] = np.sqrt(np.vecdot(d, d))
             params = new
-            loss = objective.eval(params)
-        ts.append(i)
-        losses.append(loss)
-        alphas.append(state.alpha_t)
-        phis.append(float(np.mean(state.last_phi)) if state.last_phi is not None else 1.0)
-        norms.append(norm)
-        if thetas is not None:
-            thetas.append(params.copy())
-        if not np.isfinite(loss):
-            status = f"aborted: non-finite loss at iteration {i}"
-            break
-    return Trajectory(
-        t=np.array(ts, dtype=np.int64),
-        loss=np.array(losses, dtype=np.float64),
-        alpha=np.array(alphas, dtype=np.float64),
-        phi_mean=np.array(phis, dtype=np.float64),
-        step_norm=np.array(norms, dtype=np.float64),
-        thetas=(
-            np.array(thetas, dtype=np.float64).reshape(len(ts), params.size)
-            if thetas is not None
-            else None
-        ),
-        final_params=params.copy(),
-        status=status,
-    )
+            loss[i - 1, live] = row_loss = objective.eval(params)
+            alpha[i - 1, live] = state.alpha_t[:, 0]
+            # np.mean's own sum-then-divide, without its call overhead
+            last_phi = state.last_phi
+            phi[i - 1, live] = 1.0 if last_phi is None else np.add.reduce(last_phi, axis=-1) / dim
+            if thetas is not None:
+                thetas[i - 1, live] = params
+            if not np.isfinite(row_loss).all():
+                bad = np.flatnonzero(~np.isfinite(row_loss)).tolist()
+                drop(dict.fromkeys(bad, f"aborted: non-finite loss at iteration {i}"), i)
+                if not live.size:
+                    break
+    final[live] = params
+    trajectories = [
+        Trajectory(
+            np.arange(1, n + 1, dtype=np.int64), *records[:, :n, run].copy(),
+            thetas=None if thetas is None else thetas[:n, run].copy(),
+            final_params=final[run], status=status[run],
+        )
+        for run, n in enumerate(recorded.tolist())
+    ]
+    return trajectories[0] if lone else trajectories
 
 
 def run_experiment(spec: ExperimentSpec) -> dict[str, list[Trajectory]]:
-    """All (optimizer, seed) runs of a spec, in optimizer then seed order."""
+    """All (optimizer, seed) runs of a spec, stepped as one stack, keyed in
+    optimizer then seed order."""
     objective = get_objective(spec.task, dim=spec.dim)
-    return {
-        name: [
-            single_run(
-                objective,
-                config,
-                resolve_theta0(spec.theta0, objective.dim, make_rng(seed)),
-                spec.iterations,
-                spec.lr_milestones,
-                spec.record_params,
-            )
-            for seed in spec.seeds
-        ]
-        for name, config in spec.optimizers
-    }
+    starts = [resolve_theta0(spec.theta0, objective.dim, make_rng(s)) for s in spec.seeds]
+    stack = ConfigStack(config for _, config in spec.optimizers for _ in spec.seeds)
+    trajectories = iter(single_run(
+        objective, stack, np.array(starts * len(spec.optimizers)),
+        spec.iterations, spec.lr_milestones, spec.record_params,
+    ))
+    return {name: [next(trajectories) for _ in spec.seeds] for name, _ in spec.optimizers}
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +264,8 @@ def grid_eval(objective: Objective, x_range, y_range, resolution) -> tuple[np.nd
         nx, ny = resolution
     xs = np.linspace(float(x_range[0]), float(x_range[1]), nx)
     ys = np.linspace(float(y_range[0]), float(y_range[1]), ny)
-    Z = np.empty((ny, nx), dtype=np.float64)
-    for i, y in enumerate(ys):
-        for j, x in enumerate(xs):
-            Z[i, j] = objective.eval(np.array([x, y]))
-    return xs, ys, Z
+    X, Y = np.meshgrid(xs, ys)
+    return xs, ys, objective.eval(np.stack([X, Y], axis=-1)).reshape(ny, nx)
 
 
 def tail_oscillation(trajectory: Trajectory, window: int) -> float:
@@ -290,8 +315,10 @@ def aggregate(
         for traj in trajs:
             series, threshold = threshold_fn(traj)
             iters.append(iterations_to_threshold(series, threshold, iterations))
-        mean = float(np.mean(finals))
-        std = 0.0 if len(finals) < 2 else float(np.std(finals, ddof=1))
+        # diverged runs' inf or huge final losses give inf or nan, not warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = float(np.mean(finals))
+            std = 0.0 if len(finals) < 2 else float(np.std(finals, ddof=1))
         summary[name] = {
             "final_loss": finals,
             "best_loss": bests,
@@ -307,52 +334,38 @@ def aggregate(
 # Serialization
 
 
+def _csv(header: list[str], t, *columns) -> str:
+    """Rows of an integer column then float columns, each float in shortest
+    round-trip form (formatted from Python floats, not numpy scalars)."""
+    cells = [map(str, np.asarray(t, dtype=np.int64).tolist())]
+    cells += [map(repr, np.asarray(c, dtype=np.float64).tolist()) for c in columns]
+    return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
+
+
 def trajectory_to_csv(trajectory: Trajectory, record_params: bool | None = None) -> str:
     """Header t,loss,alpha,phi_mean,step_norm[,theta_0..theta_{d-1}]."""
     if record_params is None:
         record_params = trajectory.thetas is not None
     cols = ["t", "loss", "alpha", "phi_mean", "step_norm"]
+    values = [trajectory.loss, trajectory.alpha, trajectory.phi_mean, trajectory.step_norm]
     if record_params:
         if trajectory.thetas is None:
             raise ValueError("trajectory has no parameter snapshots")
-        d = trajectory.thetas.shape[1]
-        cols += [f"theta_{i}" for i in range(d)]
-    lines = [",".join(cols)]
-    for i in range(len(trajectory)):
-        row = [
-            str(int(trajectory.t[i])),
-            fmt_float(trajectory.loss[i]),
-            fmt_float(trajectory.alpha[i]),
-            fmt_float(trajectory.phi_mean[i]),
-            fmt_float(trajectory.step_norm[i]),
-        ]
-        if record_params:
-            row += [fmt_float(v) for v in trajectory.thetas[i]]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        cols += [f"theta_{i}" for i in range(trajectory.thetas.shape[1])]
+        values += list(trajectory.thetas.T)
+    return _csv(cols, trajectory.t, *values)
 
 
 def regret_to_csv(record: RegretRecord) -> str:
-    lines = ["t,regret,avg_regret"]
-    for i in range(record.t.size):
-        lines.append(
-            ",".join(
-                [
-                    str(int(record.t[i])),
-                    fmt_float(record.cumulative[i]),
-                    fmt_float(record.average[i]),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(["t", "regret", "avg_regret"], record.t, record.cumulative, record.average)
 
 
 def grid_to_csv(xs: np.ndarray, ys: np.ndarray, Z: np.ndarray) -> str:
     """x,y,f rows in row-major order (y outer, x inner)."""
+    x_cells = [repr(x) for x in np.asarray(xs, dtype=np.float64).tolist()]
     lines = ["x,y,f"]
-    for i, y in enumerate(ys):
-        for j, x in enumerate(xs):
-            lines.append(f"{fmt_float(x)},{fmt_float(y)},{fmt_float(Z[i, j])}")
+    for y, row in zip(np.asarray(ys, dtype=np.float64).tolist(), Z.tolist()):
+        lines += [f"{x},{y!r},{f!r}" for x, f in zip(x_cells, row)]
     return "\n".join(lines) + "\n"
 
 

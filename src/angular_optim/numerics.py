@@ -31,12 +31,13 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def mean(a: Vector) -> float:
-    """Arithmetic mean of a non-empty vector."""
+def mean(a: Vector) -> float | np.ndarray:
+    """Arithmetic mean of a non-empty vector, or per row of a stack as an
+    (R, 1) column (bitwise the mean of each row alone)."""
     a = np.asarray(a, dtype=np.float64)
     if a.size == 0:
         raise ValueError("mean of empty vector")
-    return float(np.mean(a))
+    return float(np.mean(a)) if a.ndim == 1 else np.mean(a, axis=-1, keepdims=True)
 
 
 def finite_diff_grad(

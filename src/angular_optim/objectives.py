@@ -2,9 +2,11 @@
 
 Each objective carries its evaluation, an analytic gradient, a documented
 per-coordinate domain, known minima, and the list of non-smooth boundary
-points.  Branch conditions are applied exactly as written in the piecewise
-definitions below ("x <= 0" takes the left branch at 0), and at a boundary
-the gradient of the branch selected by that convention is returned.
+points.  Evaluation and gradient work over the last axis, so one call takes
+a parameter vector or an (R, D) stack of them.  Branch conditions are
+applied exactly as written in the piecewise definitions below ("x <= 0"
+takes the left branch at 0), and at a boundary the gradient of the branch
+selected by that convention is returned.
 
 Continuity at the branch boundaries was checked numerically:
 
@@ -35,6 +37,8 @@ class Objective:
 
     ``known_minima`` holds (location, value) pairs with values frozen from
     direct float64 evaluation, so eval(location) == value to within 1e-12.
+    ``eval`` maps a vector to a float and an (R, D) stack to R values;
+    ``grad`` returns an array of the input's shape.
     """
 
     name: str
@@ -45,18 +49,22 @@ class Objective:
     known_minima: tuple[tuple[tuple[float, ...], float], ...] = ()
     nonsmooth_points: tuple[float, ...] = ()
 
-    def eval(self, x: Vector) -> float:
+    def _checked(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if x.size != self.dim:
-            raise ValueError(f"{self.name} expects dim {self.dim}, got {x.size}")
-        return float(self.eval_fn(x))
+        if x.shape[-1:] != (self.dim,):
+            got = x.shape[-1] if x.ndim else "a scalar"
+            raise ValueError(f"{self.name} expects dim {self.dim}, got {got}")
+        return x
+
+    def eval(self, x: Vector) -> float | np.ndarray:
+        x = self._checked(x)
+        f = self.eval_fn(x)
+        return float(f) if x.ndim == 1 else f
 
     def grad(self, x: Vector) -> Vector:
-        x = np.asarray(x, dtype=np.float64)
-        if x.size != self.dim:
-            raise ValueError(f"{self.name} expects dim {self.dim}, got {x.size}")
+        x = self._checked(x)
         g = np.asarray(self.grad_fn(x), dtype=np.float64)
-        if g.size != self.dim:
+        if g.shape != x.shape:
             raise AssertionError("gradient dim mismatch")
         return g
 
@@ -133,84 +141,81 @@ def f3_deriv(x: float) -> float:
 def rosenbrock(x: Vector, a: float = 1.0, b: float = 100.0) -> float:
     """sum_i b (x_{i+1} - x_i^2)^2 + (a - x_i)^2 over i = 0 .. N-2."""
     x = np.asarray(x, dtype=np.float64)
-    if x.size < 2:
+    if x.shape[-1] < 2:
         raise ValueError("rosenbrock needs dim >= 2")
-    return float(np.sum(b * (x[1:] - x[:-1] ** 2) ** 2 + (a - x[:-1]) ** 2))
+    head, tail = x[..., :-1], x[..., 1:]
+    return np.sum(b * (tail - head**2) ** 2 + (a - head) ** 2, axis=-1)
 
 
 def rosenbrock_grad(x: Vector, a: float = 1.0, b: float = 100.0) -> Vector:
     x = np.asarray(x, dtype=np.float64)
-    if x.size < 2:
+    if x.shape[-1] < 2:
         raise ValueError("rosenbrock needs dim >= 2")
+    head = x[..., :-1]
+    valley = x[..., 1:] - head**2
     g = np.zeros_like(x)
     # d/dx_i of the i-th term: -4b x_i (x_{i+1} - x_i^2) - 2 (a - x_i)
-    g[:-1] += -4.0 * b * x[:-1] * (x[1:] - x[:-1] ** 2) - 2.0 * (a - x[:-1])
+    g[..., :-1] += -4.0 * b * head * valley - 2.0 * (a - head)
     # d/dx_{i+1} of the i-th term: 2b (x_{i+1} - x_i^2)
-    g[1:] += 2.0 * b * (x[1:] - x[:-1] ** 2)
+    g[..., 1:] += 2.0 * b * valley
     return g
 
 
-def quadratic(x: Vector, center: Vector) -> float:
-    """Squared distance ||x - center||^2."""
+def _centered(x: Vector, center: Vector) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     center = np.asarray(center, dtype=np.float64)
-    if x.shape != center.shape:
+    if x.shape[-1:] != center.shape:
         raise ValueError("dim mismatch between x and center")
-    d = x - center
-    return float(np.dot(d, d))
+    return x - center
+
+
+def quadratic(x: Vector, center: Vector) -> float:
+    """Squared distance ||x - center||^2 (per row: vecdot matches a lone np.dot)."""
+    d = _centered(x, center)
+    return np.vecdot(d, d)
 
 
 def quadratic_grad(x: Vector, center: Vector) -> Vector:
-    x = np.asarray(x, dtype=np.float64)
-    center = np.asarray(center, dtype=np.float64)
-    if x.shape != center.shape:
-        raise ValueError("dim mismatch between x and center")
-    return 2.0 * (x - center)
+    return 2.0 * _centered(x, center)
 
 
 # ---------------------------------------------------------------------------
 # Registry
 
+def _per_row(fn, x: np.ndarray) -> np.ndarray:
+    """fn of the one coordinate of each row, in Python floats: numpy's x**3
+    differs from Python's in the last ulp."""
+    return np.array([fn(v) for v in x[..., 0].ravel().tolist()]).reshape(x.shape[:-1])
+
+
 def _scalar_objective(name, fn, deriv, domain, minima, nonsmooth) -> Objective:
     return Objective(
         name=name,
         dim=1,
-        eval_fn=lambda x: fn(float(x[0])),
-        grad_fn=lambda x: np.array([deriv(float(x[0]))]),
+        eval_fn=lambda x: _per_row(fn, x),
+        grad_fn=lambda x: _per_row(deriv, x)[..., None],
         domain=(domain,),
         known_minima=minima,
         nonsmooth_points=nonsmooth,
     )
 
 
-def _f1_objective() -> Objective:
-    return _scalar_objective(
-        "f1", f1, f1_deriv, (-2.0, 2.0),
-        (((-0.3,), 0.0), ((0.2,), 0.05)),
-        (0.0,),
-    )
-
-
-def _f2_objective() -> Objective:
-    # Minima located by bracketing the derivative's sign changes and frozen
-    # from direct float64 evaluation of the right branch.
-    return _scalar_objective(
-        "f2", f2, f2_deriv, (-2.0, 1.5),
+# (function, derivative, domain, known minima, non-smooth points).  The f2
+# minima were located by bracketing the derivative's sign changes and frozen
+# from direct float64 evaluation of the right branch.
+_SCALAR_OBJECTIVES = {
+    "f1": (f1, f1_deriv, (-2.0, 2.0), (((-0.3,), 0.0), ((0.2,), 0.05)), (0.0,)),
+    "f2": (
+        f2, f2_deriv, (-2.0, 1.5),
         (
             ((-0.6429185989152617,), 0.00011977146994468502),
             ((0.0,), 0.85),
             ((0.5880534760792461,), 0.4653181034574271),
         ),
         (-0.9,),
-    )
-
-
-def _f3_objective() -> Objective:
-    return _scalar_objective(
-        "f3", f3, f3_deriv, (-2.0, 2.0),
-        (((0.0,), 0.0),),
-        (-0.5, -0.4, 0.0, 0.4, 0.5),
-    )
+    ),
+    "f3": (f3, f3_deriv, (-2.0, 2.0), (((0.0,), 0.0),), (-0.5, -0.4, 0.0, 0.4, 0.5)),
+}
 
 
 def rosenbrock_objective(dim: int = 2, a: float = 1.0, b: float = 100.0) -> Objective:
@@ -246,20 +251,12 @@ def get_objective(name: str, dim: int | None = None) -> Objective:
     ``dim`` applies to "rosenbrock" (default 2) and "quadratic" (default 10,
     centered at the origin); the 1-D functions reject any other dim.
     """
-    if name == "f1":
-        obj = _f1_objective()
-    elif name == "f2":
-        obj = _f2_objective()
-    elif name == "f3":
-        obj = _f3_objective()
-    elif name == "rosenbrock":
-        obj = rosenbrock_objective(dim if dim is not None else 2)
-        return obj
-    elif name == "quadratic":
-        n = dim if dim is not None else 10
-        return quadratic_objective(np.zeros(n))
-    else:
+    if name == "rosenbrock":
+        return rosenbrock_objective(2 if dim is None else dim)
+    if name == "quadratic":
+        return quadratic_objective(np.zeros(10 if dim is None else dim))
+    if name not in _SCALAR_OBJECTIVES:
         raise KeyError(f"unknown objective {name!r}")
     if dim is not None and dim != 1:
         raise ValueError(f"{name} is 1-D")
-    return obj
+    return _scalar_objective(name, *_SCALAR_OBJECTIVES[name])

@@ -22,19 +22,27 @@ All rules run through one kernel:
 * adamw is adam: the dispatcher's decoupled decay supplies its
   -alpha * lambda * theta term, with the shrinking sign.
 
+The run axis: ``step`` advances one run (a vector and an OptimizerConfig) or
+R runs at once (an (R, D) stack and a ConfigStack), a lone run being the
+one-row case.  The kernel computes only the rule families present and picks
+each row's result with np.where, so a row gets, bit for bit, what its run
+gets alone.  Bias corrections and RAdam's r_t stay Python floats per row:
+numpy's power differs from Python's in the last ulp.
+
 State vectors start at zero, so the gradient "before the first step" is 0 and
 the first angle compares against a zero previous angle.  The counter ``t``
 starts at 0, so the bias-correction powers use t = 1 on the first step.  The
 kernel reads its live learning rate from ``state.alpha_t``, so milestone
 schedules and hypergradient adaptation apply uniformly.  A step that would
 produce a non-finite parameter raises NonFiniteStepError carrying
-(iteration, coordinate, rule).
+(iteration, coordinate, rule); on a stack it names every failed row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -60,7 +68,11 @@ ANGLE_VARIANTS = ("cos", "tan")
 
 
 class NonFiniteStepError(RuntimeError):
-    """An update produced NaN/Inf; carries iteration, coordinate, and rule."""
+    """An update produced NaN/Inf; carries iteration, coordinate, and rule.
+
+    On a stack it is the first failed row's error; ``rows`` maps each failed
+    row to its error and ``params`` holds the stepped stack.
+    """
 
     def __init__(self, iteration: int, coordinate: int, rule: str):
         self.iteration = iteration
@@ -117,6 +129,60 @@ class OptimizerConfig:
             if self.beta2 > 0 and self.beta1**2 / math.sqrt(self.beta2) >= 1.0:
                 raise ValueError("beta1^2 / sqrt(beta2) must be < 1 for moment rules")
 
+    @cached_property
+    def stack(self) -> ConfigStack:
+        """This config as a one-row ConfigStack, built once."""
+        return ConfigStack((self,))
+
+
+def _column(values):
+    """One value per row: the plain value if every row agrees, else an (R, 1)
+    column.  A row flag is thus False, True or a bool column: a row mask."""
+    if all(v == values[0] for v in values):
+        return values[0]
+    return np.array(values).reshape(-1, 1)
+
+
+def _pick(mask, a, b):
+    """``a`` on the rows a mask selects, ``b`` on the others (all rows take
+    ``a`` if ``b`` is None)."""
+    return a if mask is True or b is None else np.where(mask, a, b)
+
+
+def _moment_coefficients(c: OptimizerConfig) -> tuple:
+    """(decay, gain) of m = decay * m + gain * g, then of v = decay * v +
+    gain * d * d; (1, 0) keeps a slot the rule does not use at zero."""
+    if c.rule in ("sgd", "sgdm"):
+        return (c.momentum_gamma if c.rule == "sgdm" else 0.0), 1.0, 1.0, 0.0
+    m = (1.0, 0.0) if c.rule == "rmsprop" else (c.beta1, 1.0 - c.beta1)
+    return *m, c.beta2, 1.0 - c.beta2
+
+
+class ConfigStack:
+    """R OptimizerConfigs, one per row of a stack of runs: hyperparameters
+    and rule-family masks as ``_column``s (see the module docstring)."""
+
+    def __init__(self, configs):
+        self.configs = cs = tuple(configs)
+        for name in ("beta1", "beta2", "epsilon", "lambda1", "lambda2"):
+            setattr(self, name, _column([getattr(c, name) for c in cs]))
+        coefficients = zip(*map(_moment_coefficients, cs))
+        self.m_decay, self.m_gain, self.v_decay, self.v_gain = map(_column, coefficients)
+        self.omega = _column([c.hypergrad_omega for c in cs])
+        self.decay_lambda = _column([c.weight_decay_lambda for c in cs])
+        rules = [c.rule for c in cs]
+        self.momentum = _column([r in ("sgd", "sgdm") for r in rules])
+        self.rmsprop = _column([r == "rmsprop" for r in rules])
+        self.moment = _column([r in MOMENT_RULES for r in rules])
+        for rule in ("radam", "diffgrad", "adabelief"):
+            setattr(self, rule, _column([r == rule for r in rules]))
+        self.angular = _column([r == "angulargrad" for r in rules])
+        tan = _column([c.rule == "angulargrad" and c.angle_variant == "tan" for c in cs])
+        self.variant = tan if isinstance(tan, np.ndarray) else ("tan" if tan else "cos")
+        self.gc = _column([bool(c.gc_enabled) for c in cs])
+        self.hgd = _column([c.hypergrad_omega > 0.0 for c in cs])
+        self.decay = _column([c.weight_decay_lambda > 0.0 for c in cs])
+
 
 @dataclass
 class OptimizerState:
@@ -130,6 +196,8 @@ class OptimizerState:
     * ``alpha_t``: the live learning rate.
     * ``last_phi``: a diagnostic slot holding the phi vector AngularGrad
       applied, so the harness can log its mean per iteration.
+
+    On a stack: (R, D) arrays, an (R, 1) ``alpha_t``, last_phi 1.0 off-rule.
     """
 
     t: int
@@ -137,22 +205,19 @@ class OptimizerState:
     v: Vector
     prev_grad: Vector
     prev_angle: Vector
-    alpha_t: float
+    alpha_t: float | np.ndarray
     last_phi: Vector | None = field(default=None)
 
 
-def init_state(config: OptimizerConfig, dim: int) -> OptimizerState:
+def init_state(config: OptimizerConfig | ConfigStack, dim: int) -> OptimizerState:
+    """Zeroed state for one run, or (R, dim) state for a ConfigStack of R."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    z = lambda: np.zeros(dim, dtype=np.float64)
-    return OptimizerState(
-        t=0,
-        m=z(),
-        v=z(),
-        prev_grad=z(),
-        prev_angle=z(),
-        alpha_t=config.alpha,
-    )
+    stacked = isinstance(config, ConfigStack)
+    shape = (len(config.configs), dim) if stacked else (dim,)
+    alpha_t = np.array([[c.alpha] for c in config.configs], float) if stacked else config.alpha
+    z = lambda: np.zeros(shape, dtype=np.float64)
+    return OptimizerState(t=0, m=z(), v=z(), prev_grad=z(), prev_angle=z(), alpha_t=alpha_t)
 
 
 # ---------------------------------------------------------------------------
@@ -178,16 +243,19 @@ def angle_between(g_t: Vector, g_prev: Vector) -> Vector:
 
 
 def angular_coefficient(
-    a_min: Vector, variant: str, lambda1: float, lambda2: float
+    a_min: Vector, variant: str | np.ndarray, lambda1: float, lambda2: float
 ) -> Vector:
     """phi[i] = tanh(|trig(a_min[i])|) * lambda1 + lambda2, trig = cos or tan.
 
-    tan of the float closest to pi/2 is ~1.6e16, which tanh saturates to
-    exactly 1.0, so the perpendicular limit yields phi = lambda1 + lambda2
+    On a stack ``variant`` may be the (R, 1) bool column of the rows that use
+    tan.  tan of the float closest to pi/2 is ~1.6e16, which tanh saturates
+    to exactly 1.0, so the perpendicular limit yields phi = lambda1 + lambda2
     without any special casing.
     """
     a_min = np.asarray(a_min, dtype=np.float64)
-    if variant == "cos":
+    if isinstance(variant, np.ndarray):
+        trig = np.where(variant, np.tan(a_min), np.cos(a_min))
+    elif variant == "cos":
         trig = np.cos(a_min)
     elif variant == "tan":
         trig = np.tan(a_min)
@@ -218,47 +286,55 @@ def radam_terms(t: int, beta2: float) -> tuple[float, float, float | None]:
     return rho_inf, rho_t, None
 
 
-def _rule_kernel(state, config, params, grad):
-    """Advance state by one step of ``config.rule`` and return the new params.
+def _one_minus_power(beta: np.ndarray, t: int) -> np.ndarray:
+    """1 - beta**t for each row of a column, in Python floats."""
+    return np.array([[1.0 - b**t] for b in beta[:, 0].tolist()])
+
+
+def _rule_kernel(state, cfg, params, grad):
+    """Advance state by one step of each row's rule and return the new params.
 
     The forms of the rules are listed in the module docstring.
     """
-    rule = config.rule
     t = state.t + 1
-    m, v = state.m, state.v
-    if rule in ("sgd", "sgdm"):
-        gamma = config.momentum_gamma if rule == "sgdm" else 0.0
-        m = gamma * m + grad
-        new = params - state.alpha_t * m
-    elif rule == "rmsprop":
-        v = config.beta2 * v + (1.0 - config.beta2) * grad * grad
-        new = params - state.alpha_t * grad / (np.sqrt(v) + config.epsilon)
-    else:
-        m = config.beta1 * m + (1.0 - config.beta1) * grad
-        d = grad - m if rule == "adabelief" else grad
-        v = config.beta2 * v + (1.0 - config.beta2) * d * d
-        mhat = m / (1.0 - config.beta1**t)
-        denom = np.sqrt(v / (1.0 - config.beta2**t)) + config.epsilon
+    alpha, m, v = state.alpha_t, state.m, state.v
+    if cfg.rmsprop is not True:
+        m = cfg.m_decay * m + cfg.m_gain * grad
+    d = grad if cfg.adabelief is False else _pick(cfg.adabelief, grad - m, grad)
+    if cfg.momentum is not True:
+        v = cfg.v_decay * v + cfg.v_gain * d * d
+    # each family steps all rows and later families overwrite their own rows
+    new = None
+    if cfg.momentum is not False:
+        new = params - alpha * m
+    if cfg.rmsprop is not False:
+        new = _pick(cfg.rmsprop, params - alpha * grad / (np.sqrt(v) + cfg.epsilon), new)
+    if cfg.moment is not False:
+        b1, b2 = cfg.beta1, cfg.beta2
+        bc1 = _one_minus_power(b1, t) if isinstance(b1, np.ndarray) else 1.0 - b1**t
+        bc2 = _one_minus_power(b2, t) if isinstance(b2, np.ndarray) else 1.0 - b2**t
+        mhat = m / bc1
+        denom = np.sqrt(v / bc2) + cfg.epsilon
         scale = 1.0
-        if rule == "diffgrad":
-            scale = 1.0 / (1.0 + np.exp(-np.abs(state.prev_grad - grad)))
-        elif rule == "radam":
-            r_t = radam_terms(t, config.beta2)[2]
-            if r_t is None:
-                scale = denom = 1.0
-            else:
-                scale = r_t
-        elif rule == "angulargrad":
+        if cfg.diffgrad is not False:
+            xi = 1.0 / (1.0 + np.exp(-np.abs(state.prev_grad - grad)))
+            scale = _pick(cfg.diffgrad, xi, scale)
+        if cfg.radam is not False:
+            # rows not yet rectifiable step with scale = denom = 1
+            r_ts = [radam_terms(t, c.beta2)[2] if c.rule == "radam" else 1.0 for c in cfg.configs]
+            scale = _pick(cfg.radam, _column([1.0 if r is None else r for r in r_ts]), scale)
+            if (unrectified := _column([r is None for r in r_ts])) is not False:
+                denom = _pick(unrectified, 1.0, denom)
+        if cfg.angular is not False:
             a_t = angle_between(grad, state.prev_grad)
-            scale = angular_coefficient(
-                np.minimum(state.prev_angle, a_t),
-                config.angle_variant, config.lambda1, config.lambda2,
-            )
-            state.prev_angle = a_t
-            state.last_phi = scale
-        new = params - state.alpha_t * scale * mhat / denom
+            a_min = np.minimum(state.prev_angle, a_t)
+            phi = angular_coefficient(a_min, cfg.variant, cfg.lambda1, cfg.lambda2)
+            scale = _pick(cfg.angular, phi, scale)
+            state.prev_angle = _pick(cfg.angular, a_t, state.prev_angle)
+            state.last_phi = _pick(cfg.angular, phi, 1.0)
+        new = _pick(cfg.moment, params - alpha * scale * mhat / denom, new)
     state.t, state.m, state.v = t, m, v
-    state.prev_grad = np.array(grad, dtype=np.float64, copy=True)
+    state.prev_grad = grad.copy()
     return new
 
 
@@ -267,55 +343,64 @@ def _rule_kernel(state, config, params, grad):
 
 
 def gc_transform(grad: Vector) -> Vector:
-    """Centralize: subtract the gradient's mean so the output sums to zero."""
+    """Centralize: subtract the gradient's mean (per row of a stack) so the
+    output sums to zero."""
     grad = np.asarray(grad, dtype=np.float64)
     if grad.size == 0:
         raise ValueError("empty gradient")
     return grad - mean(grad)
 
 
-def hgd_adapt(alpha_prev: float, grad_t: Vector, grad_tm1: Vector, omega: float) -> float:
-    """Hypergradient rate update: alpha_t = alpha_{t-1} + omega * (g_t . g_{t-1})."""
+def hgd_adapt(alpha_prev, grad_t: Vector, grad_tm1: Vector, omega):
+    """Hypergradient rate update: alpha_t = alpha_{t-1} + omega * (g_t . g_{t-1}).
+
+    On a stack, per row with (R, 1) rates (vecdot matches a lone np.dot).
+    """
     grad_t = np.asarray(grad_t, dtype=np.float64)
     grad_tm1 = np.asarray(grad_tm1, dtype=np.float64)
     if grad_t.shape != grad_tm1.shape:
         raise ValueError("dim mismatch")
-    return float(alpha_prev + omega * np.dot(grad_t, grad_tm1))
+    dot = np.vecdot(grad_t, grad_tm1)
+    if grad_t.ndim == 1:
+        return float(alpha_prev + omega * dot)
+    return alpha_prev + omega * dot[:, None]
 
 
-# One kernel serves every rule; the per-rule table stays so that tracing
-# tools (perfbench/spans.py) can wrap and time each rule separately.
-_RULE_TABLE = {rule: _rule_kernel for rule in RULES}
+def step(state: OptimizerState, config, params: Vector, grad: Vector) -> Vector:
+    """One optimization step: GC, hypergradient adaptation, the kernel, guard.
 
-
-def step(state: OptimizerState, config: OptimizerConfig, params: Vector, grad: Vector) -> Vector:
-    """One optimization step: GC, hypergradient adaptation, rule dispatch, guard.
-
+    ``config`` is an OptimizerConfig for a parameter vector, or a ConfigStack
+    for an (R, D) stack whose every row steps with its own config and state.
     The hypergradient update adjusts state.alpha_t before the rule runs, so
     the adapted rate applies to the current step (the first step sees no
     change because the stored previous gradient is zero).  Decoupled weight
     decay composes with any rule: when weight_decay_lambda > 0 the step also
     shrinks theta by alpha_t * lambda * theta, which is all adamw adds to adam.
     """
+    cfg = config if isinstance(config, ConfigStack) else config.stack
     params = np.asarray(params, dtype=np.float64)
     grad = np.asarray(grad, dtype=np.float64)
     if params.shape != grad.shape:
         raise ValueError("params/grad dim mismatch")
-    if params.size != state.m.size:
+    if params.shape != state.m.shape:
         raise ValueError("state dim mismatch")
-    if config.gc_enabled:
-        grad = gc_transform(grad)
-    if config.hypergrad_omega > 0.0:
-        state.alpha_t = hgd_adapt(
-            state.alpha_t, grad, state.prev_grad, config.hypergrad_omega
-        )
     # overflow here is an expected, handled condition: the guard below turns
     # any non-finite result into NonFiniteStepError instead of a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        new = _RULE_TABLE[config.rule](state, config, params, grad)
-        if config.weight_decay_lambda > 0.0:
-            new = new - state.alpha_t * config.weight_decay_lambda * params
-    bad = first_nonfinite(new)
-    if bad is not None:
-        raise NonFiniteStepError(iteration=state.t, coordinate=bad, rule=config.rule)
+        if cfg.gc is not False:
+            grad = _pick(cfg.gc, gc_transform(grad), grad)
+        if cfg.hgd is not False:
+            adapted = hgd_adapt(state.alpha_t, grad, state.prev_grad, cfg.omega)
+            state.alpha_t = _pick(cfg.hgd, adapted, state.alpha_t)
+        new = _rule_kernel(state, cfg, params, grad)
+        if cfg.decay is not False:
+            decayed = new - state.alpha_t * cfg.decay_lambda * params
+            new = _pick(cfg.decay, decayed, new)
+    if not np.isfinite(new).all():
+        bad = enumerate(map(first_nonfinite, new.reshape(-1, new.shape[-1])))
+        rules = [c.rule for c in cfg.configs]
+        errors = {r: NonFiniteStepError(state.t, i, rules[r]) for r, i in bad if i is not None}
+        err = next(iter(errors.values()))
+        err.rows, err.params = errors, new
+        raise err
     return new

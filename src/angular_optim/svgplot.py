@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
+from html import escape  # not xml.sax.saxutils, which imports urllib.request
 
 import numpy as np
 
@@ -94,7 +94,7 @@ class _SvgBuilder:
         self.parts.append(
             f'<text x="{_px(x)}" y="{_px(y)}" font-size="{size}" '
             f'font-family="sans-serif" text-anchor="{anchor}" '
-            f'fill="{color}">{escape(s)}</text>'
+            f'fill="{color}">{escape(s, quote=False)}</text>'
         )
 
     def line(self, x1, y1, x2, y2, color="#444444", width=1.0):
@@ -148,14 +148,14 @@ def _legend(svg, series, x, y):
 def _series_polyline(svg, s, color, x0, y0, x1, y1, xlo, xhi, ylo, yhi, log_x, log_y):
     tx = _transform(s.xs, log_x)
     ty = _transform(s.ys, log_y)
-    pts = []
-    for vx, vy in zip(tx, ty):
-        if not (np.isfinite(vx) and np.isfinite(vy)):
-            continue
-        px = x0 + (vx - xlo) / (xhi - xlo) * (x1 - x0)
-        py = y1 - (vy - ylo) / (yhi - ylo) * (y1 - y0)
-        pts.append(f"{_px(px)},{_px(py)}")
-    svg.polyline(" ".join(pts), color)
+    n = min(tx.size, ty.size)
+    tx, ty = tx[:n], ty[:n]
+    finite = np.isfinite(tx) & np.isfinite(ty)
+    px = x0 + (tx[finite] - xlo) / (xhi - xlo) * (x1 - x0)
+    py = y1 - (ty[finite] - ylo) / (yhi - ylo) * (y1 - y0)
+    svg.polyline(
+        " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px.tolist(), py.tolist())), color
+    )
 
 
 def render_line_chart(

@@ -139,6 +139,24 @@ class TestRosenbrock:
         assert run("rosenbrock", "--config", cfg, "--out", str(out2),
                    "--allow-divergence") == 0
 
+    def test_diverged_distance_does_not_warn(self, tmp_path):
+        # sgd's thetas reach ~6e155 before its loss turns inf; squaring them
+        # for the distance-to-minimum threshold overflows
+        cfg = self.rosen_config(
+            tmp_path, iterations=300, lr_milestones=[[100, 2.0]],
+            optimizers={
+                "sgd": {"rule": "sgd", "alpha": 0.05},
+                "ag": {"rule": "angulargrad", "alpha": 0.5, "hypergrad_omega": 0.001},
+            },
+        )
+        out = tmp_path / "a"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("rosenbrock", "--config", cfg, "--out", str(out)) == 1
+        summary = json.loads((out / "rosenbrock_summary.json").read_text())
+        assert summary["sgd"]["status"] == ["aborted: non-finite loss at iteration 5"]
+        assert summary["sgd"]["iters_to_threshold"] == [301]
+
     def test_record_params_false_drops_theta_columns(self, tmp_path):
         cfg = self.rosen_config(tmp_path, record_params=False)
         out = tmp_path / "a"
@@ -234,6 +252,24 @@ class TestRegret:
         assert last_avg < first_avg
         summary = json.loads((out / "regret_summary.json").read_text())
         assert summary["adam"]["theta_star_source"] == "known_minimum"
+
+    def test_abort_on_first_step(self, tmp_path):
+        cfg = tmp_path / "hot.json"
+        cfg.write_text(json.dumps({
+            "iterations": 10,
+            "theta0": [1e200] * 10,
+            "optimizers": {"sgd": {"rule": "sgd", "alpha": 1e200}},
+        }))
+        out = tmp_path / "a"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("regret", "--config", str(cfg), "--out", str(out)) == 1
+            assert run("regret", "--config", str(cfg), "--out", str(tmp_path / "b"),
+                       "--allow-divergence") == 0
+        summary = json.loads((out / "regret_summary.json").read_text())
+        assert summary["sgd"]["final_avg_regret"] is None
+        assert summary["sgd"]["status"].startswith("aborted: non-finite parameter at iteration 1")
+        assert (out / "regret_sgd_s0.csv").read_text() == "t,regret,avg_regret\n"
 
 
 @pytest.mark.parametrize(

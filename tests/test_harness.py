@@ -1,6 +1,7 @@
 """Experiment runner, regret, aggregation, oscillation, and CSV/JSON output."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -356,6 +357,14 @@ class TestThresholdAndAggregate:
         runs = {"a": [make_traj([5.0, 0.2, 0.05])]}
         out = aggregate(runs, 3, threshold_fn=lambda t: (t.loss, 0.25))
         assert out["a"]["iters_to_threshold"] == [2]
+
+    def test_diverged_finals_do_not_warn(self):
+        runs = {"a": [make_traj([1.0, np.inf]), make_traj([1.0, np.inf])]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary = aggregate(runs, 2)
+        assert summary["a"]["mean"] == np.inf
+        assert np.isnan(summary["a"]["std"])
 
     def test_default_threshold_constant(self):
         assert LOSS_THRESHOLD_1D == 1e-3
