@@ -321,14 +321,16 @@ class TestPlot:
         assert run("plot", str(tmp_path / "nope.csv"), "--out", str(tmp_path)) == 2
 
 
-# sha256 of every file the default toy and regret protocols write.  The
-# benchmark gate pins the rosenbrock and mlp artifacts; these pin the rest,
-# so any change to the engine, the CLI or the serializers that moves one byte
-# of a default artifact fails here.
-# Every rule and every wrapper (GC, hypergradient, decoupled decay) at dim 5
-# with two seeds, run through the regret protocol.
+# sha256 of every file the default protocols write, so any change to the
+# engine, the CLI or the serializers that moves one byte of a default
+# artifact fails here.
+# Config runs keyed by case.  regret-composition: every rule and every
+# wrapper (GC, hypergradient, decoupled decay) at dim 5 with two seeds.
+# mlp-composition: the same through the MLP with relu and mse, a batch size
+# that leaves a remainder batch, and two diverging optimizers, one on a
+# non-finite loss and one on a non-finite parameter.
 PINNED_CONFIGS = {
-    "composition": {
+    "regret-composition": {
         "task": "rosenbrock", "dim": 5, "seeds": [0, 1], "iterations": 3000,
         "theta0": {"rule": "uniform", "low": -1.5, "high": 1.5, "dim": 5},
         "optimizers": {
@@ -354,10 +356,40 @@ PINNED_CONFIGS = {
             },
         },
     },
+    "mlp-composition": {
+        "blobs": {"classes": 3, "n_per_class": 20, "separation": 4.0},
+        "layer_sizes": [2, 8, 3], "activation": "relu", "loss": "mse",
+        "epochs": 6, "batch_size": 16, "seeds": [0, 1],
+        "optimizers": {
+            "sgd_hot": {"rule": "sgd", "alpha": 1e6},
+            "sgdm": {"rule": "sgdm", "alpha": 0.01, "momentum_gamma": 0.9},
+            "rmsprop_wd": {
+                "rule": "rmsprop", "alpha": 0.001, "beta2": 0.99,
+                "weight_decay_lambda": 0.01,
+            },
+            "adam": {"rule": "adam", "alpha": 0.01},
+            "adamw_wd": {"rule": "adamw", "alpha": 0.01, "weight_decay_lambda": 0.01},
+            "radam": {"rule": "radam", "alpha": 0.01},
+            "diffgrad_gc_hgd": {
+                "rule": "diffgrad", "alpha": 0.01, "gc_enabled": True,
+                "hypergrad_omega": 1e-06,
+            },
+            "adabelief_gc": {"rule": "adabelief", "alpha": 0.01, "gc_enabled": True},
+            "angulargrad_cos": {"rule": "angulargrad", "alpha": 0.01},
+            "angulargrad_tan_hgd": {
+                "rule": "angulargrad", "angle_variant": "tan", "alpha": 0.01,
+                "hypergrad_omega": 1e-06,
+            },
+            "adam_overflow": {"rule": "adam", "alpha": 1.7e308},
+        },
+    },
 }
 
-# sha256 of every artifact, keyed by "<command>" for the defaults or
-# "<command>-<PINNED_CONFIGS key>" for a config run.
+# The exit code of each case; 0 unless listed.
+PINNED_EXIT_CODES = {"mlp-composition": 1}
+
+# sha256 of every artifact, keyed by "<command>" for the defaults or by the
+# PINNED_CONFIGS case for a config run.
 PINNED_DEFAULT_ARTIFACTS = {
     "toy": {
         "toy_f1_adabelief_s0.csv":
@@ -414,6 +446,118 @@ PINNED_DEFAULT_ARTIFACTS = {
             "9c929a1432ead0917835a5171cd7f12680acd985c8a8b18c5d274220771bbe39",
         "toy_f3_theta.svg":
             "a15b5b8a3442ff176941286e240f52cf0d80c14a48d6f7eef060e0bd77891d43",
+    },
+    "mlp": {
+        "mlp_adabelief_s0.csv":
+            "48468976d2e7100befd1451bc633b0e3967ef641976f05e2c621916639105a42",
+        "mlp_adabelief_s1.csv":
+            "931aee2a1e890ca27bc279efbcf253fc912a4f0dd16a086f2a6a91d1e1013761",
+        "mlp_adabelief_s2.csv":
+            "dfc1ddf949a495cc8f8dccdfdbae7b1173661b742ca2d79973609e8a472ad4de",
+        "mlp_adabelief_s3.csv":
+            "a016ec447200946b5438597c6cc592505dd33441512a8b47aa233f1da4951f63",
+        "mlp_adabelief_s4.csv":
+            "50bad00dbcc024262229f0ce28b0267810975e9beb8b1dd21606e0824c098abe",
+        "mlp_adam_s0.csv":
+            "9d332b0d91b091f04e7cfbba9bd54f26a4035e5e9758f688fd95ddc013676649",
+        "mlp_adam_s1.csv":
+            "9c7c005d648fbd05e42fb59e2f8c3ef17d18b195d97a0b54a56abfff59f39a5a",
+        "mlp_adam_s2.csv":
+            "8f97f0a8bfb569b558bdad07662594691688dd3dcd6f417c0c8d4ccab0ee940c",
+        "mlp_adam_s3.csv":
+            "9e3de84ffafcdf542cc2ae46fe1b1e8f6ee0a07a1e33d2b5c860266fe461692e",
+        "mlp_adam_s4.csv":
+            "0c127ccb9a7841d33fb849fd6ce3030e68bb70036de4a4a93dc14a418ce7b7c4",
+        "mlp_adamw_s0.csv":
+            "9d332b0d91b091f04e7cfbba9bd54f26a4035e5e9758f688fd95ddc013676649",
+        "mlp_adamw_s1.csv":
+            "9c7c005d648fbd05e42fb59e2f8c3ef17d18b195d97a0b54a56abfff59f39a5a",
+        "mlp_adamw_s2.csv":
+            "8f97f0a8bfb569b558bdad07662594691688dd3dcd6f417c0c8d4ccab0ee940c",
+        "mlp_adamw_s3.csv":
+            "9e3de84ffafcdf542cc2ae46fe1b1e8f6ee0a07a1e33d2b5c860266fe461692e",
+        "mlp_adamw_s4.csv":
+            "0c127ccb9a7841d33fb849fd6ce3030e68bb70036de4a4a93dc14a418ce7b7c4",
+        "mlp_angulargrad_cos_s0.csv":
+            "bb5a450f492a8061a1ac9e57ef5891ced543c7b3317889c38d04b18792bea76a",
+        "mlp_angulargrad_cos_s1.csv":
+            "46c6cef32fb9e46a22601d1911b600d25c2ba21c5c27a2226e779d494eaa59e3",
+        "mlp_angulargrad_cos_s2.csv":
+            "ebe9419b0cb7bdaaf11f617224c73a7130f43f4b403a4c44fb50fa68d552f9d0",
+        "mlp_angulargrad_cos_s3.csv":
+            "50794a6da4d36a47c8cce9ed7269e1253772d08c500c5b768fd71356ff9c4d69",
+        "mlp_angulargrad_cos_s4.csv":
+            "d73fb45dd020ec3c2bb40e617dbd89837145cc239b2e42cd1b498ea4091ec8f3",
+        "mlp_angulargrad_tan_s0.csv":
+            "2eba1b22a3c4b178c8ecea1d9a00ebf4eac07134211a07b4510b0b453f5b6129",
+        "mlp_angulargrad_tan_s1.csv":
+            "15ceaf30f28377923eb34a6fb50258fae3f995b003b81552559ef40c86031a81",
+        "mlp_angulargrad_tan_s2.csv":
+            "217376415b456621e36026126f09d7e1cc6da135ea5cd572cf22bfad773bd561",
+        "mlp_angulargrad_tan_s3.csv":
+            "76b68e463323436ea4f404649c78b953d56bc3e03516780ff23e4904790548fc",
+        "mlp_angulargrad_tan_s4.csv":
+            "24da1d89706c31df927507cf34b39f7db9fb47b64e232ad77ef41f6a34c80d75",
+        "mlp_diffgrad_s0.csv":
+            "e44a614d28ea5da7ae28d73c33ae9c7cbb4cd72ff390ec165e7a7afd10115faf",
+        "mlp_diffgrad_s1.csv":
+            "ddf9e83e3a3ad07c481f8a786f696a62dc9a59b091c678f001d3e487058b3f48",
+        "mlp_diffgrad_s2.csv":
+            "58bbc412d3a4aa9ebb81c4591ffc98306acbd912adc3eada8994082002533cff",
+        "mlp_diffgrad_s3.csv":
+            "571556c419047702dc7de52b11015ea13a283a2100823205f317c2f5c7b0664c",
+        "mlp_diffgrad_s4.csv":
+            "83f20baded0a6422e37d5f83a95a7708468a40b38b97665d4bd64dcc8c623ac9",
+        "mlp_summary.json":
+            "efdf1acf9743a698608c1ae3ed882bc346ef57dcf6353912a58578730f68c16b",
+    },
+    "mlp-composition": {
+        "mlp_adabelief_gc_s0.csv":
+            "896d3348ff4326ad8c912f184dcb10e149035c873f3c79946d28b880037a3371",
+        "mlp_adabelief_gc_s1.csv":
+            "fe230d9b35d7c7851c480b745f4ad4b1d47b4ec28a0000fe27f9b3d235b9488a",
+        "mlp_adam_overflow_s0.csv":
+            "0a396c8b319df2d4bd423092fe512734fe2cec5787a2607b57b4364d386d6efe",
+        "mlp_adam_overflow_s1.csv":
+            "0a396c8b319df2d4bd423092fe512734fe2cec5787a2607b57b4364d386d6efe",
+        "mlp_adam_s0.csv":
+            "2e015158fb1d3076d8e3922f68e0abf2c3f0398297bc5b0869bd41d4667d74c4",
+        "mlp_adam_s1.csv":
+            "c5285ae294d3bb157855a04d34306cdd47b5208286bf821bce8ab511414d5780",
+        "mlp_adamw_wd_s0.csv":
+            "2bf3dbde52201138c419bf824566cd26c82320852564337db39845e64b96e188",
+        "mlp_adamw_wd_s1.csv":
+            "1c5259a8e9a8c163039a602634ccfc74f7d2998a191bf693aa6c09f4016e45ab",
+        "mlp_angulargrad_cos_s0.csv":
+            "00f99d830e8fba0474ffd487f769110f715b19e8b141052789a44245c7628caf",
+        "mlp_angulargrad_cos_s1.csv":
+            "1b2066dcda955fb455391c4207f003b7bc27bb52b905c95c65d6d7d580ba424a",
+        "mlp_angulargrad_tan_hgd_s0.csv":
+            "fe8dc86b7bdf3a0c80fe07cfdac088b70c8c33b0192022f556c84bd373c17985",
+        "mlp_angulargrad_tan_hgd_s1.csv":
+            "845e4e5a47977684336dc970461843d61f34d4ce0e3b807d95a7fc09aca2d173",
+        "mlp_diffgrad_gc_hgd_s0.csv":
+            "73f64e698d8cfefe0af98ff669e85eb6b83d8b5577d79853f04dd8c99de320f9",
+        "mlp_diffgrad_gc_hgd_s1.csv":
+            "4b85671180efa4a26e7b47c8885d6bf5ddbc9260f4d320b6e25bc514f30be1b1",
+        "mlp_radam_s0.csv":
+            "6107389394d193ecb8cea8218f38aa9aaa1d77a633e0edd5222d91c700b487d9",
+        "mlp_radam_s1.csv":
+            "15ac2929b4b344942e2f4c10c371db4cd910c2d49d8ff9d3d400a9bbe4b3cab9",
+        "mlp_rmsprop_wd_s0.csv":
+            "9fd22f2b8cc5bd1cc23ce921eb4102cb89e32d1367bb6fd3bd45b213369f847c",
+        "mlp_rmsprop_wd_s1.csv":
+            "cefa776c2700a7addf6ca47ab890fe770089ba30284688ccd48678c31772077c",
+        "mlp_sgd_hot_s0.csv":
+            "0a396c8b319df2d4bd423092fe512734fe2cec5787a2607b57b4364d386d6efe",
+        "mlp_sgd_hot_s1.csv":
+            "0a396c8b319df2d4bd423092fe512734fe2cec5787a2607b57b4364d386d6efe",
+        "mlp_sgdm_s0.csv":
+            "16b2c02b681d569bf6dfcb124934b76cc110958002af3a4fb5622d72f2af8527",
+        "mlp_sgdm_s1.csv":
+            "f5d08c43ad1480add287760338a5165d4fcf38ad33218b351cd42451a7c5c794",
+        "mlp_summary.json":
+            "77401c7f6bf1e9a2e22cab8963bf37eb3adde5a05b7d12d521cfa262f5e62131",
     },
     "regret": {
         "regret_adam_s0.csv":
@@ -504,14 +648,13 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("case", sorted(PINNED_DEFAULT_ARTIFACTS))
     def test_default_artifacts_match_pinned_digests(self, tmp_path, case):
-        command, _, variant = case.partition("-")
         out = tmp_path / case
-        argv = [command, "--out", str(out)]
-        if variant:
-            path = tmp_path / f"{variant}.json"
-            path.write_text(json.dumps(PINNED_CONFIGS[variant]))
+        argv = [case.partition("-")[0], "--out", str(out)]
+        if case in PINNED_CONFIGS:
+            path = tmp_path / f"{case}.json"
+            path.write_text(json.dumps(PINNED_CONFIGS[case]))
             argv += ["--config", str(path)]
-        assert run(*argv) == 0
+        assert run(*argv) == PINNED_EXIT_CODES.get(case, 0)
         digests = {
             p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()
         }
