@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,14 +32,7 @@ from angular_optim.harness import (
     trajectory_to_csv,
     write_text_atomic,
 )
-from angular_optim.models import (
-    Dataset,
-    MlpSpec,
-    NonFiniteLossError,
-    loss_and_grad,
-    make_blobs,
-    train_mlp,
-)
+from angular_optim.models import Dataset, MlpRun, MlpSpec, loss_and_grad, make_blobs, train_mlp
 from angular_optim.numerics import (
     finite_diff_grad,
     fmt_float,
@@ -48,7 +40,7 @@ from angular_optim.numerics import (
     relative_error,
 )
 from angular_optim.objectives import get_objective
-from angular_optim.optimizers import NonFiniteStepError, OptimizerConfig
+from angular_optim.optimizers import ConfigStack, OptimizerConfig
 from angular_optim.svgplot import Series, render_line_chart, render_overlay
 
 
@@ -94,6 +86,9 @@ def _apply_overrides(config: dict, args) -> dict:
             raise ConfigError(f"bad --seeds value {args.seeds!r}")
         if not config["seeds"]:
             raise ConfigError("empty --seeds list")
+    for i, seed in enumerate(config.get("seeds", ())):  # a repeat would overwrite a CSV
+        if seed in config["seeds"][:i]:
+            raise ConfigError(f"seed {seed!r} is listed twice")
     if getattr(args, "iters", None) is not None:
         if args.iters < 1:
             raise ConfigError("--iters must be >= 1")
@@ -160,8 +155,8 @@ def _write_runs(out: Path, prefix: str, seeds, runs: dict, to_csv=trajectory_to_
 
 
 # ---------------------------------------------------------------------------
-# Protocols: each takes the resolved config, the output directory and the
-# --log-scale flag, and returns its run statuses
+# Protocols: each takes the resolved config and the output directory (toy
+# also the --log-scale flag), and returns its run statuses
 
 
 def _toy(config: dict, out: Path, log_scale: bool) -> list[str]:
@@ -196,7 +191,7 @@ def _toy(config: dict, out: Path, log_scale: bool) -> list[str]:
     return statuses
 
 
-def _rosenbrock(config: dict, out: Path, log_scale: bool) -> list[str]:
+def _rosenbrock(config: dict, out: Path) -> list[str]:
     spec, runs = _run(config, config["task"])
     objective = get_objective(config["task"], dim=spec.dim)
     target = np.array(objective.known_minima[0][0])
@@ -232,54 +227,30 @@ def _rosenbrock(config: dict, out: Path, log_scale: bool) -> list[str]:
     return statuses
 
 
-class _MlpRun(NamedTuple):
-    records: list  # of models.EpochRecord
-    status: str
-
-
-def _mlp_to_csv(run: _MlpRun) -> str:
+def _mlp_to_csv(run: MlpRun) -> str:
     lines = ["epoch,mean_batch_loss,train_loss,train_accuracy"]
-    for rec in run.records:
-        lines.append(
-            ",".join(
-                [
-                    str(rec.epoch),
-                    fmt_float(rec.mean_batch_loss),
-                    fmt_float(rec.train_loss),
-                    fmt_float(rec.train_accuracy),
-                ]
-            )
-        )
+    for r in run.records:
+        floats = (r.mean_batch_loss, r.train_loss, r.train_accuracy)
+        lines.append(",".join([str(r.epoch), *map(fmt_float, floats)]))
     return "\n".join(lines) + "\n"
 
 
-def _mlp(config: dict, out: Path, log_scale: bool) -> list[str]:
-    mlp_spec = MlpSpec(
-        layer_sizes=tuple(int(n) for n in config["layer_sizes"]),
-        activation=config["activation"],
-        loss=config["loss"],
-    )
+def _mlp(config: dict, out: Path) -> list[str]:
+    layers = tuple(int(n) for n in config["layer_sizes"])
+    mlp_spec = MlpSpec(layers, config["activation"], config["loss"])
     blobs = config["blobs"]
-    epochs = int(config["epochs"])
-    batch = int(config["batch_size"])
+    shape = int(blobs["n_per_class"]), int(blobs["classes"]), float(blobs["separation"])
     seeds = [int(s) for s in config["seeds"]]
-
-    def train(opt_config: OptimizerConfig, seed: int) -> _MlpRun:
-        rng = make_rng(seed)
-        data = make_blobs(
-            rng, int(blobs["n_per_class"]), int(blobs["classes"]),
-            float(blobs["separation"]),
-        )
-        try:
-            _params, records = train_mlp(mlp_spec, data, opt_config, epochs, batch, rng)
-        except (NonFiniteStepError, NonFiniteLossError) as err:
-            return _MlpRun([], f"aborted: {err}")
-        return _MlpRun(records, "ok")
-
-    runs = {
-        name: [train(opt_config, seed) for seed in seeds]
-        for name, opt_config in _build_optimizers(config)
-    }
+    optimizers = _build_optimizers(config)
+    if not optimizers or not seeds:
+        raise ConfigError("need at least one optimizer and one seed")
+    rngs = [make_rng(seed) for seed in seeds]
+    data = [make_blobs(rng, *shape) for rng in rngs]
+    trained = iter(train_mlp(
+        mlp_spec, data, ConfigStack(c for _, c in optimizers for _ in seeds),
+        int(config["epochs"]), int(config["batch_size"]), rngs,
+    ))
+    runs = {name: [next(trained) for _ in seeds] for name, _ in optimizers}
     statuses = _write_runs(out, "mlp", seeds, runs, _mlp_to_csv)
     summary = {}
     for name, results in runs.items():
@@ -295,7 +266,7 @@ def _mlp(config: dict, out: Path, log_scale: bool) -> list[str]:
     return statuses
 
 
-def _regret(config: dict, out: Path, log_scale: bool) -> list[str]:
+def _regret(config: dict, out: Path) -> list[str]:
     spec, runs = _run(config, config["task"])
     objective = get_objective(config["task"], dim=spec.dim)
     records = {
@@ -331,7 +302,8 @@ def run_protocol(args) -> int:
     """Run the protocol named by the subcommand: load its config, apply the
     flags, run, and exit 1 if any run diverged (0 with --allow-divergence)."""
     config = _apply_overrides(_load_config(args.command, args.config), args)
-    statuses = PROTOCOLS[args.command](config, Path(args.out), args.log_scale)
+    flags = {"log_scale": args.log_scale} if "log_scale" in args else {}
+    statuses = PROTOCOLS[args.command](config, Path(args.out), **flags)
     bad = [s for s in statuses if s != "ok"]
     for s in bad:
         print(f"warning: {s}", file=sys.stderr)
@@ -472,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
                 help="exit 0 even if a run aborts on a non-finite step",
             )
         p.add_argument("--out", default="artifacts", help="output directory")
-        p.add_argument("--log-scale", action="store_true", help="log-scale loss axes")
+        if name in ("toy", "plot"):
+            p.add_argument("--log-scale", action="store_true", help="log-scale loss axes")
     return parser
 
 

@@ -26,7 +26,6 @@ from angular_optim.optimizers import (
     ConfigStack,
     NonFiniteStepError,
     OptimizerConfig,
-    OptimizerState,
     init_state,
     step,
 )
@@ -152,9 +151,7 @@ def single_run(
         keep[list(failed)] = False
         params, live = params[keep], live[keep]
         if live.size:
-            slots = {k: v[keep] if isinstance(v, np.ndarray) else v for k, v in vars(state).items()}
-            state = OptimizerState(**slots)
-            stack = ConfigStack(c for c, k in zip(stack.configs, keep) if k)
+            state, stack = state.rows(keep), stack.rows(keep)
         return keep
 
     # divergence is handled (abort status), so overflow on an exploding

@@ -6,6 +6,11 @@ drive it through the exact same stepping contract.  Only dense layers are
 provided; the update rules under test act per coordinate, so dense layers
 exercise them fully.
 
+The run axis: R runs train as one stack, an (R, P) array whose weights are
+(R, fan_out, fan_in) views, through stacked matmuls and per-row reductions
+over the last axes.  A lone run is the one-row case of the same code, and
+each row is bit for bit its run made alone.
+
 Activation conventions: tanh, or relu with the gradient at exactly 0 defined
 as 0.  Losses: mean squared error against one-hot targets, or softmax
 cross-entropy, both averaged over the batch.
@@ -58,19 +63,20 @@ class LayerSlot:
 
 @dataclass
 class MlpParams:
-    """Flat parameter vector plus the layout that carves it into layers."""
+    """Flat parameter vector, or an (R, P) stack of them, plus the layout
+    that carves it into layers (views with the stack's leading axis)."""
 
     flat: Vector
     layout: tuple[LayerSlot, ...]
 
     def weights(self, i: int) -> np.ndarray:
         slot = self.layout[i]
-        n = slot.w_shape[0] * slot.w_shape[1]
-        return self.flat[slot.w_start : slot.w_start + n].reshape(slot.w_shape)
+        block = self.flat[..., slot.w_start : slot.b_start]
+        return block.reshape(*block.shape[:-1], *slot.w_shape)
 
     def biases(self, i: int) -> np.ndarray:
         slot = self.layout[i]
-        return self.flat[slot.b_start : slot.b_end]
+        return self.flat[..., slot.b_start : slot.b_end]
 
 
 def layout_for(spec: MlpSpec) -> tuple[LayerSlot, ...]:
@@ -87,9 +93,7 @@ def layout_for(spec: MlpSpec) -> tuple[LayerSlot, ...]:
 
 
 def n_params(spec: MlpSpec) -> int:
-    return sum(
-        fi * fo + fo for fi, fo in zip(spec.layer_sizes[:-1], spec.layer_sizes[1:])
-    )
+    return layout_for(spec)[-1].b_end
 
 
 def init_params(spec: MlpSpec, rng: np.random.Generator) -> MlpParams:
@@ -99,9 +103,7 @@ def init_params(spec: MlpSpec, rng: np.random.Generator) -> MlpParams:
     for slot in layout:
         fan_out, fan_in = slot.w_shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        n = fan_in * fan_out
-        flat[slot.w_start : slot.w_start + n] = rng.uniform(-limit, limit, size=n)
-        # biases stay zero
+        flat[slot.w_start : slot.b_start] = rng.uniform(-limit, limit, size=fan_in * fan_out)
     return MlpParams(flat=flat, layout=layout)
 
 
@@ -165,75 +167,72 @@ def make_blobs(
 # Forward / backward
 
 
-def _forward(params: MlpParams, spec: MlpSpec, X: np.ndarray):
-    """Returns (activations per layer, pre-activations per layer)."""
+def _forward(params: MlpParams, spec: MlpSpec, X: np.ndarray) -> list[np.ndarray]:
+    """Activations per layer, the input first and the linear output last."""
     acts = [X]
-    zs = []
-    h = X
     last = len(params.layout) - 1
     for i in range(len(params.layout)):
-        z = h @ params.weights(i).T + params.biases(i)
-        zs.append(z)
+        z = np.matmul(acts[-1], params.weights(i).swapaxes(-1, -2)) + params.biases(i)[..., None, :]
         if i < last:
-            h = np.tanh(z) if spec.activation == "tanh" else np.maximum(z, 0.0)
-        else:
-            h = z  # linear output layer; the loss applies any link function
-        acts.append(h)
-    return acts, zs
+            z = np.tanh(z) if spec.activation == "tanh" else np.maximum(z, 0.0)
+        acts.append(z)  # the loss applies any link function to the output
+    return acts
 
 
-def _act_deriv(spec: MlpSpec, z: np.ndarray, h: np.ndarray) -> np.ndarray:
+def _act_deriv(spec: MlpSpec, h: np.ndarray) -> np.ndarray:
+    """Derivative of the activation at its output h."""
     if spec.activation == "tanh":
         return 1.0 - h * h
-    # relu: derivative at exactly 0 is defined as 0
-    return (z > 0.0).astype(np.float64)
+    # relu: h > 0 exactly where z > 0, so the derivative at 0 is 0
+    return (h > 0.0).astype(np.float64)
+
+
+def _loss(spec: MlpSpec, out: np.ndarray, y: np.ndarray):
+    """Mean loss over the batch axis of outputs (..., B, K) against labels
+    (..., B), and its gradient w.r.t. the outputs."""
+    n, k = out.shape[-2:]
+    onehot = np.eye(k)[y]  # a label outside the output layer raises IndexError
+    if spec.loss == "softmax_cross_entropy":
+        expz = np.exp(out - out.max(axis=-1, keepdims=True))
+        probs = expz / expz.sum(axis=-1, keepdims=True)
+        picked = np.take_along_axis(probs, y[..., None], axis=-1)[..., 0]
+        return -np.mean(np.log(picked), axis=-1), (probs - onehot) / n
+    # mse against one-hot targets, summed over outputs, mean over batch
+    diff = out - onehot
+    return np.mean(np.sum(diff * diff, axis=-1), axis=-1), 2.0 * diff / n
 
 
 def loss_and_grad(
     params: MlpParams, spec: MlpSpec, X: np.ndarray, y: np.ndarray
 ) -> tuple[float, Vector]:
-    """Mean batch loss and its gradient w.r.t. the flat parameter vector."""
+    """Mean batch loss and its gradient w.r.t. the flat parameter vector.
+
+    (R, P) parameters with (R, B, F) inputs and (R, B) labels give R losses
+    and an (R, P) gradient; only a lone call raises NonFiniteLossError.
+    """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    if X.shape[0] == 0:
+    if X.shape[-2] == 0:
         raise ValueError("batch must be non-empty")
-    n = X.shape[0]
-    k = spec.layer_sizes[-1]
-    acts, zs = _forward(params, spec, X)
-    out = acts[-1]
-
-    onehot = np.zeros((n, k), dtype=np.float64)
-    onehot[np.arange(n), y] = 1.0
-    if spec.loss == "softmax_cross_entropy":
-        shifted = out - out.max(axis=1, keepdims=True)
-        expz = np.exp(shifted)
-        probs = expz / expz.sum(axis=1, keepdims=True)
-        loss = float(-np.mean(np.log(probs[np.arange(n), y])))
-        delta = (probs - onehot) / n
-    else:  # mse against one-hot targets, summed over outputs, mean over batch
-        diff = out - onehot
-        loss = float(np.mean(np.sum(diff * diff, axis=1)))
-        delta = 2.0 * diff / n
-
-    if not np.isfinite(loss):
+    acts = _forward(params, spec, X)
+    loss, delta = _loss(spec, acts[-1], y)
+    lone = params.flat.ndim == 1
+    if lone and not np.isfinite(loss):
         raise NonFiniteLossError("non-finite loss")
 
-    grad = np.zeros_like(params.flat)
+    grad = np.empty_like(params.flat)
     for i in range(len(params.layout) - 1, -1, -1):
         slot = params.layout[i]
-        gw = delta.T @ acts[i]
-        gb = delta.sum(axis=0)
-        nw = slot.w_shape[0] * slot.w_shape[1]
-        grad[slot.w_start : slot.w_start + nw] = gw.ravel()
-        grad[slot.b_start : slot.b_end] = gb
+        gw = np.matmul(delta.swapaxes(-1, -2), acts[i])
+        grad[..., slot.w_start : slot.b_start] = gw.reshape(*gw.shape[:-2], -1)
+        grad[..., slot.b_start : slot.b_end] = delta.sum(axis=-2)
         if i > 0:
-            delta = (delta @ params.weights(i)) * _act_deriv(spec, zs[i - 1], acts[i])
-    return loss, grad
+            delta = np.matmul(delta, params.weights(i)) * _act_deriv(spec, acts[i])
+    return (float(loss) if lone else loss), grad
 
 
 def predict(params: MlpParams, spec: MlpSpec, X: np.ndarray) -> np.ndarray:
-    acts, _ = _forward(params, spec, np.asarray(X, dtype=np.float64))
-    return np.argmax(acts[-1], axis=1)
+    return np.argmax(_forward(params, spec, np.asarray(X, dtype=np.float64))[-1], axis=1)
 
 
 def accuracy(params: MlpParams, spec: MlpSpec, data: Dataset) -> float:
@@ -255,50 +254,102 @@ class EpochRecord:
     train_accuracy: float
 
 
-def train_mlp(
-    spec: MlpSpec,
-    data: Dataset,
-    config,
-    epochs: int,
-    batch_size: int,
-    rng: np.random.Generator,
-) -> tuple[MlpParams, list[EpochRecord]]:
-    """Minibatch training with a seeded shuffle per epoch.
+@dataclass
+class MlpRun:
+    """One row of a trained stack (params where it ended or aborted)."""
 
-    The generator drives initialization first and the per-epoch shuffles
-    after, so a single seed pins the whole run.  Returns the trained
-    parameters and one record per epoch (mean minibatch loss during the
-    epoch, then full-train loss and accuracy at the epoch's end).  A diverged
-    run raises NonFiniteLossError or NonFiniteStepError.
+    params: MlpParams
+    records: list[EpochRecord]
+    status: str = "ok"
+
+
+def train_mlp(spec: MlpSpec, data, config, epochs: int, batch_size: int, rng):
+    """Minibatch training with a seeded shuffle per epoch, of one run or a stack.
+
+    A lone run (Dataset, OptimizerConfig, Generator) returns its parameters
+    and one record per epoch (mean minibatch loss, then full-train loss and
+    accuracy at the epoch's end), or raises NonFiniteLossError or
+    NonFiniteStepError.  A stack takes a Dataset and a Generator per seed and
+    a ConfigStack of (optimizer, seed) rows, row r on seed r % S, and returns
+    an MlpRun per row.  Each seed's generator draws the init, then a shuffle
+    per epoch, for all its rows; each minibatch makes one loss_and_grad and
+    one step call, and a row whose loss or step turns non-finite drops out.
     """
-    from angular_optim.optimizers import init_state, step
+    from angular_optim.optimizers import ConfigStack, NonFiniteStepError, init_state, step
 
     if epochs < 1 or batch_size < 1:
         raise ValueError("epochs and batch_size must be >= 1")
-    params = init_params(spec, rng)
-    state = init_state(config, params.flat.size)
-    records = []
-    n = len(data)
-    # divergence is handled (loss_and_grad and step raise), so overflow on an
-    # exploding run must not warn
+    lone = not isinstance(config, ConfigStack)
+    stack, datasets, rngs = (config.stack, [data], [rng]) if lone else (config, data, rng)
+    runs, seeds = len(stack.configs), len(rngs)
+    if not seeds or runs % seeds or len(datasets) != seeds:
+        raise ValueError("need one dataset and one generator per seed, and runs for each")
+    inputs = np.stack([d.features for d in datasets])
+    labels = np.stack([d.labels for d in datasets])
+    n = inputs.shape[1]
+    layout = layout_for(spec)
+    seed_of = np.arange(runs) % seeds
+    params = np.array([init_params(spec, g).flat for g in rngs])[seed_of]
+    state = init_state(stack, params.shape[1])
+    live = np.arange(runs)  # the run of each remaining row
+    final = params.copy()
+    records = [[] for _ in range(runs)]
+    errors = [None] * runs
+
+    def drop(failed: dict):
+        """Stop the rows ``failed`` maps to an error; returns the kept rows."""
+        nonlocal params, state, stack, live
+        keep = np.ones(live.size, dtype=bool)
+        if not failed:
+            return keep
+        for row, err in failed.items():
+            errors[live[row]], records[live[row]], final[live[row]] = err, [], params[row]
+        keep[list(failed)] = False
+        params, live = params[keep], live[keep]
+        if live.size:
+            state, stack = state.rows(keep), stack.rows(keep)
+        return keep
+
+    def nonfinite(losses) -> dict:
+        return dict.fromkeys(np.flatnonzero(~np.isfinite(losses)).tolist(),
+                             NonFiniteLossError("non-finite loss"))
+
+    # divergence is handled (the row drops out), so overflow on an exploding
+    # run must not warn
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(1, epochs + 1):
-            order = rng.permutation(n)
-            batch_losses = []
-            for lo in range(0, n, batch_size):
-                idx = order[lo : lo + batch_size]
-                loss, grad = loss_and_grad(
-                    params, spec, data.features[idx], data.labels[idx]
-                )
-                batch_losses.append(loss)
-                params.flat = step(state, config, params.flat, grad)
-            full_loss, _ = loss_and_grad(params, spec, data.features, data.labels)
-            records.append(
-                EpochRecord(
-                    epoch=epoch,
-                    mean_batch_loss=float(np.mean(batch_losses)),
-                    train_loss=full_loss,
-                    train_accuracy=accuracy(params, spec, data),
-                )
-            )
-    return params, records
+            orders = np.array([g.permutation(n) for g in rngs])
+            batch_losses = np.empty((runs, -(-n // batch_size)))
+            for j, lo in enumerate(range(0, n, batch_size)):
+                at = seed_of[live, None], orders[seed_of[live], lo : lo + batch_size]
+                loss, grad = loss_and_grad(MlpParams(params, layout), spec, inputs[at], labels[at])
+                batch_losses[live, j] = loss
+                try:
+                    new, failed = step(state, stack, params, grad), {}
+                except NonFiniteStepError as err:
+                    new, failed = err.params, err.rows
+                # a row's non-finite loss stops it before its step
+                params = new[drop({**failed, **nonfinite(loss)})]
+                if not live.size:
+                    break
+            losses = []  # row by row: an (R, n, K) stack would raise peak memory
+            for flat, run in zip(params, live.tolist()):
+                out = _forward(MlpParams(flat, layout), spec, inputs[seed_of[run]])[-1]
+                y = labels[seed_of[run]]
+                losses.append(float(_loss(spec, out, y)[0]))
+                acc = float(np.mean(np.argmax(out, axis=-1) == y))
+                mean = float(np.mean(batch_losses[run]))
+                records[run].append(EpochRecord(epoch, mean, losses[-1], acc))
+            drop(nonfinite(losses))
+            if not live.size:
+                break
+    final[live] = params
+    if lone:
+        if errors[0] is not None:
+            raise errors[0]
+        return MlpParams(final[0], layout), records[0]
+    return [
+        MlpRun(MlpParams(final[run], layout), records[run],
+               "ok" if err is None else f"aborted: {err}")
+        for run, err in enumerate(errors)
+    ]

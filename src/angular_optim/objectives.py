@@ -184,8 +184,15 @@ def quadratic_grad(x: Vector, center: Vector) -> Vector:
 
 def _per_row(fn, x: np.ndarray) -> np.ndarray:
     """fn of the one coordinate of each row, in Python floats: numpy's x**3
-    differs from Python's in the last ulp."""
-    return np.array([fn(v) for v in x[..., 0].ravel().tolist()]).reshape(x.shape[:-1])
+    differs from Python's in the last ulp.  Python's ``**`` raises on
+    overflow, which reads as inf (f1, f2 and f2_deriv overflow only upward)."""
+    out = []
+    for v in x[..., 0].ravel().tolist():
+        try:
+            out.append(fn(v))
+        except OverflowError:
+            out.append(math.inf)
+    return np.array(out).reshape(x.shape[:-1])
 
 
 def _scalar_objective(name, fn, deriv, domain, minima, nonsmooth) -> Objective:

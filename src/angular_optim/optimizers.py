@@ -183,6 +183,10 @@ class ConfigStack:
         self.hgd = _column([c.hypergrad_omega > 0.0 for c in cs])
         self.decay = _column([c.weight_decay_lambda > 0.0 for c in cs])
 
+    def rows(self, keep: np.ndarray) -> ConfigStack:
+        """The configs of the rows a bool mask keeps."""
+        return ConfigStack(c for c, k in zip(self.configs, keep) if k)
+
 
 @dataclass
 class OptimizerState:
@@ -207,6 +211,11 @@ class OptimizerState:
     prev_angle: Vector
     alpha_t: float | np.ndarray
     last_phi: Vector | None = field(default=None)
+
+    def rows(self, keep: np.ndarray) -> OptimizerState:
+        """The state of the rows of a stack a bool mask keeps."""
+        slots = vars(self).items()
+        return OptimizerState(**{k: v[keep] if isinstance(v, np.ndarray) else v for k, v in slots})
 
 
 def init_state(config: OptimizerConfig | ConfigStack, dim: int) -> OptimizerState:

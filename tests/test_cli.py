@@ -98,6 +98,41 @@ class TestToy:
         cfg = toy_config(tmp_path, optimizers={"adam": {"rule": "adam", "alpha": -1.0}})
         assert run("toy", "--config", cfg, "--out", str(tmp_path / "a")) == 2
 
+    def test_duplicated_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "a"
+        assert run("toy", "--config", toy_config(tmp_path), "--out", str(out),
+                   "--optimizers", "adam", "--seeds", "0,1,0") == 2
+        assert "seed 0 is listed twice" in capsys.readouterr().err
+        cfg = toy_config(tmp_path, seeds=[3, 3])
+        assert run("toy", "--config", cfg, "--out", str(out)) == 2
+        assert "seed 3 is listed twice" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflow_aborts_only_that_run(self, tmp_path):
+        # sgd at alpha 50 on f1 overflows a Python-float ** in f1 itself
+        cfg = toy_config(tmp_path, iterations=300, optimizers={
+            "sgd_big": {"rule": "sgd", "alpha": 50.0},
+            "adam": {"rule": "adam", "alpha": 0.1},
+        })
+        out = tmp_path / "a"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("toy", "--config", cfg, "--out", str(out)) == 1
+        summary = json.loads((out / "toy_f1_summary.json").read_text())
+        assert summary["adam"]["status"] == ["ok"]
+        assert summary["sgd_big"]["status"][0].startswith("aborted: non-finite ")
+        assert (out / "toy_f1_sgd_big_s0.csv").exists()
+        assert (out / "toy_f1_loss.svg").exists()
+
+
+# only toy and plot draw a loss axis; the other commands reject the flag
+@pytest.mark.parametrize("command", ["rosenbrock", "mlp", "regret", "gradcheck"])
+def test_log_scale_only_where_it_acts(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run(command, "--log-scale", "--out", str(tmp_path / "a"))
+    assert exc.value.code == 2
+    assert "--log-scale" in capsys.readouterr().err
+
 
 class TestRosenbrock:
     def rosen_config(self, tmp_path, **extra):
@@ -227,6 +262,13 @@ class TestMlp:
         # a bad value that train_mlp itself rejects is still a config error
         cfg.write_text(json.dumps({"seeds": [0], "batch_size": 0}))
         assert run("mlp", "--config", str(cfg), "--out", str(tmp_path / "c")) == 2
+
+    @pytest.mark.parametrize("empty", [{"optimizers": {}}, {"seeds": []}])
+    def test_no_runs_exits_2(self, tmp_path, capsys, empty):
+        cfg = tmp_path / "empty.json"
+        cfg.write_text(json.dumps(empty))
+        assert run("mlp", "--config", str(cfg), "--out", str(tmp_path / "a")) == 2
+        assert "need at least one optimizer and one seed" in capsys.readouterr().err
 
     def test_epochs_override(self, tmp_path):
         out = tmp_path / "a"

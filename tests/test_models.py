@@ -4,12 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from angular_optim.models import (
+    ACTIVATIONS,
+    LOSSES,
     Dataset,
     EpochRecord,
     MlpParams,
     MlpSpec,
+    NonFiniteLossError,
     accuracy,
     init_params,
     layout_for,
@@ -20,7 +25,15 @@ from angular_optim.models import (
     train_mlp,
 )
 from angular_optim.numerics import finite_diff_grad, make_rng, relative_error
-from angular_optim.optimizers import RULES, OptimizerConfig
+from angular_optim.optimizers import (
+    ANGLE_VARIANTS,
+    RULES,
+    ConfigStack,
+    NonFiniteStepError,
+    OptimizerConfig,
+    init_state,
+    step,
+)
 
 
 def zero_params(spec: MlpSpec) -> MlpParams:
@@ -263,3 +276,91 @@ class TestTraining:
             train_mlp(spec, blobs, config, epochs=0, batch_size=16, rng=make_rng(0))
         with pytest.raises(ValueError):
             train_mlp(spec, blobs, config, epochs=1, batch_size=0, rng=make_rng(0))
+
+
+def reference_training(spec, data, config, epochs, batch_size, rng):
+    """The one-run loop on lone vectors: lone loss_and_grad and step calls,
+    then a full loss_and_grad and accuracy at each epoch's end."""
+    params = init_params(spec, rng)
+    state = init_state(config, params.flat.size)
+    records = []
+    for epoch in range(1, epochs + 1):
+        order = rng.permutation(len(data))
+        losses = []
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for lo in range(0, len(data), batch_size):
+                idx = order[lo : lo + batch_size]
+                X, y = data.features[idx], data.labels[idx]
+                loss, grad = loss_and_grad(params, spec, X, y)
+                losses.append(loss)
+                params.flat = step(state, config, params.flat, grad)
+            full_loss, _ = loss_and_grad(params, spec, data.features, data.labels)
+            acc = accuracy(params, spec, data)
+        records.append(EpochRecord(epoch, float(np.mean(losses)), full_loss, acc))
+    return params, records
+
+
+_MLP_CONFIGS = st.fixed_dictionaries({
+    "rule": st.sampled_from(RULES),
+    # up to rates that diverge on a non-finite loss or a non-finite parameter
+    "alpha": st.one_of(st.floats(-4.0, 6.0).map(lambda e: 10.0**e), st.just(1.7e308)),
+    "beta1": st.sampled_from([0.0, 0.9]),
+    "beta2": st.sampled_from([0.9, 0.999]),
+    "momentum_gamma": st.sampled_from([0.0, 0.9]),
+    "weight_decay_lambda": st.sampled_from([0.0, 0.0, 0.01]),
+    "hypergrad_omega": st.sampled_from([0.0, 0.0, 1e-6, 1e-2]),
+    "angle_variant": st.sampled_from(ANGLE_VARIANTS),
+    "gc_enabled": st.booleans(),
+})
+
+
+class TestStackedTraining:
+    """Each row of a stacked train_mlp equals the same run trained alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        configs=st.lists(_MLP_CONFIGS, min_size=1, max_size=4),
+        seeds=st.lists(st.integers(0, 2**31), min_size=1, max_size=3, unique=True),
+        hidden=st.lists(st.integers(1, 8), max_size=2),
+        classes=st.integers(1, 4),
+        activation=st.sampled_from(ACTIVATIONS),
+        loss=st.sampled_from(LOSSES),
+        n_per_class=st.integers(1, 10),
+        batch_size=st.integers(1, 20),
+        epochs=st.integers(1, 4),
+    )
+    def test_rows_match_lone_runs(
+        self, configs, seeds, hidden, classes, activation, loss, n_per_class,
+        batch_size, epochs,
+    ):
+        spec = MlpSpec((2, *hidden, classes), activation, loss)
+        configs = [OptimizerConfig(**c) for c in configs]
+
+        def blobs(rng):
+            return make_blobs(rng, n_per_class, classes, 4.0)
+
+        def bits(records):
+            floats = [(r.mean_batch_loss, r.train_loss, r.train_accuracy) for r in records]
+            return [(r.epoch, *map(float.hex, f)) for r, f in zip(records, floats)]
+
+        def alone(config, seed, train):
+            rng = make_rng(seed)
+            data = blobs(rng)
+            try:
+                params, records = train(spec, data, config, epochs, batch_size, rng)
+            except (NonFiniteLossError, NonFiniteStepError) as err:
+                return None, [], f"aborted: {err}"
+            return params.flat, records, "ok"
+
+        rngs = [make_rng(seed) for seed in seeds]
+        stack = ConfigStack(c for c in configs for _ in seeds)
+        runs = iter(train_mlp(spec, [blobs(g) for g in rngs], stack, epochs, batch_size, rngs))
+        for config in configs:
+            for seed, run in zip(seeds, runs):
+                for train in (train_mlp, reference_training):
+                    flat, records, status = alone(config, seed, train)
+                    assert run.status == status
+                    assert bits(run.records) == bits(records)
+                    if status == "ok":
+                        assert run.params.flat.tobytes() == flat.tobytes()
+        assert next(runs, None) is None
