@@ -13,7 +13,8 @@ each row is bit for bit its run made alone.
 
 Activation conventions: tanh, or relu with the gradient at exactly 0 defined
 as 0.  Losses: mean squared error against one-hot targets, or softmax
-cross-entropy, both averaged over the batch.
+cross-entropy, both averaged over the batch.  Output-axis reductions are
+column folds, as numpy loops per sample there; sums fold below 8 columns only.
 """
 
 from __future__ import annotations
@@ -187,19 +188,38 @@ def _act_deriv(spec: MlpSpec, h: np.ndarray) -> np.ndarray:
     return (h > 0.0).astype(np.float64)
 
 
-def _loss(spec: MlpSpec, out: np.ndarray, y: np.ndarray):
+def _fold(ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc`` over the last axis as a left fold of its columns.  Exact for
+    np.maximum; np.add keeps a.sum(axis=-1)'s bits only below 8 columns (numpy
+    sums 8 or more in pairwise blocks), so for bit identity wider sums reduce."""
+    if ufunc is np.add and a.shape[-1] >= 8:
+        return np.add.reduce(a, axis=-1)
+    acc = a[..., 0]
+    for j in range(1, a.shape[-1]):
+        acc = ufunc(acc, a[..., j])
+    return acc
+
+
+def _check_labels(y: np.ndarray, k: int) -> None:
+    if y.size and (y.min() < 0 or y.max() >= k):
+        raise ValueError(f"labels from {int(y.min())} need {int(y.max()) + 1} classes, "
+                         f"but the output layer has {k} units")
+
+
+def _loss(spec: MlpSpec, out: np.ndarray, y: np.ndarray, grad: bool = True):
     """Mean loss over the batch axis of outputs (..., B, K) against labels
-    (..., B), and its gradient w.r.t. the outputs."""
+    (..., B) in [0, K), and if ``grad`` its gradient w.r.t. the outputs."""
     n, k = out.shape[-2:]
-    onehot = np.eye(k)[y]  # a label outside the output layer raises IndexError
+    onehot = y[..., None] == np.arange(k)
     if spec.loss == "softmax_cross_entropy":
-        expz = np.exp(out - out.max(axis=-1, keepdims=True))
-        probs = expz / expz.sum(axis=-1, keepdims=True)
-        picked = np.take_along_axis(probs, y[..., None], axis=-1)[..., 0]
-        return -np.mean(np.log(picked), axis=-1), (probs - onehot) / n
+        expz = np.exp(out - _fold(np.maximum, out)[..., None])
+        probs = expz / _fold(np.add, expz)[..., None]
+        loss = -(np.add.reduce(np.log(probs[onehot].reshape(y.shape)), axis=-1) / n)
+        return loss, (probs - onehot) / n if grad else None
     # mse against one-hot targets, summed over outputs, mean over batch
     diff = out - onehot
-    return np.mean(np.sum(diff * diff, axis=-1), axis=-1), 2.0 * diff / n
+    loss = np.add.reduce(_fold(np.add, diff * diff), axis=-1) / n
+    return loss, 2.0 * diff / n if grad else None
 
 
 def loss_and_grad(
@@ -214,9 +234,11 @@ def loss_and_grad(
     y = np.asarray(y, dtype=np.int64)
     if X.shape[-2] == 0:
         raise ValueError("batch must be non-empty")
+    lone = params.flat.ndim == 1
+    if lone:  # train_mlp checks its labels once per dataset
+        _check_labels(y, spec.layer_sizes[-1])
     acts = _forward(params, spec, X)
     loss, delta = _loss(spec, acts[-1], y)
-    lone = params.flat.ndim == 1
     if lone and not np.isfinite(loss):
         raise NonFiniteLossError("non-finite loss")
 
@@ -231,15 +253,13 @@ def loss_and_grad(
     return (float(loss) if lone else loss), grad
 
 
-def predict(params: MlpParams, spec: MlpSpec, X: np.ndarray) -> np.ndarray:
-    return np.argmax(_forward(params, spec, np.asarray(X, dtype=np.float64))[-1], axis=1)
-
-
-def accuracy(params: MlpParams, spec: MlpSpec, data: Dataset) -> float:
-    """Fraction of samples whose argmax output matches the label."""
-    if len(data) == 0:
+def evaluate(params: MlpParams, spec: MlpSpec, X: np.ndarray, y: np.ndarray):
+    """Loss and argmax accuracy of one run on all of (X, y), with no gradient."""
+    if X.shape[0] == 0:
         raise ValueError("empty dataset")
-    return float(np.mean(predict(params, spec, data.features) == data.labels))
+    out = _forward(params, spec, X)[-1]
+    accuracy = np.count_nonzero(np.argmax(out, axis=-1) == y) / y.size
+    return float(_loss(spec, out, y, grad=False)[0]), accuracy
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +306,7 @@ def train_mlp(spec: MlpSpec, data, config, epochs: int, batch_size: int, rng):
         raise ValueError("need one dataset and one generator per seed, and runs for each")
     inputs = np.stack([d.features for d in datasets])
     labels = np.stack([d.labels for d in datasets])
+    _check_labels(labels, spec.layer_sizes[-1])
     n = inputs.shape[1]
     layout = layout_for(spec)
     seed_of = np.arange(runs) % seeds
@@ -334,12 +355,11 @@ def train_mlp(spec: MlpSpec, data, config, epochs: int, batch_size: int, rng):
                     break
             losses = []  # row by row: an (R, n, K) stack would raise peak memory
             for flat, run in zip(params, live.tolist()):
-                out = _forward(MlpParams(flat, layout), spec, inputs[seed_of[run]])[-1]
-                y = labels[seed_of[run]]
-                losses.append(float(_loss(spec, out, y)[0]))
-                acc = float(np.mean(np.argmax(out, axis=-1) == y))
-                mean = float(np.mean(batch_losses[run]))
-                records[run].append(EpochRecord(epoch, mean, losses[-1], acc))
+                at = seed_of[run]
+                loss, acc = evaluate(MlpParams(flat, layout), spec, inputs[at], labels[at])
+                losses.append(loss)
+                mean = float(np.add.reduce(batch_losses[run]) / batch_losses.shape[1])
+                records[run].append(EpochRecord(epoch, mean, loss, acc))
             drop(nonfinite(losses))
             if not live.size:
                 break

@@ -103,12 +103,6 @@ class _SvgBuilder:
             f'stroke="{color}" stroke-width="{width:g}"/>'
         )
 
-    def rect(self, x, y, w, h, fill):
-        self.parts.append(
-            f'<rect x="{_px(x)}" y="{_px(y)}" width="{_px(w)}" height="{_px(h)}" '
-            f'fill="{fill}"/>'
-        )
-
     def polyline(self, points: str, color: str):
         self.parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
@@ -215,20 +209,21 @@ def render_overlay(
         svg.text(x0, 20, title, size=14)
 
     shifted = np.log10(Z - float(Z.min()) + 1e-12)
+    if not np.isfinite(shifted).all():
+        raise ValueError("heat map values must be finite")
     lo, hi = float(shifted.min()), float(shifted.max())
     span = hi - lo if hi > lo else 1.0
     ny, nx = Z.shape
     cell_w = (x1 - x0) / nx
     cell_h = (y1 - y0) / ny
-    for i in range(ny):
-        for j in range(nx):
-            level = (shifted[i, j] - lo) / span
-            # dark valleys, light ridges
-            shade = int(round(60 + 195 * level))
-            fill = f"#{shade:02x}{shade:02x}{shade:02x}"
-            px = x0 + j * cell_w
-            py = y1 - (i + 1) * cell_h
-            svg.rect(px, py, cell_w + 0.1, cell_h + 0.1, fill)
+    # dark valleys, light ridges; rint rounds half to even, as round() does
+    shades = np.rint(60 + 195 * ((shifted - lo) / span)).astype(int).tolist()
+    grays = [f"#{s:02x}{s:02x}{s:02x}" for s in range(256)]
+    cols = [_px(x0 + j * cell_w) for j in range(nx)]
+    size = f'width="{_px(cell_w + 0.1)}" height="{_px(cell_h + 0.1)}"'
+    for i, row in enumerate(shades):
+        tail = f'" y="{_px(y1 - (i + 1) * cell_h)}" {size} fill="'
+        svg.parts.extend(f'<rect x="{x}{tail}{grays[s]}"/>' for x, s in zip(cols, row))
 
     _plot_frame(svg, x0, y0, x1, y1, xlo, xhi, ylo, yhi, False, False, xlabel, ylabel)
     for i, s in enumerate(series):

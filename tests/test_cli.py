@@ -270,6 +270,19 @@ class TestMlp:
         assert run("mlp", "--config", str(cfg), "--out", str(tmp_path / "a")) == 2
         assert "need at least one optimizer and one seed" in capsys.readouterr().err
 
+    def test_more_classes_than_outputs_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "wide.json"
+        cfg.write_text(json.dumps({
+            "blobs": {"classes": 4, "n_per_class": 5, "separation": 4.0},
+            "seeds": [0],
+            "epochs": 1,
+        }))
+        out = tmp_path / "a"
+        assert run("mlp", "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "4 classes" in err and "output layer has 3 units" in err
+        assert not out.exists()
+
     def test_epochs_override(self, tmp_path):
         out = tmp_path / "a"
         run("mlp", "--config", self.mlp_config(tmp_path), "--out", str(out),

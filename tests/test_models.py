@@ -1,12 +1,15 @@
 """Network layout, hand-checked losses, finite-difference gradients, datasets."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from angular_optim import models
 from angular_optim.models import (
     ACTIVATIONS,
     LOSSES,
@@ -15,13 +18,12 @@ from angular_optim.models import (
     MlpParams,
     MlpSpec,
     NonFiniteLossError,
-    accuracy,
+    evaluate,
     init_params,
     layout_for,
     loss_and_grad,
     make_blobs,
     n_params,
-    predict,
     train_mlp,
 )
 from angular_optim.numerics import finite_diff_grad, make_rng, relative_error
@@ -141,6 +143,69 @@ class TestLosses:
         assert grad[params.layout[1].b_start] == -2.0
 
 
+def frozen_loss(spec, out, y):
+    """models._loss as it was before its output-axis reductions became
+    column folds: the bitwise reference for the folded one."""
+    n, k = out.shape[-2:]
+    onehot = np.eye(k)[y]
+    if spec.loss == "softmax_cross_entropy":
+        expz = np.exp(out - out.max(axis=-1, keepdims=True))
+        probs = expz / expz.sum(axis=-1, keepdims=True)
+        picked = np.take_along_axis(probs, y[..., None], axis=-1)[..., 0]
+        return -np.mean(np.log(picked), axis=-1), (probs - onehot) / n
+    diff = out - onehot
+    return np.mean(np.sum(diff * diff, axis=-1), axis=-1), 2.0 * diff / n
+
+
+# one NaN bit pattern: with two in a row, which one propagates depends on the
+# order of the operands, and a row with a NaN loss drops out of training
+# before its loss or gradient reaches an artifact
+_OUTPUT_VALUES = st.one_of(
+    st.floats(-50.0, 50.0),
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308]),
+)
+
+
+@st.composite
+def outputs_and_labels(draw):
+    """(B, K) or (R, B, K) outputs and labels in [0, K), K on both sides of
+    the 8-column switch of numpy's summation."""
+    k = draw(st.integers(1, 12))
+    shape = (*draw(st.sampled_from([(), (1,), (2,), (3,)])), draw(st.integers(1, 6)))
+    out = draw(hnp.arrays(np.float64, (*shape, k), elements=_OUTPUT_VALUES))
+    y = draw(hnp.arrays(np.int64, shape, elements=st.integers(0, k - 1)))
+    return out, y
+
+
+class TestFoldedLoss:
+    @settings(max_examples=300, deadline=None)
+    @given(case=outputs_and_labels(), loss=st.sampled_from(LOSSES))
+    def test_matches_frozen_loss_bitwise(self, case, loss):
+        out, y = case
+        spec = MlpSpec((2, out.shape[-1]), loss=loss)
+        with np.errstate(all="ignore"):
+            value, grad = models._loss(spec, out, y)
+            want_value, want_grad = frozen_loss(spec, out, y)
+            no_grad = models._loss(spec, out, y, grad=False)
+        assert np.asarray(value).tobytes() == np.asarray(want_value).tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+        assert np.asarray(no_grad[0]).tobytes() == np.asarray(value).tobytes()
+        assert no_grad[1] is None
+
+    @pytest.mark.parametrize("labels", [[0, 3], [-1, 0]])
+    def test_label_without_output_unit_rejected(self, labels):
+        spec = MlpSpec(layer_sizes=(2, 3))
+        with pytest.raises(ValueError, match="output layer has 3 units"):
+            loss_and_grad(zero_params(spec), spec, np.zeros((2, 2)), np.array(labels))
+
+    def test_training_rejects_more_classes_than_outputs(self):
+        spec = MlpSpec(layer_sizes=(2, 3))
+        data = make_blobs(make_rng(0), 2, 4, 4.0)
+        with pytest.raises(ValueError, match="need 4 classes"):
+            train_mlp(spec, data, OptimizerConfig(), 1, 4, make_rng(0))
+
+
 class TestGradCheck:
     @pytest.mark.parametrize(
         "activation,loss", [("tanh", "softmax_cross_entropy"), ("tanh", "mse")]
@@ -215,20 +280,20 @@ class TestPredictAndAccuracy:
     def test_zero_network_predicts_class_zero(self):
         spec = MlpSpec(layer_sizes=(2, 3))
         params = zero_params(spec)
-        out = predict(params, spec, np.array([[1.0, 2.0], [0.0, 0.0]]))
-        assert np.array_equal(out, [0, 0])
+        _, acc = evaluate(params, spec, np.array([[1.0, 2.0], [0.0, 0.0]]), np.array([0, 0]))
+        assert acc == 1.0
 
     def test_accuracy_values(self):
         spec = MlpSpec(layer_sizes=(2, 2))
         params = zero_params(spec)
         data = Dataset(features=np.zeros((4, 2)), labels=np.array([0, 0, 1, 1]))
-        assert accuracy(params, spec, data) == 0.5
+        assert evaluate(params, spec, data.features, data.labels)[1] == 0.5
 
     def test_accuracy_empty_rejected(self):
         spec = MlpSpec(layer_sizes=(2, 2))
         data = Dataset(features=np.zeros((0, 2)), labels=np.zeros(0, dtype=int))
         with pytest.raises(ValueError):
-            accuracy(zero_params(spec), spec, data)
+            evaluate(zero_params(spec), spec, data.features, data.labels)
 
 
 @pytest.fixture(scope="module")
@@ -278,9 +343,11 @@ class TestTraining:
             train_mlp(spec, blobs, config, epochs=1, batch_size=0, rng=make_rng(0))
 
 
+@mock.patch.object(models, "_loss", frozen_loss)
 def reference_training(spec, data, config, epochs, batch_size, rng):
-    """The one-run loop on lone vectors: lone loss_and_grad and step calls,
-    then a full loss_and_grad and accuracy at each epoch's end."""
+    """The one-run loop on lone vectors, scored by frozen_loss: lone
+    loss_and_grad and step calls, then a full loss_and_grad and the argmax
+    accuracy at each epoch's end."""
     params = init_params(spec, rng)
     state = init_state(config, params.flat.size)
     records = []
@@ -295,7 +362,8 @@ def reference_training(spec, data, config, epochs, batch_size, rng):
                 losses.append(loss)
                 params.flat = step(state, config, params.flat, grad)
             full_loss, _ = loss_and_grad(params, spec, data.features, data.labels)
-            acc = accuracy(params, spec, data)
+            out = models._forward(params, spec, data.features)[-1]
+            acc = float(np.mean(np.argmax(out, axis=1) == data.labels))
         records.append(EpochRecord(epoch, float(np.mean(losses)), full_loss, acc))
     return params, records
 
@@ -322,7 +390,7 @@ class TestStackedTraining:
         configs=st.lists(_MLP_CONFIGS, min_size=1, max_size=4),
         seeds=st.lists(st.integers(0, 2**31), min_size=1, max_size=3, unique=True),
         hidden=st.lists(st.integers(1, 8), max_size=2),
-        classes=st.integers(1, 4),
+        classes=st.sampled_from([1, 2, 3, 4, 9]),
         activation=st.sampled_from(ACTIVATIONS),
         loss=st.sampled_from(LOSSES),
         n_per_class=st.integers(1, 10),

@@ -111,6 +111,13 @@ class TestOverlay:
         rects = root.findall(f".//{NS}rect")
         assert len(rects) == 4 * 3 + 1  # cells plus the white background
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_cell_rejected(self, bad):
+        xs, ys, Z = self.grid()
+        Z[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            render_overlay(xs, ys, Z, [])
+
     def test_degenerate_grid_rejected(self):
         xs = np.array([1.0, 1.0])
         ys = np.array([0.0, 1.0])
