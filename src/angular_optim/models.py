@@ -14,7 +14,7 @@ each row is bit for bit its run made alone.
 Activation conventions: tanh, or relu with the gradient at exactly 0 defined
 as 0.  Losses: mean squared error against one-hot targets, or softmax
 cross-entropy, both averaged over the batch.  Output-axis reductions are
-column folds, as numpy loops per sample there; sums fold below 8 columns only.
+column folds; sums fold below 8 columns only, where numpy's own sum folds too.
 """
 
 from __future__ import annotations
@@ -189,9 +189,9 @@ def _act_deriv(spec: MlpSpec, h: np.ndarray) -> np.ndarray:
 
 
 def _fold(ufunc, a: np.ndarray) -> np.ndarray:
-    """``ufunc`` over the last axis as a left fold of its columns.  Exact for
-    np.maximum; np.add keeps a.sum(axis=-1)'s bits only below 8 columns (numpy
-    sums 8 or more in pairwise blocks), so for bit identity wider sums reduce."""
+    """``ufunc`` over the last axis as a left fold of its columns (numpy loops per
+    sample on so short an axis).  Exact for np.maximum; np.add keeps a.sum's bits
+    only below 8 columns, so wider sums reduce: for bit identity, not speed."""
     if ufunc is np.add and a.shape[-1] >= 8:
         return np.add.reduce(a, axis=-1)
     acc = a[..., 0]

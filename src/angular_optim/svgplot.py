@@ -216,7 +216,7 @@ def render_overlay(
     ny, nx = Z.shape
     cell_w = (x1 - x0) / nx
     cell_h = (y1 - y0) / ny
-    # dark valleys, light ridges; rint rounds half to even, as round() does
+    # dark valleys, light ridges; rint rounds half to even
     shades = np.rint(60 + 195 * ((shifted - lo) / span)).astype(int).tolist()
     grays = [f"#{s:02x}{s:02x}{s:02x}" for s in range(256)]
     cols = [_px(x0 + j * cell_w) for j in range(nx)]
