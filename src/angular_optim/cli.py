@@ -22,6 +22,7 @@ from angular_optim.harness import (
     ROSENBROCK_DIST_THRESHOLD,
     ExperimentSpec,
     Trajectory,
+    _csv,
     aggregate,
     compute_regret,
     grid_eval,
@@ -33,12 +34,7 @@ from angular_optim.harness import (
     write_text_atomic,
 )
 from angular_optim.models import Dataset, MlpRun, MlpSpec, loss_and_grad, make_blobs, train_mlp
-from angular_optim.numerics import (
-    finite_diff_grad,
-    fmt_float,
-    make_rng,
-    relative_error,
-)
+from angular_optim.numerics import finite_diff_grad, make_rng, relative_error
 from angular_optim.objectives import get_objective
 from angular_optim.optimizers import ConfigStack, OptimizerConfig
 from angular_optim.svgplot import Series, render_line_chart, render_overlay
@@ -228,11 +224,8 @@ def _rosenbrock(config: dict, out: Path) -> list[str]:
 
 
 def _mlp_to_csv(run: MlpRun) -> str:
-    lines = ["epoch,mean_batch_loss,train_loss,train_accuracy"]
-    for r in run.records:
-        floats = (r.mean_batch_loss, r.train_loss, r.train_accuracy)
-        lines.append(",".join([str(r.epoch), *map(fmt_float, floats)]))
-    return "\n".join(lines) + "\n"
+    columns = ["epoch", "mean_batch_loss", "train_loss", "train_accuracy"]
+    return _csv(columns, *([getattr(r, c) for r in run.records] for c in columns))
 
 
 def _mlp(config: dict, out: Path) -> list[str]:

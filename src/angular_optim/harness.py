@@ -3,10 +3,11 @@
 A run is a pure function of its ExperimentSpec.  Its (optimizer, seed) runs,
 each from its own seeded start, are stacked as the rows of (R, D) arrays and
 advanced together: each iteration makes one gradient, one step and one loss
-call for all of them, and a row whose run aborts drops out while the others
-go on.  Each row's trajectory is bit for bit the one its run gives alone.
-The results are keyed by optimizer name in spec order.  CSV floats are
-written with shortest round-trip formatting and files are written atomically
+call for all of them, and a run that aborts drops out of the stack through
+``optimizers.Runs`` while the others go on.  Each row's trajectory is bit for
+bit the one its run gives alone.  The results are keyed by optimizer name in
+spec order.  CSV floats are written with shortest round-trip formatting, JSON
+is strict (a non-finite float is null), and files are written atomically
 (temp file, then rename).
 """
 
@@ -22,13 +23,7 @@ import numpy as np
 
 from angular_optim.numerics import Vector, make_rng
 from angular_optim.objectives import Objective, get_objective
-from angular_optim.optimizers import (
-    ConfigStack,
-    NonFiniteStepError,
-    OptimizerConfig,
-    init_state,
-    step,
-)
+from angular_optim.optimizers import ConfigStack, OptimizerConfig, Runs, nonfinite_rows
 
 # Loss threshold used for iterations-to-threshold on the 1-D functions; the
 # Rosenbrock runs instead use distance <= 0.1 to the known minimum.
@@ -130,73 +125,45 @@ def single_run(
     """
     lone = not isinstance(config, ConfigStack)
     stack = config.stack if lone else config
-    params = np.array(theta0, dtype=np.float64).reshape(len(stack.configs), -1)
-    runs, dim = params.shape
-    state = init_state(stack, dim)
+    runs = Runs(stack, np.array(theta0, dtype=np.float64).reshape(len(stack.configs), -1))
+    n_runs, dim = runs.params.shape
     milestones = dict(lr_milestones)
-    records = np.empty((4, iterations, runs))  # loss, alpha, phi_mean, step_norm
+    records = np.empty((4, iterations, n_runs))  # loss, alpha, phi_mean, step_norm
     loss, alpha, phi, norm = records
-    thetas = np.empty((iterations, runs, dim)) if record_params else None
-    live = np.arange(runs)  # the run of each remaining row
-    recorded = np.full(runs, iterations)
-    final = np.empty((runs, dim))
-    status = ["ok"] * runs
-
-    def drop(failed: dict, steps: int):
-        """Stop the rows ``failed`` maps to a status; returns the kept rows."""
-        nonlocal params, state, stack, live
-        for row, text in failed.items():
-            status[live[row]], recorded[live[row]], final[live[row]] = text, steps, params[row]
-        keep = np.ones(live.size, dtype=bool)
-        keep[list(failed)] = False
-        params, live = params[keep], live[keep]
-        if live.size:
-            state, stack = state.rows(keep), stack.rows(keep)
-        return keep
-
+    thetas = np.empty((iterations, n_runs, dim)) if record_params else None
     # divergence is handled (abort status), so overflow on an exploding
     # trajectory must not warn
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, iterations + 1):
             if i in milestones:
-                state.alpha_t = state.alpha_t / milestones[i]
-            grad = objective.grad(params)
-            if not np.isfinite(grad).all():
-                bad = np.flatnonzero(~np.isfinite(grad).all(axis=1)).tolist()
-                text = f"aborted: non-finite gradient at iteration {i}"
-                grad = grad[drop(dict.fromkeys(bad, text), i - 1)]
-                if not live.size:
-                    break
-            try:
-                new = step(state, stack, params, grad)
-            except NonFiniteStepError as err:
-                failed = {row: f"aborted: {e}" for row, e in err.rows.items()}
-                new = err.params[drop(failed, i - 1)]
-                if not live.size:
-                    break
-            d = new - params
+                runs.state.alpha_t = runs.state.alpha_t / milestones[i]
+            grad = objective.grad(runs.params)
+            new = runs.step(grad, nonfinite_rows(grad, f"non-finite gradient at iteration {i}"))
+            live = runs.live
+            if not live.size:
+                break
+            d = new - runs.params
             norm[i - 1, live] = np.sqrt(np.vecdot(d, d))
-            params = new
-            loss[i - 1, live] = row_loss = objective.eval(params)
-            alpha[i - 1, live] = state.alpha_t[:, 0]
+            runs.params = new
+            loss[i - 1, live] = row_loss = objective.eval(new)
+            alpha[i - 1, live] = runs.state.alpha_t[:, 0]
             # np.mean's own sum-then-divide, without its call overhead
-            last_phi = state.last_phi
+            last_phi = runs.state.last_phi
             phi[i - 1, live] = 1.0 if last_phi is None else np.add.reduce(last_phi, axis=-1) / dim
             if thetas is not None:
-                thetas[i - 1, live] = params
-            if not np.isfinite(row_loss).all():
-                bad = np.flatnonzero(~np.isfinite(row_loss)).tolist()
-                drop(dict.fromkeys(bad, f"aborted: non-finite loss at iteration {i}"), i)
-                if not live.size:
+                thetas[i - 1, live] = new
+            if failed := nonfinite_rows(row_loss, f"non-finite loss at iteration {i}"):
+                runs.drop(failed, i)
+                if not runs.live.size:
                     break
-    final[live] = params
+    runs.finish()
     trajectories = [
         Trajectory(
             np.arange(1, n + 1, dtype=np.int64), *records[:, :n, run].copy(),
             thetas=None if thetas is None else thetas[:n, run].copy(),
-            final_params=final[run], status=status[run],
+            final_params=runs.final[run], status=status,
         )
-        for run, n in enumerate(recorded.tolist())
+        for run, (n, status) in enumerate(zip(runs.steps.tolist(), runs.status))
     ]
     return trajectories[0] if lone else trajectories
 
@@ -251,35 +218,14 @@ def compute_regret(
     )
 
 
-def grid_eval(objective: Objective, x_range, y_range, resolution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Function values on a 2-D grid; Z[i, j] = f(xs[j], ys[i])."""
+def grid_eval(objective: Objective, x_range, y_range, resolution: int):
+    """(xs, ys, Z) on a resolution^2 grid, where Z[i, j] = f(xs[j], ys[i])."""
     if objective.dim != 2:
         raise ValueError("grid_eval needs a 2-D objective")
-    if isinstance(resolution, int):
-        nx = ny = resolution
-    else:
-        nx, ny = resolution
-    xs = np.linspace(float(x_range[0]), float(x_range[1]), nx)
-    ys = np.linspace(float(y_range[0]), float(y_range[1]), ny)
+    xs = np.linspace(float(x_range[0]), float(x_range[1]), resolution)
+    ys = np.linspace(float(y_range[0]), float(y_range[1]), resolution)
     X, Y = np.meshgrid(xs, ys)
-    return xs, ys, objective.eval(np.stack([X, Y], axis=-1)).reshape(ny, nx)
-
-
-def tail_oscillation(trajectory: Trajectory, window: int) -> float:
-    """Population standard deviation over the last ``window`` iterations.
-
-    Uses the scalar parameter when snapshots exist in one dimension, the loss
-    otherwise.  Population (not sample) normalization, so a tail alternating
-    between two points +-d around a center measures exactly d.
-    """
-    n = len(trajectory)
-    if window < 1 or window > n:
-        raise ValueError(f"window must lie in [1, {n}]")
-    if trajectory.thetas is not None and trajectory.thetas.shape[1] == 1:
-        series = trajectory.thetas[-window:, 0]
-    else:
-        series = trajectory.loss[-window:]
-    return float(np.std(series))
+    return xs, ys, objective.eval(np.stack([X, Y], axis=-1)).reshape(resolution, resolution)
 
 
 def iterations_to_threshold(values: np.ndarray, threshold: float, budget: int) -> int:
@@ -339,15 +285,12 @@ def _csv(header: list[str], t, *columns) -> str:
     return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
 
 
-def trajectory_to_csv(trajectory: Trajectory, record_params: bool | None = None) -> str:
-    """Header t,loss,alpha,phi_mean,step_norm[,theta_0..theta_{d-1}]."""
-    if record_params is None:
-        record_params = trajectory.thetas is not None
+def trajectory_to_csv(trajectory: Trajectory) -> str:
+    """Header t,loss,alpha,phi_mean,step_norm, then theta_0..theta_{d-1} if the
+    trajectory has parameter snapshots."""
     cols = ["t", "loss", "alpha", "phi_mean", "step_norm"]
     values = [trajectory.loss, trajectory.alpha, trajectory.phi_mean, trajectory.step_norm]
-    if record_params:
-        if trajectory.thetas is None:
-            raise ValueError("trajectory has no parameter snapshots")
+    if trajectory.thetas is not None:
         cols += [f"theta_{i}" for i in range(trajectory.thetas.shape[1])]
         values += list(trajectory.thetas.T)
     return _csv(cols, trajectory.t, *values)
@@ -367,7 +310,9 @@ def grid_to_csv(xs: np.ndarray, ys: np.ndarray, Z: np.ndarray) -> str:
 
 
 def summary_to_json(summary: dict) -> str:
-    return json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    """Strict JSON: a non-finite float (a diverged run's loss) is written as null."""
+    strict = json.loads(json.dumps(summary), parse_constant=lambda _: None)
+    return json.dumps(strict, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:

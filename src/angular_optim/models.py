@@ -8,8 +8,9 @@ exercise them fully.
 
 The run axis: R runs train as one stack, an (R, P) array whose weights are
 (R, fan_out, fan_in) views, through stacked matmuls and per-row reductions
-over the last axes.  A lone run is the one-row case of the same code, and
-each row is bit for bit its run made alone.
+over the last axes.  A run whose loss or step turns non-finite drops out of
+the stack through ``optimizers.Runs``.  A lone run is the one-row case of the
+same code, and each row is bit for bit its run made alone.
 
 Activation conventions: tanh, or relu with the gradient at exactly 0 defined
 as 0.  Losses: mean squared error against one-hot targets, or softmax
@@ -135,10 +136,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.features.shape[0]
-
-    @property
-    def n_classes(self) -> int:
-        return int(self.labels.max()) + 1 if self.labels.size else 0
 
 
 def make_blobs(
@@ -295,81 +292,58 @@ def train_mlp(spec: MlpSpec, data, config, epochs: int, batch_size: int, rng):
     per epoch, for all its rows; each minibatch makes one loss_and_grad and
     one step call, and a row whose loss or step turns non-finite drops out.
     """
-    from angular_optim.optimizers import ConfigStack, NonFiniteStepError, init_state, step
+    from angular_optim.optimizers import ConfigStack, Runs, nonfinite_rows
 
     if epochs < 1 or batch_size < 1:
         raise ValueError("epochs and batch_size must be >= 1")
     lone = not isinstance(config, ConfigStack)
     stack, datasets, rngs = (config.stack, [data], [rng]) if lone else (config, data, rng)
-    runs, seeds = len(stack.configs), len(rngs)
-    if not seeds or runs % seeds or len(datasets) != seeds:
+    n_runs, seeds = len(stack.configs), len(rngs)
+    if not seeds or n_runs % seeds or len(datasets) != seeds:
         raise ValueError("need one dataset and one generator per seed, and runs for each")
     inputs = np.stack([d.features for d in datasets])
     labels = np.stack([d.labels for d in datasets])
     _check_labels(labels, spec.layer_sizes[-1])
     n = inputs.shape[1]
     layout = layout_for(spec)
-    seed_of = np.arange(runs) % seeds
-    params = np.array([init_params(spec, g).flat for g in rngs])[seed_of]
-    state = init_state(stack, params.shape[1])
-    live = np.arange(runs)  # the run of each remaining row
-    final = params.copy()
-    records = [[] for _ in range(runs)]
-    errors = [None] * runs
-
-    def drop(failed: dict):
-        """Stop the rows ``failed`` maps to an error; returns the kept rows."""
-        nonlocal params, state, stack, live
-        keep = np.ones(live.size, dtype=bool)
-        if not failed:
-            return keep
-        for row, err in failed.items():
-            errors[live[row]], records[live[row]], final[live[row]] = err, [], params[row]
-        keep[list(failed)] = False
-        params, live = params[keep], live[keep]
-        if live.size:
-            state, stack = state.rows(keep), stack.rows(keep)
-        return keep
-
-    def nonfinite(losses) -> dict:
-        return dict.fromkeys(np.flatnonzero(~np.isfinite(losses)).tolist(),
-                             NonFiniteLossError("non-finite loss"))
+    seed_of = np.arange(n_runs) % seeds
+    runs = Runs(stack, np.array([init_params(spec, g).flat for g in rngs])[seed_of])
+    records = [[] for _ in range(n_runs)]
+    diverged = NonFiniteLossError("non-finite loss")
 
     # divergence is handled (the row drops out), so overflow on an exploding
     # run must not warn
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(1, epochs + 1):
             orders = np.array([g.permutation(n) for g in rngs])
-            batch_losses = np.empty((runs, -(-n // batch_size)))
+            batch_losses = np.empty((n_runs, -(-n // batch_size)))
             for j, lo in enumerate(range(0, n, batch_size)):
-                at = seed_of[live, None], orders[seed_of[live], lo : lo + batch_size]
-                loss, grad = loss_and_grad(MlpParams(params, layout), spec, inputs[at], labels[at])
-                batch_losses[live, j] = loss
-                try:
-                    new, failed = step(state, stack, params, grad), {}
-                except NonFiniteStepError as err:
-                    new, failed = err.params, err.rows
+                at = seed_of[runs.live, None], orders[seed_of[runs.live], lo : lo + batch_size]
+                loss, grad = loss_and_grad(MlpParams(runs.params, layout), spec,
+                                           inputs[at], labels[at])
+                batch_losses[runs.live, j] = loss
                 # a row's non-finite loss stops it before its step
-                params = new[drop({**failed, **nonfinite(loss)})]
-                if not live.size:
+                runs.params = runs.step(grad, nonfinite_rows(loss, diverged))
+                if not runs.live.size:
                     break
             losses = []  # row by row: an (R, n, K) stack would raise peak memory
-            for flat, run in zip(params, live.tolist()):
+            for flat, run in zip(runs.params, runs.live.tolist()):
                 at = seed_of[run]
                 loss, acc = evaluate(MlpParams(flat, layout), spec, inputs[at], labels[at])
                 losses.append(loss)
                 mean = float(np.add.reduce(batch_losses[run]) / batch_losses.shape[1])
                 records[run].append(EpochRecord(epoch, mean, loss, acc))
-            drop(nonfinite(losses))
-            if not live.size:
+            if failed := nonfinite_rows(losses, diverged):
+                runs.drop(failed, runs.state.t)
+            if not runs.live.size:
                 break
-    final[live] = params
+    runs.finish()
     if lone:
-        if errors[0] is not None:
-            raise errors[0]
-        return MlpParams(final[0], layout), records[0]
+        if runs.reasons[0] is not None:
+            raise runs.reasons[0]
+        return MlpParams(runs.final[0], layout), records[0]
+    # an aborted run keeps no records
     return [
-        MlpRun(MlpParams(final[run], layout), records[run],
-               "ok" if err is None else f"aborted: {err}")
-        for run, err in enumerate(errors)
+        MlpRun(MlpParams(final, layout), records[run] if reason is None else [], status)
+        for run, (final, reason, status) in enumerate(zip(runs.final, runs.reasons, runs.status))
     ]

@@ -73,11 +73,6 @@ def first_nonfinite(a: Vector) -> int | None:
     return int(np.argmax(bad))
 
 
-def fmt_float(x: float) -> str:
-    """Shortest decimal string that round-trips the IEEE-754 double exactly."""
-    return repr(float(x))
-
-
 def relative_error(a: Vector, b: Vector) -> float:
     """Worst per-coordinate |a-b| / max(|a|, |b|, 1).
 

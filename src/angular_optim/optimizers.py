@@ -27,7 +27,10 @@ R runs at once (an (R, D) stack and a ConfigStack), a lone run being the
 one-row case.  The kernel computes only the rule families present and picks
 each row's result with np.where, so a row gets, bit for bit, what its run
 gets alone.  Bias corrections and RAdam's r_t stay Python floats per row:
-numpy's power differs from Python's in the last ulp.
+numpy's power differs from Python's in the last ulp.  ``Runs`` holds the live
+rows of a stack for both training loops: a run that fails before or in its
+step drops out through it, keeping its final params and its reason, and the
+other rows go on.
 
 State vectors start at zero, so the gradient "before the first step" is 0 and
 the first angle compares against a zero previous angle.  The counter ``t``
@@ -413,3 +416,63 @@ def step(state: OptimizerState, config, params: Vector, grad: Vector) -> Vector:
         err.rows, err.params = errors, new
         raise err
     return new
+
+
+# ---------------------------------------------------------------------------
+# A stack of runs
+
+
+def nonfinite_rows(values, reason) -> dict:
+    """Map each row of a stack whose ``values`` hold a NaN or Inf to ``reason``."""
+    ok = np.isfinite(values)
+    if ok.all():
+        return {}
+    return dict.fromkeys(np.flatnonzero(~ok.reshape(len(ok), -1).all(axis=1)).tolist(), reason)
+
+
+class Runs:
+    """The live rows of a stack of runs (``params``, ``state``, ``configs``,
+    and ``live``, the run behind each row) and each run's ``final`` params,
+    ``steps`` taken and ``reasons`` it stopped (None while it is ok)."""
+
+    def __init__(self, configs: ConfigStack, params: np.ndarray):
+        self.params, self.configs = params, configs
+        self.state = init_state(configs, params.shape[1])
+        self.live = np.arange(len(params))
+        self.final = np.empty_like(params)
+        self.steps = np.zeros(len(params), dtype=np.int64)
+        self.reasons = [None] * len(params)
+
+    def drop(self, failed: dict, steps: int) -> np.ndarray:
+        """Stop the rows ``failed`` maps to a reason, at their params and after
+        ``steps`` steps; returns the bool mask of the kept rows."""
+        for row, reason in failed.items():
+            run = self.live[row]
+            self.final[run], self.steps[run], self.reasons[run] = self.params[row], steps, reason
+        keep = np.ones(self.live.size, dtype=bool)
+        keep[list(failed)] = False
+        self.params, self.live = self.params[keep], self.live[keep]
+        if self.live.size:
+            self.state, self.configs = self.state.rows(keep), self.configs.rows(keep)
+        return keep
+
+    def step(self, grad: np.ndarray, failed: dict) -> np.ndarray:
+        """``step`` the live rows and return the kept rows' new params (the
+        caller stores them).  The rows ``failed`` maps to a reason (it wins over
+        a failed step) and the rows whose step fails drop out at their old params."""
+        try:  # the global step, looked up at each call so a wrapper set on it runs
+            new = step(self.state, self.configs, self.params, grad)
+        except NonFiniteStepError as err:
+            new, failed = err.params, {**err.rows, **failed}
+        if failed:  # the step just taken does not count for them
+            new = new[self.drop(failed, self.state.t - 1)]
+        return new
+
+    def finish(self) -> None:
+        """Record the live rows' params and steps as their runs' final ones."""
+        self.final[self.live], self.steps[self.live] = self.params, self.state.t
+
+    @property
+    def status(self) -> list[str]:
+        """Each run's status text: ok, or why it aborted."""
+        return ["ok" if r is None else f"aborted: {r}" for r in self.reasons]

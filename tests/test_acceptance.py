@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from angular_optim.cli import main as cli_main
-from angular_optim.harness import Trajectory, tail_oscillation
+from angular_optim.harness import Trajectory
 from angular_optim.numerics import make_rng
 from angular_optim.optimizers import (
     OptimizerConfig,
@@ -26,6 +26,7 @@ from angular_optim.optimizers import (
     init_state,
     step,
 )
+from test_harness import tail_oscillation
 
 PHI_COS_MAX = 0.8807970779778824  # 0.5 * tanh(1) + 0.5
 

@@ -124,6 +124,22 @@ class TestToy:
         assert (out / "toy_f1_sgd_big_s0.csv").exists()
         assert (out / "toy_f1_loss.svg").exists()
 
+    def test_diverged_summary_is_strict_json(self, tmp_path):
+        cfg = toy_config(tmp_path, iterations=300, optimizers={
+            "sgd_big": {"rule": "sgd", "alpha": 50.0},
+            "adam": {"rule": "adam", "alpha": 0.1},
+        })
+        out = tmp_path / "a"
+        assert run("toy", "--config", cfg, "--out", str(out)) == 1
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        summary = json.loads((out / "toy_f1_summary.json").read_text(), parse_constant=reject)
+        assert summary["sgd_big"]["final_loss"] == [None]
+        assert summary["sgd_big"]["mean"] is None
+        assert summary["adam"]["mean"] == summary["adam"]["final_loss"][0]
+
 
 # only toy and plot draw a loss axis; the other commands reject the flag
 @pytest.mark.parametrize("command", ["rosenbrock", "mlp", "regret", "gradcheck"])

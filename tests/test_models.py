@@ -245,7 +245,6 @@ class TestDatasets:
     def test_blob_shapes_and_labels(self):
         data = make_blobs(make_rng(0), n_per_class=50, classes=3, separation=4.0)
         assert data.features.shape == (150, 2)
-        assert data.n_classes == 3
         assert np.array_equal(np.unique(data.labels), [0, 1, 2])
         assert np.array_equal(data.labels[:50], np.zeros(50, dtype=np.int64))
 

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from angular_optim.harness import _csv
 from angular_optim.numerics import (
     as_vector,
     finite_diff_grad,
     first_nonfinite,
-    fmt_float,
     make_rng,
     mean,
     relative_error,
@@ -105,7 +105,8 @@ class TestAnalyticVsFiniteDiff:
 class TestFormatting:
     @pytest.mark.parametrize("x", [0.1, -0.0, 1e-308, 3.141592653589793, 332946.9625815])
     def test_round_trip(self, x):
-        assert float(fmt_float(x)) == x
+        cell = _csv(["t", "x"], [1], [x]).splitlines()[1].split(",")[1]
+        assert float(cell).hex() == x.hex()
 
     def test_first_nonfinite(self):
         assert first_nonfinite(np.array([1.0, 2.0])) is None
