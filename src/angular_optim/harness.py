@@ -142,16 +142,18 @@ def single_run(
             live = runs.live
             if not live.size:
                 break
+            # while every run is live a plain slice writes the records
+            rows = slice(None) if live.size == n_runs else live
             d = new - runs.params
-            norm[i - 1, live] = np.sqrt(np.vecdot(d, d))
+            norm[i - 1, rows] = np.sqrt(np.vecdot(d, d))
             runs.params = new
-            loss[i - 1, live] = row_loss = objective.eval(new)
-            alpha[i - 1, live] = runs.state.alpha_t[:, 0]
+            loss[i - 1, rows] = row_loss = objective.eval(new)
+            alpha[i - 1, rows] = runs.state.alpha_t[:, 0]
             # np.mean's own sum-then-divide, without its call overhead
             last_phi = runs.state.last_phi
-            phi[i - 1, live] = 1.0 if last_phi is None else np.add.reduce(last_phi, axis=-1) / dim
+            phi[i - 1, rows] = 1.0 if last_phi is None else np.add.reduce(last_phi, axis=-1) / dim
             if thetas is not None:
-                thetas[i - 1, live] = new
+                thetas[i - 1, rows] = new
             if failed := nonfinite_rows(row_loss, f"non-finite loss at iteration {i}"):
                 runs.drop(failed, i)
                 if not runs.live.size:
@@ -206,7 +208,8 @@ def compute_regret(
         raise ValueError("theta_star dim mismatch")
     f_star = objective.eval(theta_star)
     excess = trajectory.loss - f_star
-    cumulative = np.cumsum(excess)
+    with np.errstate(over="ignore"):  # huge finite losses sum to inf, not a warning
+        cumulative = np.cumsum(excess)
     average = cumulative / trajectory.t
     return RegretRecord(
         t=trajectory.t.copy(),

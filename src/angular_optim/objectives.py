@@ -144,7 +144,7 @@ def rosenbrock(x: Vector, a: float = 1.0, b: float = 100.0) -> float:
     if x.shape[-1] < 2:
         raise ValueError("rosenbrock needs dim >= 2")
     head, tail = x[..., :-1], x[..., 1:]
-    return np.sum(b * (tail - head**2) ** 2 + (a - head) ** 2, axis=-1)
+    return np.add.reduce(b * (tail - head**2) ** 2 + (a - head) ** 2, axis=-1)
 
 
 def rosenbrock_grad(x: Vector, a: float = 1.0, b: float = 100.0) -> Vector:
@@ -153,7 +153,7 @@ def rosenbrock_grad(x: Vector, a: float = 1.0, b: float = 100.0) -> Vector:
         raise ValueError("rosenbrock needs dim >= 2")
     head = x[..., :-1]
     valley = x[..., 1:] - head**2
-    g = np.zeros_like(x)
+    g = np.zeros(x.shape)
     # d/dx_i of the i-th term: -4b x_i (x_{i+1} - x_i^2) - 2 (a - x_i)
     g[..., :-1] += -4.0 * b * head * valley - 2.0 * (a - head)
     # d/dx_{i+1} of the i-th term: 2b (x_{i+1} - x_i^2)

@@ -167,8 +167,13 @@ class ConfigStack:
 
     def __init__(self, configs):
         self.configs = cs = tuple(configs)
-        for name in ("beta1", "beta2", "epsilon", "lambda1", "lambda2"):
+        for name in ("epsilon", "lambda1", "lambda2"):
             setattr(self, name, _column([getattr(c, name) for c in cs]))
+        # the bias corrections apply to moment rows only, so the other rows take
+        # the first moment row's betas and a stack of one Adam beta2 stays a number
+        moment = next((c for c in cs if c.rule in MOMENT_RULES), cs[0])
+        betas = [c if c.rule in MOMENT_RULES else moment for c in cs]
+        self.beta1, self.beta2 = _column([c.beta1 for c in betas]), _column([c.beta2 for c in betas])
         coefficients = zip(*map(_moment_coefficients, cs))
         self.m_decay, self.m_gain, self.v_decay, self.v_gain = map(_column, coefficients)
         self.omega = _column([c.hypergrad_omega for c in cs])
@@ -247,11 +252,16 @@ def angle_between(g_t: Vector, g_prev: Vector) -> Vector:
     g_prev = np.asarray(g_prev, dtype=np.float64)
     if g_t.shape != g_prev.shape:
         raise ValueError("dim mismatch")
-    num = np.abs(g_t - g_prev)
-    den = np.abs(1.0 + g_t * g_prev)
-    zero = den == 0.0
-    ratio = num / np.where(zero, 1.0, den)
-    return np.where(zero, np.pi / 2.0, np.arctan(ratio))
+    with np.errstate(divide="ignore"):
+        return _angle(np.abs(g_t - g_prev), g_t, g_prev)
+
+
+def _angle(gap: np.ndarray, g_t: np.ndarray, g_prev: np.ndarray) -> np.ndarray:
+    """``angle_between`` from ``gap`` = |g_t - g_prev|, unchecked, for a caller
+    that ignores divide errors: a zero denominator with finite slopes has a
+    non-zero gap (g_t = g_prev would need g_t^2 = -1), and arctan(inf) is
+    exactly pi/2."""
+    return np.arctan(gap / np.abs(1.0 + g_t * g_prev))
 
 
 def angular_coefficient(
@@ -328,8 +338,10 @@ def _rule_kernel(state, cfg, params, grad):
         mhat = m / bc1
         denom = np.sqrt(v / bc2) + cfg.epsilon
         scale = 1.0
+        if cfg.diffgrad is not False or cfg.angular is not False:
+            gap = np.abs(grad - state.prev_grad)  # diffGrad's and the angle's |g_t - g_{t-1}|
         if cfg.diffgrad is not False:
-            xi = 1.0 / (1.0 + np.exp(-np.abs(state.prev_grad - grad)))
+            xi = 1.0 / (1.0 + np.exp(-gap))
             scale = _pick(cfg.diffgrad, xi, scale)
         if cfg.radam is not False:
             # rows not yet rectifiable step with scale = denom = 1
@@ -338,7 +350,7 @@ def _rule_kernel(state, cfg, params, grad):
             if (unrectified := _column([r is None for r in r_ts])) is not False:
                 denom = _pick(unrectified, 1.0, denom)
         if cfg.angular is not False:
-            a_t = angle_between(grad, state.prev_grad)
+            a_t = _angle(gap, grad, state.prev_grad)
             a_min = np.minimum(state.prev_angle, a_t)
             phi = angular_coefficient(a_min, cfg.variant, cfg.lambda1, cfg.lambda2)
             scale = _pick(cfg.angular, phi, scale)
@@ -397,8 +409,9 @@ def step(state: OptimizerState, config, params: Vector, grad: Vector) -> Vector:
     if params.shape != state.m.shape:
         raise ValueError("state dim mismatch")
     # overflow here is an expected, handled condition: the guard below turns
-    # any non-finite result into NonFiniteStepError instead of a warning
-    with np.errstate(over="ignore", invalid="ignore"):
+    # any non-finite result into NonFiniteStepError instead of a warning (a
+    # perpendicular angle divides by zero on purpose)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if cfg.gc is not False:
             grad = _pick(cfg.gc, gc_transform(grad), grad)
         if cfg.hgd is not False:
@@ -408,7 +421,10 @@ def step(state: OptimizerState, config, params: Vector, grad: Vector) -> Vector:
         if cfg.decay is not False:
             decayed = new - state.alpha_t * cfg.decay_lambda * params
             new = _pick(cfg.decay, decayed, new)
-    if not np.isfinite(new).all():
+        # a finite sum needs every entry finite; only a sum that overflows or
+        # meets a NaN or Inf pays for the entrywise check
+        finite = math.isfinite(np.add.reduce(new, axis=None)) or np.isfinite(new).all()
+    if not finite:
         bad = enumerate(map(first_nonfinite, new.reshape(-1, new.shape[-1])))
         rules = [c.rule for c in cfg.configs]
         errors = {r: NonFiniteStepError(state.t, i, rules[r]) for r, i in bad if i is not None}
@@ -425,7 +441,7 @@ def step(state: OptimizerState, config, params: Vector, grad: Vector) -> Vector:
 def nonfinite_rows(values, reason) -> dict:
     """Map each row of a stack whose ``values`` hold a NaN or Inf to ``reason``."""
     ok = np.isfinite(values)
-    if ok.all():
+    if np.count_nonzero(ok) == ok.size:  # every entry finite, cheaper than ok.all()
         return {}
     return dict.fromkeys(np.flatnonzero(~ok.reshape(len(ok), -1).all(axis=1)).tolist(), reason)
 

@@ -1,6 +1,7 @@
 """Experiment runner, regret, aggregation, oscillation, and CSV/JSON output."""
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -264,6 +265,11 @@ class TestRegret:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             compute_regret(make_traj([1.0]), get_objective("f3"), theta_star=[0.0, 0.0])
+
+    def test_overflowing_sum_reads_inf_without_a_warning(self):
+        rec = compute_regret(make_traj([1e308, 1e308]), get_objective("f3"))
+        assert rec.cumulative.tolist() == [1e308, math.inf]
+        assert rec.average.tolist() == [1e308, math.inf]
 
     def test_average_regret_decays_on_quadratic(self):
         obj = get_objective("quadratic", dim=10)

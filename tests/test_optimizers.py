@@ -13,6 +13,7 @@ from angular_optim.optimizers import (
     ANGLE_VARIANTS,
     MOMENT_RULES,
     RULES,
+    ConfigStack,
     NonFiniteStepError,
     OptimizerConfig,
     OptimizerState,
@@ -21,6 +22,7 @@ from angular_optim.optimizers import (
     gc_transform,
     hgd_adapt,
     init_state,
+    nonfinite_rows,
     radam_terms,
     step,
 )
@@ -487,3 +489,41 @@ class TestDispatcherComposition:
             "angulargrad", [[1.0], [1.0]], [0.0], alpha=0.1, hypergrad_omega=0.01
         )
         assert state.alpha_t > 0.1
+
+
+class TestStackFastPaths:
+    """The cheap forms ``step`` takes on a stack give the full forms' results."""
+
+    def test_perpendicular_angle_on_a_stack(self):
+        # 2 * -0.5 == -1: the angle's denominator is exactly zero on both rows
+        stack = ConfigStack(
+            OptimizerConfig(rule="angulargrad", angle_variant=v) for v in ("cos", "tan")
+        )
+        state = init_state(stack, 1)
+        state.prev_grad[:] = 2.0
+        state.prev_angle[:] = math.pi / 2.0
+        step(state, stack, np.zeros((2, 1)), np.full((2, 1), -0.5))
+        assert np.array_equal(state.prev_angle, np.full((2, 1), math.pi / 2.0))
+        for row, variant in enumerate(("cos", "tan")):
+            want = angular_coefficient(np.array([math.pi / 2.0]), variant, 0.5, 0.5)
+            assert state.last_phi[row].tobytes() == want.tobytes()
+
+    def test_finite_stack_whose_sum_overflows(self):
+        # the rows sum to inf while every entry stays finite: no abort
+        stack = ConfigStack([OptimizerConfig(rule="sgd", alpha=1e-300)] * 2)
+        params = np.full((2, 1), 1e308)
+        new = step(init_state(stack, 1), stack, params, np.ones((2, 1)))
+        assert new.tobytes() == params.tobytes()
+
+    def test_nonfinite_rows_of_a_sum_that_overflows(self):
+        assert nonfinite_rows(np.full((2, 1), 1e308), "reason") == {}
+
+    def test_bias_correction_betas_come_from_moment_rows(self):
+        # rmsprop's beta2 is its smoothing constant rho, not a bias correction
+        stack = ConfigStack([
+            OptimizerConfig(rule="sgd", beta2=0.5),
+            OptimizerConfig(rule="rmsprop", beta2=0.99),
+            OptimizerConfig(rule="adam"),
+        ])
+        assert stack.beta1 == 0.9 and stack.beta2 == 0.999
+        assert ConfigStack([OptimizerConfig(rule="sgd", beta2=0.5)]).beta2 == 0.5
