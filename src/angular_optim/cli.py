@@ -305,11 +305,10 @@ def run_protocol(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     config = _load_config("gradcheck", args.config)
-    if getattr(args, "seeds", None):
-        try:
-            config["seed"] = int(args.seeds.split(",")[0])
-        except ValueError:
-            raise ConfigError(f"bad --seeds value {args.seeds!r}")
+    if args.seeds:  # parsed as the protocols parse theirs
+        config["seed"], *more = _apply_overrides({}, args)["seeds"]
+        if more:
+            raise ConfigError(f"gradcheck takes one seed, not {args.seeds!r}")
     rng = make_rng(int(config["seed"]))
     margin = float(config["nonsmooth_margin"])
     n_points = int(config["points_per_objective"])
@@ -429,12 +428,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("files", nargs="+", help="trajectory CSV files")
         else:
             p.add_argument("--config", default=None, help="JSON config file")
-            p.add_argument("--seeds", default=None, help="comma-separated seed list")
+            seeds_help = "one seed" if name == "gradcheck" else "comma-separated seed list"
+            p.add_argument("--seeds", default=None, help=seeds_help)
+        if name in PROTOCOLS:
             p.add_argument("--optimizers", default=None, help="comma-separated filter")
             p.add_argument("--iters", type=int, default=None, help="iteration/epoch override")
             p.add_argument(
                 "--allow-divergence", action="store_true",
-                help="exit 0 even if a run aborts on a non-finite step",
+                help="exit 0 even if a run aborts",
             )
         p.add_argument("--out", default="artifacts", help="output directory")
         if name in ("toy", "plot"):

@@ -38,7 +38,8 @@ class ExperimentSpec:
     ``theta0`` is either an explicit start vector or an init-rule mapping
     {"rule": "uniform", "low": a, "high": b, "dim": n} drawn per seed.
     ``lr_milestones`` lists (iteration, divisor) pairs; at each named
-    iteration the live learning rate is divided once, before that step.
+    iteration the live learning rate is divided once, before that step, by a
+    finite divisor > 0.
     """
 
     task: str
@@ -60,6 +61,8 @@ class ExperimentSpec:
         names = [name for name, _ in self.optimizers]
         if len(set(names)) != len(names):
             raise ValueError("optimizer names must be unique")
+        if not all(0.0 < div < float("inf") for _, div in self.lr_milestones):
+            raise ValueError("lr_milestones divisors must be finite and > 0")
 
 
 @dataclass

@@ -9,8 +9,8 @@ exercise them fully.
 The run axis: R runs train as one stack, an (R, P) array whose weights are
 (R, fan_out, fan_in) views, through stacked matmuls and per-row reductions
 over the last axes.  A run whose loss or step turns non-finite drops out of
-the stack through ``optimizers.Runs``.  A lone run is the one-row case of the
-same code, and each row is bit for bit its run made alone.
+the stack through ``optimizers.Runs``.  Training takes only stacks (a lone
+run is a one-row stack), and each row is bit for bit its run trained alone.
 
 Activation conventions: tanh, or relu with the gradient at exactly 0 defined
 as 0.  Losses: mean squared error against one-hot targets, or softmax
@@ -28,10 +28,6 @@ from angular_optim.numerics import Vector
 
 ACTIVATIONS = ("tanh", "relu")
 LOSSES = ("mse", "softmax_cross_entropy")
-
-
-class NonFiniteLossError(RuntimeError):
-    """The loss of a batch evaluated to NaN/Inf: the run diverged."""
 
 
 @dataclass(frozen=True)
@@ -134,9 +130,6 @@ class Dataset:
             ):
                 raise ValueError("classes must be contiguous from 0")
 
-    def __len__(self) -> int:
-        return self.features.shape[0]
-
 
 def make_blobs(
     rng: np.random.Generator, n_per_class: int, classes: int, separation: float
@@ -225,7 +218,7 @@ def loss_and_grad(
     """Mean batch loss and its gradient w.r.t. the flat parameter vector.
 
     (R, P) parameters with (R, B, F) inputs and (R, B) labels give R losses
-    and an (R, P) gradient; only a lone call raises NonFiniteLossError.
+    and an (R, P) gradient; a lone call gives a float loss and checks its labels.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -236,8 +229,6 @@ def loss_and_grad(
         _check_labels(y, spec.layer_sizes[-1])
     acts = _forward(params, spec, X)
     loss, delta = _loss(spec, acts[-1], y)
-    if lone and not np.isfinite(loss):
-        raise NonFiniteLossError("non-finite loss")
 
     grad = np.empty_like(params.flat)
     for i in range(len(params.layout) - 1, -1, -1):
@@ -280,24 +271,21 @@ class MlpRun:
     status: str = "ok"
 
 
-def train_mlp(spec: MlpSpec, data, config, epochs: int, batch_size: int, rng):
-    """Minibatch training with a seeded shuffle per epoch, of one run or a stack.
+def train_mlp(spec: MlpSpec, datasets, stack, epochs: int, batch_size: int, rngs) -> list[MlpRun]:
+    """Minibatch training with a seeded shuffle per epoch of a stack of runs.
 
-    A lone run (Dataset, OptimizerConfig, Generator) returns its parameters
-    and one record per epoch (mean minibatch loss, then full-train loss and
-    accuracy at the epoch's end), or raises NonFiniteLossError or
-    NonFiniteStepError.  A stack takes a Dataset and a Generator per seed and
-    a ConfigStack of (optimizer, seed) rows, row r on seed r % S, and returns
-    an MlpRun per row.  Each seed's generator draws the init, then a shuffle
-    per epoch, for all its rows; each minibatch makes one loss_and_grad and
-    one step call, and a row whose loss or step turns non-finite drops out.
+    Takes a Dataset and a Generator per seed and a ConfigStack of (optimizer,
+    seed) rows, row r on seed r % S, and returns an MlpRun per row: one record
+    per epoch (mean minibatch loss, then full-train loss and accuracy at the
+    epoch's end) and status "ok", or no records and why the row aborted.
+    Each seed's generator draws the init, then a shuffle per epoch, for all
+    its rows; each minibatch makes one loss_and_grad and one step call, and a
+    row whose loss or step turns non-finite drops out.
     """
-    from angular_optim.optimizers import ConfigStack, Runs, nonfinite_rows
+    from angular_optim.optimizers import Runs, nonfinite_rows
 
     if epochs < 1 or batch_size < 1:
         raise ValueError("epochs and batch_size must be >= 1")
-    lone = not isinstance(config, ConfigStack)
-    stack, datasets, rngs = (config.stack, [data], [rng]) if lone else (config, data, rng)
     n_runs, seeds = len(stack.configs), len(rngs)
     if not seeds or n_runs % seeds or len(datasets) != seeds:
         raise ValueError("need one dataset and one generator per seed, and runs for each")
@@ -309,7 +297,7 @@ def train_mlp(spec: MlpSpec, data, config, epochs: int, batch_size: int, rng):
     seed_of = np.arange(n_runs) % seeds
     runs = Runs(stack, np.array([init_params(spec, g).flat for g in rngs])[seed_of])
     records = [[] for _ in range(n_runs)]
-    diverged = NonFiniteLossError("non-finite loss")
+    diverged = "non-finite loss"
 
     # divergence is handled (the row drops out), so overflow on an exploding
     # run must not warn
@@ -338,10 +326,6 @@ def train_mlp(spec: MlpSpec, data, config, epochs: int, batch_size: int, rng):
             if not runs.live.size:
                 break
     runs.finish()
-    if lone:
-        if runs.reasons[0] is not None:
-            raise runs.reasons[0]
-        return MlpParams(runs.final[0], layout), records[0]
     # an aborted run keeps no records
     return [
         MlpRun(MlpParams(final, layout), records[run] if reason is None else [], status)

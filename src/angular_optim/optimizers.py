@@ -475,11 +475,17 @@ class Runs:
     def step(self, grad: np.ndarray, failed: dict) -> np.ndarray:
         """``step`` the live rows and return the kept rows' new params (the
         caller stores them).  The rows ``failed`` maps to a reason (it wins over
-        a failed step) and the rows whose step fails drop out at their old params."""
+        a failed step, which wins over a rate), the rows whose step fails and
+        the HGD rows whose adapted rate is not positive (their step would ascend)
+        drop out at their old params."""
         try:  # the global step, looked up at each call so a wrapper set on it runs
             new = step(self.state, self.configs, self.params, grad)
         except NonFiniteStepError as err:
             new, failed = err.params, {**err.rows, **failed}
+        if self.configs.hgd is not False:
+            ascent = np.flatnonzero((self.state.alpha_t <= 0.0) & self.configs.hgd).tolist()
+            reason = f"non-positive learning rate at iteration {self.state.t}"
+            failed = {**dict.fromkeys(ascent, reason), **failed}
         if failed:  # the step just taken does not count for them
             new = new[self.drop(failed, self.state.t - 1)]
         return new

@@ -141,13 +141,18 @@ class TestToy:
         assert summary["adam"]["mean"] == summary["adam"]["final_loss"][0]
 
 
-# only toy and plot draw a loss axis; the other commands reject the flag
-@pytest.mark.parametrize("command", ["rosenbrock", "mlp", "regret", "gradcheck"])
-def test_log_scale_only_where_it_acts(tmp_path, capsys, command):
+# a command rejects a flag it would ignore: only toy and plot draw a loss
+# axis, and gradcheck runs no optimizer
+@pytest.mark.parametrize("command,flag", [
+    *(pytest.param(c, ["--log-scale"], id=c) for c in ["rosenbrock", "mlp", "regret", "gradcheck"]),
+    *(pytest.param("gradcheck", f, id=f"gradcheck{f[0]}")
+      for f in (["--iters", "5"], ["--optimizers", "adam"], ["--allow-divergence"])),
+])
+def test_log_scale_only_where_it_acts(tmp_path, capsys, command, flag):
     with pytest.raises(SystemExit) as exc:
-        run(command, "--log-scale", "--out", str(tmp_path / "a"))
+        run(command, *flag, "--out", str(tmp_path / "a"))
     assert exc.value.code == 2
-    assert "--log-scale" in capsys.readouterr().err
+    assert flag[0] in capsys.readouterr().err
 
 
 class TestRosenbrock:
@@ -342,6 +347,27 @@ class TestRegret:
         assert summary["sgd"]["status"].startswith("aborted: non-finite parameter at iteration 1")
         assert (out / "regret_sgd_s0.csv").read_text() == "t,regret,avg_regret\n"
 
+    def test_hgd_ascent_aborts(self, tmp_path):
+        # the hypergradient rate reads 0.1, 133.2, then below 0, which would
+        # step uphill: the run stops before that step
+        cfg = tmp_path / "hgd.json"
+        cfg.write_text(json.dumps({"iterations": 5, "optimizers": {
+            "sgd": {"rule": "sgd", "alpha": 0.1, "hypergrad_omega": 10}}}))
+        out = tmp_path / "a"
+        assert run("regret", "--config", str(cfg), "--out", str(out)) == 1
+        summary = json.loads((out / "regret_summary.json").read_text())
+        assert summary["sgd"]["status"] == "aborted: non-positive learning rate at iteration 3"
+        assert len((out / "regret_sgd_s0.csv").read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize("divisor", [-1.0, 0.0, float("inf"), float("nan")])
+    def test_bad_milestone_divisor_exits_2(self, tmp_path, capsys, divisor):
+        cfg = tmp_path / "ms.json"
+        cfg.write_text(json.dumps({"iterations": 20, "lr_milestones": [[10, divisor]]}))
+        out = tmp_path / "a"
+        assert run("regret", "--config", str(cfg), "--out", str(out)) == 2
+        assert "lr_milestones divisors must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.mark.parametrize(
     "command, config, key",
@@ -376,6 +402,10 @@ class TestGradcheck:
         cfg.write_text(json.dumps({"tolerance_objectives": 1e-18,
                                    "tolerance_mlp": 1e-18}))
         assert run("gradcheck", "--config", str(cfg), "--out", str(tmp_path / "a")) == 3
+
+    def test_takes_one_seed(self, tmp_path, capsys):
+        assert run("gradcheck", "--seeds", "3,4", "--out", str(tmp_path / "a")) == 2
+        assert "gradcheck takes one seed" in capsys.readouterr().err
 
 
 class TestPlot:

@@ -28,7 +28,7 @@ from angular_optim.harness import (
 )
 from angular_optim.numerics import make_rng
 from angular_optim.objectives import get_objective
-from angular_optim.optimizers import ANGLE_VARIANTS, RULES, OptimizerConfig
+from angular_optim.optimizers import ANGLE_VARIANTS, RULES, ConfigStack, OptimizerConfig
 
 
 def make_traj(losses, thetas=None, ts=None):
@@ -143,6 +143,18 @@ class TestSingleRun:
         traj = single_run(obj, OptimizerConfig(rule="sgd", alpha=1e200), [1e200], 10)
         assert traj.status.startswith("aborted: non-finite parameter")
         assert len(traj) == 0
+
+    def test_non_positive_hgd_rate_aborts_its_row(self):
+        # f = x^2 from 1: alpha_2 = 0.1 + 10 * 1.6 * 2 = 32.1 throws x to -50.56,
+        # then alpha_3 = 32.1 + 10 * -101.12 * 1.6 < 0 would step uphill
+        obj = get_objective("quadratic", dim=1)
+        hot = OptimizerConfig(rule="sgd", alpha=0.1, hypergrad_omega=10.0)
+        stack = ConfigStack([hot, OptimizerConfig(rule="sgd", alpha=0.1)])
+        aborted, plain = single_run(obj, stack, [[1.0], [1.0]], 5)
+        assert aborted.status == "aborted: non-positive learning rate at iteration 3"
+        assert len(aborted) == 2 and np.allclose(aborted.alpha, [0.1, 32.1])
+        assert np.allclose(aborted.final_params, [-50.56])  # before the uphill step
+        assert plain.status == "ok" and len(plain) == 5
 
     def test_aborted_run_keeps_theta_columns(self):
         obj = get_objective("quadratic", dim=1)

@@ -16,8 +16,8 @@ from angular_optim.models import (
     Dataset,
     EpochRecord,
     MlpParams,
+    MlpRun,
     MlpSpec,
-    NonFiniteLossError,
     evaluate,
     init_params,
     layout_for,
@@ -42,6 +42,11 @@ def zero_params(spec: MlpSpec) -> MlpParams:
     return MlpParams(
         flat=np.zeros(n_params(spec), dtype=np.float64), layout=layout_for(spec)
     )
+
+
+def train_alone(spec, data, config, epochs, batch_size, rng) -> MlpRun:
+    """train_mlp on the one-row stack of ``config``: its only run."""
+    return train_mlp(spec, [data], config.stack, epochs, batch_size, [rng])[0]
 
 
 class TestSpecAndLayout:
@@ -203,7 +208,7 @@ class TestFoldedLoss:
         spec = MlpSpec(layer_sizes=(2, 3))
         data = make_blobs(make_rng(0), 2, 4, 4.0)
         with pytest.raises(ValueError, match="need 4 classes"):
-            train_mlp(spec, data, OptimizerConfig(), 1, 4, make_rng(0))
+            train_alone(spec, data, OptimizerConfig(), 1, 4, make_rng(0))
 
 
 class TestGradCheck:
@@ -306,8 +311,8 @@ class TestTraining:
         spec = MlpSpec(layer_sizes=(2, 8, 3))
         lr = 0.01 if rule in ("sgd", "sgdm") else 1e-3
         config = OptimizerConfig(rule=rule, alpha=lr)
-        params, records = train_mlp(spec, blobs, config, epochs=5, batch_size=16,
-                                    rng=make_rng(0))
+        run = train_alone(spec, blobs, config, epochs=5, batch_size=16, rng=make_rng(0))
+        params, records = run.params, run.records
         assert len(records) == 5
         assert [r.epoch for r in records] == [1, 2, 3, 4, 5]
         assert records[-1].train_loss < records[0].train_loss
@@ -317,18 +322,18 @@ class TestTraining:
     def test_training_deterministic(self, blobs):
         spec = MlpSpec(layer_sizes=(2, 8, 3))
         config = OptimizerConfig(rule="angulargrad", alpha=1e-3)
-        p1, r1 = train_mlp(spec, blobs, config, epochs=3, batch_size=16, rng=make_rng(4))
-        p2, r2 = train_mlp(spec, blobs, config, epochs=3, batch_size=16, rng=make_rng(4))
-        assert np.array_equal(p1.flat, p2.flat)
-        assert [r.train_loss for r in r1] == [r.train_loss for r in r2]
-        p3, _ = train_mlp(spec, blobs, config, epochs=3, batch_size=16, rng=make_rng(5))
-        assert not np.array_equal(p1.flat, p3.flat)
+        one = train_alone(spec, blobs, config, epochs=3, batch_size=16, rng=make_rng(4))
+        two = train_alone(spec, blobs, config, epochs=3, batch_size=16, rng=make_rng(4))
+        assert np.array_equal(one.params.flat, two.params.flat)
+        assert [r.train_loss for r in one.records] == [r.train_loss for r in two.records]
+        three = train_alone(spec, blobs, config, epochs=3, batch_size=16, rng=make_rng(5))
+        assert not np.array_equal(one.params.flat, three.params.flat)
 
     def test_record_fields(self, blobs):
         spec = MlpSpec(layer_sizes=(2, 8, 3))
         config = OptimizerConfig(rule="adam", alpha=1e-3)
-        _, records = train_mlp(spec, blobs, config, epochs=2, batch_size=32, rng=make_rng(0))
-        rec = records[0]
+        run = train_alone(spec, blobs, config, epochs=2, batch_size=32, rng=make_rng(0))
+        rec = run.records[0]
         assert isinstance(rec, EpochRecord)
         assert 0.0 <= rec.train_accuracy <= 1.0
         assert rec.mean_batch_loss > 0.0
@@ -337,34 +342,50 @@ class TestTraining:
         spec = MlpSpec(layer_sizes=(2, 8, 3))
         config = OptimizerConfig()
         with pytest.raises(ValueError):
-            train_mlp(spec, blobs, config, epochs=0, batch_size=16, rng=make_rng(0))
+            train_alone(spec, blobs, config, epochs=0, batch_size=16, rng=make_rng(0))
         with pytest.raises(ValueError):
-            train_mlp(spec, blobs, config, epochs=1, batch_size=0, rng=make_rng(0))
+            train_alone(spec, blobs, config, epochs=1, batch_size=0, rng=make_rng(0))
+
+
+class Diverged(RuntimeError):
+    """reference_training's own abort: a NaN/Inf batch or full-train loss, or
+    a hypergradient rate that is not positive."""
+
+
+def finite_loss_and_grad(params, spec, X, y):
+    loss, grad = loss_and_grad(params, spec, X, y)
+    if not np.isfinite(loss):
+        raise Diverged("non-finite loss")
+    return loss, grad
 
 
 @mock.patch.object(models, "_loss", frozen_loss)
-def reference_training(spec, data, config, epochs, batch_size, rng):
+def reference_training(spec, data, config, epochs, batch_size, rng) -> MlpRun:
     """The one-run loop on lone vectors, scored by frozen_loss: lone
     loss_and_grad and step calls, then a full loss_and_grad and the argmax
-    accuracy at each epoch's end."""
+    accuracy at each epoch's end.  Raises Diverged or NonFiniteStepError when
+    the run diverges."""
     params = init_params(spec, rng)
     state = init_state(config, params.flat.size)
     records = []
+    n = data.labels.size
     for epoch in range(1, epochs + 1):
-        order = rng.permutation(len(data))
+        order = rng.permutation(n)
         losses = []
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for lo in range(0, len(data), batch_size):
+            for lo in range(0, n, batch_size):
                 idx = order[lo : lo + batch_size]
                 X, y = data.features[idx], data.labels[idx]
-                loss, grad = loss_and_grad(params, spec, X, y)
+                loss, grad = finite_loss_and_grad(params, spec, X, y)
                 losses.append(loss)
                 params.flat = step(state, config, params.flat, grad)
-            full_loss, _ = loss_and_grad(params, spec, data.features, data.labels)
+                if config.hypergrad_omega > 0 and state.alpha_t <= 0:
+                    raise Diverged(f"non-positive learning rate at iteration {state.t}")
+            full_loss, _ = finite_loss_and_grad(params, spec, data.features, data.labels)
             out = models._forward(params, spec, data.features)[-1]
             acc = float(np.mean(np.argmax(out, axis=1) == data.labels))
         records.append(EpochRecord(epoch, float(np.mean(losses)), full_loss, acc))
-    return params, records
+    return MlpRun(params, records)
 
 
 _MLP_CONFIGS = st.fixed_dictionaries({
@@ -382,7 +403,8 @@ _MLP_CONFIGS = st.fixed_dictionaries({
 
 
 class TestStackedTraining:
-    """Each row of a stacked train_mlp equals the same run trained alone."""
+    """Each row of a stacked train_mlp equals the same run trained alone: as a
+    one-row stack and by reference_training."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -412,22 +434,20 @@ class TestStackedTraining:
 
         def alone(config, seed, train):
             rng = make_rng(seed)
-            data = blobs(rng)
             try:
-                params, records = train(spec, data, config, epochs, batch_size, rng)
-            except (NonFiniteLossError, NonFiniteStepError) as err:
-                return None, [], f"aborted: {err}"
-            return params.flat, records, "ok"
+                return train(spec, blobs(rng), config, epochs, batch_size, rng)
+            except (Diverged, NonFiniteStepError) as err:
+                return MlpRun(None, [], f"aborted: {err}")
 
         rngs = [make_rng(seed) for seed in seeds]
         stack = ConfigStack(c for c in configs for _ in seeds)
         runs = iter(train_mlp(spec, [blobs(g) for g in rngs], stack, epochs, batch_size, rngs))
         for config in configs:
             for seed, run in zip(seeds, runs):
-                for train in (train_mlp, reference_training):
-                    flat, records, status = alone(config, seed, train)
-                    assert run.status == status
-                    assert bits(run.records) == bits(records)
-                    if status == "ok":
-                        assert run.params.flat.tobytes() == flat.tobytes()
+                for train in (train_alone, reference_training):
+                    lone = alone(config, seed, train)
+                    assert run.status == lone.status
+                    assert bits(run.records) == bits(lone.records)
+                    if lone.status == "ok":
+                        assert run.params.flat.tobytes() == lone.params.flat.tobytes()
         assert next(runs, None) is None
