@@ -75,7 +75,7 @@ def _load_config(command: str, path: str | None) -> dict:
 
 
 def _apply_overrides(config: dict, args) -> dict:
-    if getattr(args, "seeds", None):
+    if getattr(args, "seeds", None) is not None:
         try:
             config["seeds"] = [int(s) for s in args.seeds.split(",") if s != ""]
         except ValueError:
@@ -92,8 +92,10 @@ def _apply_overrides(config: dict, args) -> dict:
             config["iterations"] = args.iters
         elif "epochs" in config:
             config["epochs"] = args.iters
-    if getattr(args, "optimizers", None):
+    if getattr(args, "optimizers", None) is not None:
         wanted = [s for s in args.optimizers.split(",") if s != ""]
+        if not wanted:
+            raise ConfigError("empty --optimizers list")
         known = config.get("optimizers", {})
         for name in wanted:
             if name not in known:
@@ -116,8 +118,11 @@ def _build_optimizers(config: dict) -> tuple[tuple[str, OptimizerConfig], ...]:
     return tuple(out)
 
 
-def _run(config: dict, task: str) -> tuple[ExperimentSpec, dict[str, list[Trajectory]]]:
-    """Build the ExperimentSpec a protocol config describes for ``task`` and run it."""
+def _run(
+    config: dict, task: str, record_params: bool
+) -> tuple[ExperimentSpec, dict[str, list[Trajectory]]]:
+    """Build the ExperimentSpec a protocol config describes for ``task`` and run
+    it; the protocol, not its config, says whether the runs record parameters."""
     dim = config.get("dim")
     try:
         milestones = tuple((int(it), float(div)) for it, div in config["lr_milestones"])
@@ -129,7 +134,7 @@ def _run(config: dict, task: str) -> tuple[ExperimentSpec, dict[str, list[Trajec
         iterations=int(config["iterations"]),
         seeds=tuple(config["seeds"]),
         theta0=config["theta0"],
-        record_params=bool(config["record_params"]),
+        record_params=record_params,
         lr_milestones=milestones,
         dim=None if dim is None else int(dim),
     )
@@ -156,9 +161,11 @@ def _write_runs(out: Path, prefix: str, seeds, runs: dict, to_csv=trajectory_to_
 
 
 def _toy(config: dict, out: Path, log_scale: bool) -> list[str]:
+    if wide := [task for task in config["tasks"] if get_objective(task).dim != 1]:
+        raise ConfigError(f"toy tasks must be 1-D, not {', '.join(wide)}")
     statuses = []
     for task in config["tasks"]:
-        spec, runs = _run(config, task)
+        spec, runs = _run(config, task, record_params=True)
         statuses += _write_runs(out, f"toy_{task}", spec.seeds, runs)
         firsts = {name: trajs[0] for name, trajs in runs.items()}
         write_text_atomic(
@@ -176,11 +183,7 @@ def _toy(config: dict, out: Path, log_scale: bool) -> list[str]:
         write_text_atomic(
             out / f"toy_{task}_theta.svg",
             render_line_chart(
-                [
-                    Series(name, first.t, first.thetas[:, 0])
-                    for name, first in firsts.items()
-                    if first.thetas is not None
-                ],
+                [Series(name, first.t, first.thetas[:, 0]) for name, first in firsts.items()],
                 title=f"{task}: theta vs iteration", xlabel="iteration", ylabel="theta",
             ),
         )
@@ -188,14 +191,16 @@ def _toy(config: dict, out: Path, log_scale: bool) -> list[str]:
 
 
 def _rosenbrock(config: dict, out: Path) -> list[str]:
-    spec, runs = _run(config, config["task"])
-    objective = get_objective(config["task"], dim=spec.dim)
+    objective = get_objective("rosenbrock")
+    grid_cfg = config["grid"]
+    xs, ys, Z = grid_eval(  # a bad grid exits before any run
+        objective, grid_cfg["x_range"], grid_cfg["y_range"], int(grid_cfg["resolution"]),
+    )
+    spec, runs = _run(config, "rosenbrock", record_params=True)
     target = np.array(objective.known_minima[0][0])
     statuses = _write_runs(out, "rosenbrock", spec.seeds, runs)
 
     def dist_threshold(traj):
-        if traj.thetas is None:
-            return traj.loss, 0.0
         # a diverged run's thetas may square to inf, which never meets it
         with np.errstate(over="ignore"):
             dist = np.sqrt(np.sum((traj.thetas - target) ** 2, axis=1))
@@ -205,17 +210,8 @@ def _rosenbrock(config: dict, out: Path) -> list[str]:
         out / "rosenbrock_summary.json",
         summary_to_json(aggregate(runs, spec.iterations, threshold_fn=dist_threshold)),
     )
-    grid_cfg = config["grid"]
-    xs, ys, Z = grid_eval(
-        objective, grid_cfg["x_range"], grid_cfg["y_range"],
-        int(grid_cfg["resolution"]),
-    )
     write_text_atomic(out / "rosenbrock_grid.csv", grid_to_csv(xs, ys, Z))
-    paths = [
-        Series(name, trajs[0].thetas[:, 0], trajs[0].thetas[:, 1])
-        for name, trajs in runs.items()
-        if trajs[0].thetas is not None
-    ]
+    paths = [Series(name, *trajs[0].thetas.T) for name, trajs in runs.items()]
     write_text_atomic(
         out / "rosenbrock_overlay.svg",
         render_overlay(xs, ys, Z, paths, title="Rosenbrock trajectories"),
@@ -260,7 +256,7 @@ def _mlp(config: dict, out: Path) -> list[str]:
 
 
 def _regret(config: dict, out: Path) -> list[str]:
-    spec, runs = _run(config, config["task"])
+    spec, runs = _run(config, config["task"], record_params=False)
     objective = get_objective(config["task"], dim=spec.dim)
     records = {
         name: [compute_regret(traj, objective) for traj in trajs]
@@ -305,7 +301,7 @@ def run_protocol(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     config = _load_config("gradcheck", args.config)
-    if args.seeds:  # parsed as the protocols parse theirs
+    if args.seeds is not None:  # parsed as the protocols parse theirs
         config["seed"], *more = _apply_overrides({}, args)["seeds"]
         if more:
             raise ConfigError(f"gradcheck takes one seed, not {args.seeds!r}")

@@ -23,7 +23,6 @@ DEFAULT_TOY = {
     "iterations": 300,
     "seeds": [0],
     "theta0": [-1.0],
-    "record_params": True,
     "lr_milestones": [],
     "optimizers": {
         "sgdm": {"rule": "sgdm", "alpha": 0.1, "momentum_gamma": 0.95},
@@ -38,12 +37,9 @@ DEFAULT_TOY = {
 _ADAPTIVE = {"alpha": 1e-3, "beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8}
 
 DEFAULT_ROSENBROCK = {
-    "task": "rosenbrock",
-    "dim": 2,
     "iterations": 5000,
     "seeds": [0],
     "theta0": [-2.0, 2.0],
-    "record_params": True,
     "lr_milestones": [],
     "optimizers": {
         "sgd": {"rule": "sgd", "alpha": 1e-3},
@@ -82,7 +78,6 @@ DEFAULT_REGRET = {
     "iterations": 4000,
     "seeds": [0],
     "theta0": {"rule": "uniform", "low": -1.0, "high": 1.0, "dim": 10},
-    "record_params": False,
     "lr_milestones": [],
     "optimizers": {
         "adam": {"rule": "adam", "alpha": 0.1, "beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8},

@@ -38,8 +38,8 @@ class ExperimentSpec:
     ``theta0`` is either an explicit start vector or an init-rule mapping
     {"rule": "uniform", "low": a, "high": b, "dim": n} drawn per seed.
     ``lr_milestones`` lists (iteration, divisor) pairs; at each named
-    iteration the live learning rate is divided once, before that step, by a
-    finite divisor > 0.
+    iteration (>= 1; one past the budget never acts) the live learning rate is
+    divided once, before that step, by a finite divisor > 0.
     """
 
     task: str
@@ -63,6 +63,8 @@ class ExperimentSpec:
             raise ValueError("optimizer names must be unique")
         if not all(0.0 < div < float("inf") for _, div in self.lr_milestones):
             raise ValueError("lr_milestones divisors must be finite and > 0")
+        if not all(it >= 1 for it, _ in self.lr_milestones):
+            raise ValueError("lr_milestones iterations must be >= 1")
 
 
 @dataclass
@@ -228,10 +230,16 @@ def grid_eval(objective: Objective, x_range, y_range, resolution: int):
     """(xs, ys, Z) on a resolution^2 grid, where Z[i, j] = f(xs[j], ys[i])."""
     if objective.dim != 2:
         raise ValueError("grid_eval needs a 2-D objective")
+    if resolution < 2 or any(float(lo) == float(hi) for lo, hi in (x_range, y_range)):
+        raise ValueError("degenerate grid: it needs resolution >= 2 and ranges of non-zero width")
     xs = np.linspace(float(x_range[0]), float(x_range[1]), resolution)
     ys = np.linspace(float(y_range[0]), float(y_range[1]), resolution)
     X, Y = np.meshgrid(xs, ys)
-    return xs, ys, objective.eval(np.stack([X, Y], axis=-1)).reshape(resolution, resolution)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is rejected below
+        Z = objective.eval(np.stack([X, Y], axis=-1)).reshape(resolution, resolution)
+    if not np.isfinite(Z).all():
+        raise ValueError("grid values must be finite; narrow its ranges")
+    return xs, ys, Z
 
 
 def iterations_to_threshold(values: np.ndarray, threshold: float, budget: int) -> int:

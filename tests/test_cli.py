@@ -98,6 +98,21 @@ class TestToy:
         cfg = toy_config(tmp_path, optimizers={"adam": {"rule": "adam", "alpha": -1.0}})
         assert run("toy", "--config", cfg, "--out", str(tmp_path / "a")) == 2
 
+    @pytest.mark.parametrize("flag", ["--seeds", "--optimizers"])
+    def test_empty_list_flag_exits_2(self, tmp_path, capsys, flag):
+        out = tmp_path / "a"
+        assert run("toy", "--config", toy_config(tmp_path), "--out", str(out),
+                   "--iters", "5", flag, "") == 2
+        assert f"empty {flag} list" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_task_that_is_not_1d_exits_2_before_any_task_runs(self, tmp_path, capsys):
+        out = tmp_path / "a"
+        cfg = toy_config(tmp_path, tasks=["f1", "rosenbrock"])
+        assert run("toy", "--config", cfg, "--out", str(out)) == 2
+        assert "toy tasks must be 1-D, not rosenbrock" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_duplicated_seed_exits_2(self, tmp_path, capsys):
         out = tmp_path / "a"
         assert run("toy", "--config", toy_config(tmp_path), "--out", str(out),
@@ -213,13 +228,21 @@ class TestRosenbrock:
         assert summary["sgd"]["status"] == ["aborted: non-finite loss at iteration 5"]
         assert summary["sgd"]["iters_to_threshold"] == [301]
 
-    def test_record_params_false_drops_theta_columns(self, tmp_path):
-        cfg = self.rosen_config(tmp_path, record_params=False)
+    @pytest.mark.parametrize("grid, message", [
+        ({"x_range": [-2.0, 2.0], "y_range": [-1.0, 3.0], "resolution": 0}, "degenerate grid"),
+        ({"x_range": [-2.0, 2.0], "y_range": [-1.0, 3.0], "resolution": 1}, "degenerate grid"),
+        ({"x_range": [1.5, 1.5], "y_range": [-1.0, 3.0], "resolution": 11}, "degenerate grid"),
+        ({"x_range": [-1e200, 1e200], "y_range": [-1.0, 3.0], "resolution": 11},
+         "grid values must be finite"),
+    ], ids=["resolution-0", "resolution-1", "zero-width", "overflowing"])
+    def test_bad_grid_exits_2_before_running(self, tmp_path, capsys, grid, message):
         out = tmp_path / "a"
-        assert run("rosenbrock", "--config", cfg, "--out", str(out),
-                   "--optimizers", "adam") == 0
-        header = (out / "rosenbrock_adam_s0.csv").read_text().splitlines()[0]
-        assert header == "t,loss,alpha,phi_mean,step_norm"
+        cfg = self.rosen_config(tmp_path, grid=grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("rosenbrock", "--config", cfg, "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_uniform_theta0(self, tmp_path):
         cfg = self.rosen_config(
@@ -368,6 +391,21 @@ class TestRegret:
         assert "lr_milestones divisors must be finite and > 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("milestones", [[[0, 2.0]], [[-5, 2.0]], [[10, 2.0], [0, 2.0]]],
+                             ids=["0", "-5", "after-a-valid-one"])
+    def test_milestone_iteration_below_1_exits_2(self, tmp_path, capsys, milestones):
+        cfg = tmp_path / "ms.json"
+        cfg.write_text(json.dumps({"iterations": 20, "lr_milestones": milestones}))
+        out = tmp_path / "a"
+        assert run("regret", "--config", str(cfg), "--out", str(out)) == 2
+        assert "lr_milestones iterations must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_milestone_past_the_budget_is_allowed(self, tmp_path):
+        cfg = tmp_path / "ms.json"
+        cfg.write_text(json.dumps({"iterations": 20, "lr_milestones": [[99, 2.0]]}))
+        assert run("regret", "--config", str(cfg), "--out", str(tmp_path / "a")) == 0
+
 
 @pytest.mark.parametrize(
     "command, config, key",
@@ -387,6 +425,24 @@ def test_unknown_nested_config_key_exits_2(tmp_path, capsys, command, config, ke
     out = tmp_path / "a"
     assert run(command, "--config", str(path), "--out", str(out)) == 2
     assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
+
+
+# a protocol fixes its own run shape: toy and rosenbrock always record
+# parameters, regret never does, and rosenbrock is always the 2-D objective
+@pytest.mark.parametrize("command, key, value", [
+    ("toy", "record_params", False),
+    ("rosenbrock", "record_params", False),
+    ("regret", "record_params", True),
+    ("rosenbrock", "task", "rosenbrock"),
+    ("rosenbrock", "dim", 5),
+])
+def test_retired_config_key_exits_2(tmp_path, capsys, command, key, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: value, "iterations": 5}))
+    out = tmp_path / "a"
+    assert run(command, "--config", str(path), "--out", str(out)) == 2
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
     assert not out.exists()
 
 
