@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -48,13 +49,29 @@ class ConfigError(Exception):
 # Config plumbing
 
 
+def _int(value, name: str) -> int:
+    """A config number that must be an integer: a JSON integer passes, and a
+    float or a bool is a ConfigError rather than a silent truncation."""
+    if type(value) is not int:
+        raise ConfigError(f"{name} must be an integer, not {value!r}")
+    return value
+
+
+def _finite(text: str) -> float:
+    """json's float reader, rejecting NaN, Infinity and numbers that overflow."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite number {text} in config")
+    return value
+
+
 def _load_config(command: str, path: str | None) -> dict:
     config = defaults.default_config(command)
     if path is None:
         return config
     try:
         with open(path) as fh:
-            user = json.load(fh)
+            user = json.load(fh, parse_float=_finite, parse_constant=_finite)
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}")
     except json.JSONDecodeError as err:
@@ -82,8 +99,9 @@ def _apply_overrides(config: dict, args) -> dict:
             raise ConfigError(f"bad --seeds value {args.seeds!r}")
         if not config["seeds"]:
             raise ConfigError("empty --seeds list")
-    for i, seed in enumerate(config.get("seeds", ())):  # a repeat would overwrite a CSV
-        if seed in config["seeds"][:i]:
+    seeds = config["seeds"] = [_int(seed, "seed") for seed in config["seeds"]]
+    for i, seed in enumerate(seeds):  # a repeat would overwrite a CSV
+        if seed in seeds[:i]:
             raise ConfigError(f"seed {seed!r} is listed twice")
     if getattr(args, "iters", None) is not None:
         if args.iters < 1:
@@ -123,20 +141,23 @@ def _run(
 ) -> tuple[ExperimentSpec, dict[str, list[Trajectory]]]:
     """Build the ExperimentSpec a protocol config describes for ``task`` and run
     it; the protocol, not its config, says whether the runs record parameters."""
-    dim = config.get("dim")
+    dim, theta0 = config.get("dim"), config["theta0"]
+    if isinstance(theta0, dict) and "dim" in theta0:
+        _int(theta0["dim"], "theta0.dim")
     try:
-        milestones = tuple((int(it), float(div)) for it, div in config["lr_milestones"])
+        milestones = tuple((_int(it, "lr_milestones iteration"), float(div))
+                           for it, div in config["lr_milestones"])
     except (TypeError, ValueError):
         raise ConfigError(f"bad lr_milestones {config['lr_milestones']!r}")
     spec = ExperimentSpec(
         task=task,
         optimizers=_build_optimizers(config),
-        iterations=int(config["iterations"]),
+        iterations=_int(config["iterations"], "iterations"),
         seeds=tuple(config["seeds"]),
-        theta0=config["theta0"],
+        theta0=theta0,
         record_params=record_params,
         lr_milestones=milestones,
-        dim=None if dim is None else int(dim),
+        dim=None if dim is None else _int(dim, "dim"),
     )
     return spec, run_experiment(spec)
 
@@ -193,9 +214,9 @@ def _toy(config: dict, out: Path, log_scale: bool) -> list[str]:
 def _rosenbrock(config: dict, out: Path) -> list[str]:
     objective = get_objective("rosenbrock")
     grid_cfg = config["grid"]
-    xs, ys, Z = grid_eval(  # a bad grid exits before any run
-        objective, grid_cfg["x_range"], grid_cfg["y_range"], int(grid_cfg["resolution"]),
-    )
+    resolution = _int(grid_cfg["resolution"], "grid.resolution")
+    # a bad grid exits before any run
+    xs, ys, Z = grid_eval(objective, grid_cfg["x_range"], grid_cfg["y_range"], resolution)
     spec, runs = _run(config, "rosenbrock", record_params=True)
     target = np.array(objective.known_minima[0][0])
     statuses = _write_runs(out, "rosenbrock", spec.seeds, runs)
@@ -225,11 +246,12 @@ def _mlp_to_csv(run: MlpRun) -> str:
 
 
 def _mlp(config: dict, out: Path) -> list[str]:
-    layers = tuple(int(n) for n in config["layer_sizes"])
+    layers = tuple(_int(n, "layer_sizes") for n in config["layer_sizes"])
     mlp_spec = MlpSpec(layers, config["activation"], config["loss"])
     blobs = config["blobs"]
-    shape = int(blobs["n_per_class"]), int(blobs["classes"]), float(blobs["separation"])
-    seeds = [int(s) for s in config["seeds"]]
+    shape = (_int(blobs["n_per_class"], "blobs.n_per_class"), _int(blobs["classes"], "blobs.classes"),
+             float(blobs["separation"]))
+    seeds = config["seeds"]
     optimizers = _build_optimizers(config)
     if not optimizers or not seeds:
         raise ConfigError("need at least one optimizer and one seed")
@@ -237,7 +259,7 @@ def _mlp(config: dict, out: Path) -> list[str]:
     data = [make_blobs(rng, *shape) for rng in rngs]
     trained = iter(train_mlp(
         mlp_spec, data, ConfigStack(c for _, c in optimizers for _ in seeds),
-        int(config["epochs"]), int(config["batch_size"]), rngs,
+        _int(config["epochs"], "epochs"), _int(config["batch_size"], "batch_size"), rngs,
     ))
     runs = {name: [next(trained) for _ in seeds] for name, _ in optimizers}
     statuses = _write_runs(out, "mlp", seeds, runs, _mlp_to_csv)
@@ -305,9 +327,12 @@ def cmd_gradcheck(args) -> int:
         config["seed"], *more = _apply_overrides({}, args)["seeds"]
         if more:
             raise ConfigError(f"gradcheck takes one seed, not {args.seeds!r}")
-    rng = make_rng(int(config["seed"]))
+    rng = make_rng(_int(config["seed"], "seed"))
     margin = float(config["nonsmooth_margin"])
-    n_points = int(config["points_per_objective"])
+    n_points = _int(config["points_per_objective"], "points_per_objective")
+    dims = [_int(dim, "rosenbrock_dims") for dim in config["rosenbrock_dims"]]
+    quadratic_dim = _int(config["quadratic_dim"], "quadratic_dim")
+    layer_sizes = tuple(_int(n, "mlp_layer_sizes") for n in config["mlp_layer_sizes"])
     tol_obj = float(config["tolerance_objectives"])
     tol_mlp = float(config["tolerance_mlp"])
     failures = []
@@ -342,18 +367,17 @@ def cmd_gradcheck(args) -> int:
         objective = get_objective(name)
         check(name, worst_error(objective, sample_point), tol_obj)
 
-    for dim in config["rosenbrock_dims"]:
-        objective = get_objective("rosenbrock", dim=int(dim))
+    for dim in dims:
+        objective = get_objective("rosenbrock", dim=dim)
         worst = worst_error(objective, lambda o: rng.uniform(-2.048, 2.048, size=o.dim))
         check(f"rosenbrock dim {dim}", worst, tol_obj)
 
-    objective = get_objective("quadratic", dim=int(config["quadratic_dim"]))
+    objective = get_objective("quadratic", dim=quadratic_dim)
     worst = worst_error(objective, lambda o: rng.uniform(-5.0, 5.0, size=o.dim))
     check("quadratic", worst, tol_obj)
 
     from angular_optim.models import init_params
 
-    layer_sizes = tuple(int(n) for n in config["mlp_layer_sizes"])
     mlp_spec = MlpSpec(layer_sizes=layer_sizes)
     params = init_params(mlp_spec, rng)
     k = layer_sizes[-1]

@@ -5,32 +5,39 @@ angulargrad with ``angle_variant`` cos or tan.  Gradient centralization,
 decoupled weight decay and hypergradient learning-rate adaptation compose
 with any rule through the ``step`` dispatcher.
 
-All rules run through one kernel:
+All rules run through one kernel as rows of coefficients of one update:
+m = m_decay * m + m_gain * g, v = v_decay * v + v_gain * d * d (d = g, or
+g - m for AdaBelief) and theta -= alpha_t * scale * mhat / denom, where
 
-* sgdm keeps the accumulator m = gamma * m + g and steps theta -= alpha * m
-  (the convention of the major deep-learning frameworks, not the damped form
-  that scales the fresh gradient by (1 - gamma)).  sgd is sgdm with gamma 0;
-  it ignores ``momentum_gamma``.
-* rmsprop steps theta -= alpha * g / (sqrt(v) + eps), with v smoothed by
-  rho = ``beta2`` and no bias correction.
-* Every other rule is Adam with bias correction and one per-coordinate scale:
-  theta -= alpha * scale * mhat / (sqrt(v / (1 - beta2^t)) + eps), where
-  scale is 1 (adam, adamw, adabelief), diffGrad's xi = sigmoid(|g_prev - g|),
-  RAdam's r_t, or AngularGrad's phi.  AdaBelief feeds v with (g - m)^2
-  instead of g^2.  While RAdam's variance is not yet rectifiable, scale and
-  denominator are both 1, a bias-corrected momentum step theta -= alpha * mhat.
+    rule                m         v         bc1, bc2  mhat   denom   scale
+    sgd, sgdm           gamma, 1  1, 0      1, 1      m      1       1
+    rmsprop             1, 0      b2, 1-b2  1, 1      g      S       1
+    adam(w), adabelief  b1, 1-b1  b2, 1-b2  B1, B2    m/bc1  S       1
+    radam               b1, 1-b1  b2, 1-b2  B1, B2    m/bc1  S or 1  r_t or 1
+    diffgrad            b1, 1-b1  b2, 1-b2  B1, B2    m/bc1  S       xi
+    angulargrad         b1, 1-b1  b2, 1-b2  B1, B2    m/bc1  S       phi
+
+m and v give (decay, gain); b1, b2 are ``beta1``, ``beta2`` (rmsprop's rho);
+Bi = 1 - bi^t; S = sqrt(v / bc2) + eps.
+
+* sgdm's m = gamma * m + g is the deep-learning frameworks' convention, not
+  the damped form that scales g by (1 - gamma).  sgd is sgdm with gamma 0; it
+  ignores ``momentum_gamma``.
+* xi is diffGrad's sigmoid(|g_prev - g|), r_t RAdam's rectification and phi
+  AngularGrad's coefficient.  While RAdam's variance is not yet rectifiable,
+  scale and denominator are both 1.
 * adamw is adam: the dispatcher's decoupled decay supplies its
   -alpha * lambda * theta term, with the shrinking sign.
 
 The run axis: ``step`` advances one run (a vector and an OptimizerConfig) or
 R runs at once (an (R, D) stack and a ConfigStack), a lone run being the
-one-row case.  The kernel computes only the rule families present and picks
-each row's result with np.where, so a row gets, bit for bit, what its run
-gets alone.  Bias corrections and RAdam's r_t stay Python floats per row:
-numpy's power differs from Python's in the last ulp.  ``Runs`` holds the live
-rows of a stack for both training loops: a run that fails before or in its
-step drops out through it, keeping its final params and its reason, and the
-other rows go on.
+one-row case.  The kernel computes only the scale terms of the rules present
+and picks each row's coefficients with np.where, so a row gets, bit for bit,
+what its run gets alone.  Bias corrections and RAdam's r_t stay Python floats
+per row: numpy's power differs from Python's in the last ulp.  ``Runs`` holds
+the live rows of a stack for both training loops: a run that fails before or
+in its step drops out through it, keeping its final params and its reason,
+and the other rows go on.
 
 State vectors start at zero, so the gradient "before the first step" is 0 and
 the first angle compares against a zero previous angle.  The counter ``t``
@@ -147,14 +154,13 @@ def _column(values):
 
 
 def _pick(mask, a, b):
-    """``a`` on the rows a mask selects, ``b`` on the others (all rows take
-    ``a`` if ``b`` is None)."""
-    return a if mask is True or b is None else np.where(mask, a, b)
+    """``a`` on the rows a mask selects, ``b`` on the others."""
+    return a if mask is True else b if mask is False else np.where(mask, a, b)
 
 
 def _moment_coefficients(c: OptimizerConfig) -> tuple:
     """(decay, gain) of m = decay * m + gain * g, then of v = decay * v +
-    gain * d * d; (1, 0) keeps a slot the rule does not use at zero."""
+    gain * d * d; (1, 0) marks a slot the rule does not read."""
     if c.rule in ("sgd", "sgdm"):
         return (c.momentum_gamma if c.rule == "sgdm" else 0.0), 1.0, 1.0, 0.0
     m = (1.0, 0.0) if c.rule == "rmsprop" else (c.beta1, 1.0 - c.beta1)
@@ -201,8 +207,9 @@ class OptimizerState:
     """Mutable per-run state; all vectors share the parameter dimension.
 
     * ``t``: steps taken so far.
-    * ``m``: first moment, or the sgd/sgdm momentum accumulator.
-    * ``v``: second moment (AdaBelief: of g - m; RMSprop: uncorrected).
+    * ``m``: first moment, or the sgd/sgdm momentum accumulator; unused on
+      rmsprop rows.
+    * ``v``: second moment (AdaBelief: of g - m); unused on sgd and sgdm rows.
     * ``prev_grad``: the gradient of the previous step.
     * ``prev_angle``: AngularGrad's previous raw angle A_{t-1}.
     * ``alpha_t``: the live learning rate.
@@ -308,58 +315,50 @@ def radam_terms(t: int, beta2: float) -> tuple[float, float, float | None]:
     return rho_inf, rho_t, None
 
 
-def _one_minus_power(beta: np.ndarray, t: int) -> np.ndarray:
-    """1 - beta**t for each row of a column, in Python floats."""
-    return np.array([[1.0 - b**t] for b in beta[:, 0].tolist()])
+def _bias_correction(cfg: ConfigStack, beta, t: int):
+    """1 - beta**t on moment rows and exactly 1.0 on the others, in Python
+    floats per row: numpy's power differs from Python's in the last ulp."""
+    if cfg.moment is False:
+        return 1.0
+    if isinstance(beta, np.ndarray):
+        bc = np.array([[1.0 - b**t] for b in beta[:, 0].tolist()])
+    else:
+        bc = 1.0 - beta**t
+    return _pick(cfg.moment, bc, 1.0)
 
 
 def _rule_kernel(state, cfg, params, grad):
-    """Advance state by one step of each row's rule and return the new params.
-
-    The forms of the rules are listed in the module docstring.
-    """
+    """Advance state by one step of each row's rule and return the new params,
+    by the one formula of the module docstring with each row's coefficients."""
     t = state.t + 1
-    alpha, m, v = state.alpha_t, state.m, state.v
-    if cfg.rmsprop is not True:
-        m = cfg.m_decay * m + cfg.m_gain * grad
+    m = cfg.m_decay * state.m + cfg.m_gain * grad
     d = grad if cfg.adabelief is False else _pick(cfg.adabelief, grad - m, grad)
-    if cfg.momentum is not True:
-        v = cfg.v_decay * v + cfg.v_gain * d * d
-    # each family steps all rows and later families overwrite their own rows
-    new = None
-    if cfg.momentum is not False:
-        new = params - alpha * m
-    if cfg.rmsprop is not False:
-        new = _pick(cfg.rmsprop, params - alpha * grad / (np.sqrt(v) + cfg.epsilon), new)
-    if cfg.moment is not False:
-        b1, b2 = cfg.beta1, cfg.beta2
-        bc1 = _one_minus_power(b1, t) if isinstance(b1, np.ndarray) else 1.0 - b1**t
-        bc2 = _one_minus_power(b2, t) if isinstance(b2, np.ndarray) else 1.0 - b2**t
-        mhat = m / bc1
-        denom = np.sqrt(v / bc2) + cfg.epsilon
-        scale = 1.0
-        if cfg.diffgrad is not False or cfg.angular is not False:
-            gap = np.abs(grad - state.prev_grad)  # diffGrad's and the angle's |g_t - g_{t-1}|
-        if cfg.diffgrad is not False:
-            xi = 1.0 / (1.0 + np.exp(-gap))
-            scale = _pick(cfg.diffgrad, xi, scale)
-        if cfg.radam is not False:
-            # rows not yet rectifiable step with scale = denom = 1
-            r_ts = [radam_terms(t, c.beta2)[2] if c.rule == "radam" else 1.0 for c in cfg.configs]
-            scale = _pick(cfg.radam, _column([1.0 if r is None else r for r in r_ts]), scale)
-            if (unrectified := _column([r is None for r in r_ts])) is not False:
-                denom = _pick(unrectified, 1.0, denom)
-        if cfg.angular is not False:
-            a_t = _angle(gap, grad, state.prev_grad)
-            a_min = np.minimum(state.prev_angle, a_t)
-            phi = angular_coefficient(a_min, cfg.variant, cfg.lambda1, cfg.lambda2)
-            scale = _pick(cfg.angular, phi, scale)
-            state.prev_angle = _pick(cfg.angular, a_t, state.prev_angle)
-            state.last_phi = _pick(cfg.angular, phi, 1.0)
-        new = _pick(cfg.moment, params - alpha * scale * mhat / denom, new)
+    v = cfg.v_decay * state.v + cfg.v_gain * d * d
+    bc1, bc2 = _bias_correction(cfg, cfg.beta1, t), _bias_correction(cfg, cfg.beta2, t)
+    # rmsprop's numerator is the raw gradient: 0 * m + g would turn -0.0 into 0.0
+    mhat = _pick(cfg.rmsprop, grad, m / bc1)
+    denom = _pick(cfg.momentum, 1.0, np.sqrt(v / bc2) + cfg.epsilon)
+    scale = 1.0
+    if cfg.diffgrad is not False or cfg.angular is not False:
+        gap = np.abs(grad - state.prev_grad)  # diffGrad's and the angle's |g_t - g_{t-1}|
+    if cfg.diffgrad is not False:
+        xi = 1.0 / (1.0 + np.exp(-gap))
+        scale = _pick(cfg.diffgrad, xi, scale)
+    if cfg.radam is not False:  # rows not yet rectifiable step with scale = denom = 1
+        r_ts = [radam_terms(t, c.beta2)[2] if c.rule == "radam" else 1.0 for c in cfg.configs]
+        scale = _pick(cfg.radam, _column([1.0 if r is None else r for r in r_ts]), scale)
+        if (unrectified := _column([r is None for r in r_ts])) is not False:
+            denom = _pick(unrectified, 1.0, denom)
+    if cfg.angular is not False:
+        a_t = _angle(gap, grad, state.prev_grad)
+        a_min = np.minimum(state.prev_angle, a_t)
+        phi = angular_coefficient(a_min, cfg.variant, cfg.lambda1, cfg.lambda2)
+        scale = _pick(cfg.angular, phi, scale)
+        state.prev_angle = _pick(cfg.angular, a_t, state.prev_angle)
+        state.last_phi = _pick(cfg.angular, phi, 1.0)
     state.t, state.m, state.v = t, m, v
     state.prev_grad = grad.copy()
-    return new
+    return params - state.alpha_t * scale * mhat / denom
 
 
 # ---------------------------------------------------------------------------

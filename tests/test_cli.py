@@ -382,13 +382,19 @@ class TestRegret:
         assert summary["sgd"]["status"] == "aborted: non-positive learning rate at iteration 3"
         assert len((out / "regret_sgd_s0.csv").read_text().splitlines()) == 3
 
-    @pytest.mark.parametrize("divisor", [-1.0, 0.0, float("inf"), float("nan")])
-    def test_bad_milestone_divisor_exits_2(self, tmp_path, capsys, divisor):
+    # json reads NaN and Infinity, which the config reader rejects as numbers
+    @pytest.mark.parametrize("divisor, message", [
+        (-1.0, "lr_milestones divisors must be finite and > 0"),
+        (0.0, "lr_milestones divisors must be finite and > 0"),
+        (float("inf"), "non-finite number Infinity in config"),
+        (float("nan"), "non-finite number NaN in config"),
+    ], ids=["-1.0", "0.0", "inf", "nan"])
+    def test_bad_milestone_divisor_exits_2(self, tmp_path, capsys, divisor, message):
         cfg = tmp_path / "ms.json"
         cfg.write_text(json.dumps({"iterations": 20, "lr_milestones": [[10, divisor]]}))
         out = tmp_path / "a"
         assert run("regret", "--config", str(cfg), "--out", str(out)) == 2
-        assert "lr_milestones divisors must be finite and > 0" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("milestones", [[[0, 2.0]], [[-5, 2.0]], [[10, 2.0], [0, 2.0]]],
@@ -443,6 +449,55 @@ def test_retired_config_key_exits_2(tmp_path, capsys, command, key, value):
     out = tmp_path / "a"
     assert run(command, "--config", str(path), "--out", str(out)) == 2
     assert f"unknown config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# a number that must be an integer and any non-finite number (json reads NaN,
+# Infinity and 1e400 as floats) exit 2 before anything is written or printed
+@pytest.mark.parametrize("command, text, message", [
+    ("mlp", '{"seeds": [0, 0.5]}', "seed must be an integer, not 0.5"),
+    ("toy", '{"seeds": [0.5]}', "seed must be an integer, not 0.5"),
+    ("regret", '{"iterations": 2.5}', "iterations must be an integer, not 2.5"),
+    ("toy", '{"iterations": true}', "iterations must be an integer, not True"),
+    ("mlp", '{"epochs": 2.0}', "epochs must be an integer, not 2.0"),
+    ("mlp", '{"batch_size": 16.5}', "batch_size must be an integer, not 16.5"),
+    ("mlp", '{"layer_sizes": [2, 4.0, 3]}', "layer_sizes must be an integer, not 4.0"),
+    ("mlp", '{"blobs": {"classes": 3.0, "n_per_class": 20, "separation": 4.0}}',
+     "blobs.classes must be an integer, not 3.0"),
+    ("rosenbrock", '{"grid": {"x_range": [-2, 2], "y_range": [-1, 3], "resolution": 5.5}}',
+     "grid.resolution must be an integer, not 5.5"),
+    ("regret", '{"dim": 3.0}', "dim must be an integer, not 3.0"),
+    ("regret", '{"theta0": {"rule": "uniform", "low": -1.0, "high": 1.0, "dim": 10.0}}',
+     "theta0.dim must be an integer, not 10.0"),
+    ("regret", '{"lr_milestones": [[1.5, 2.0]]}',
+     "lr_milestones iteration must be an integer, not 1.5"),
+    ("gradcheck", '{"seed": 0.0}', "seed must be an integer, not 0.0"),
+    ("gradcheck", '{"points_per_objective": 1.5}',
+     "points_per_objective must be an integer, not 1.5"),
+    ("gradcheck", '{"rosenbrock_dims": [2, 5.0]}', "rosenbrock_dims must be an integer, not 5.0"),
+    ("gradcheck", '{"quadratic_dim": 10.0}', "quadratic_dim must be an integer, not 10.0"),
+    ("gradcheck", '{"mlp_layer_sizes": [4, 8.0, 3]}',
+     "mlp_layer_sizes must be an integer, not 8.0"),
+    ("regret", '{"optimizers": {"adam": {"rule": "adam", "epsilon": Infinity}}}',
+     "non-finite number Infinity in config"),
+    ("toy", '{"theta0": [NaN]}', "non-finite number NaN in config"),
+    ("toy", '{"optimizers": {"adam": {"rule": "adam", "alpha": 1e400}}}',
+     "non-finite number 1e400 in config"),
+], ids=[
+    "mlp-seed", "toy-seed", "regret-iterations", "toy-iterations-bool", "mlp-epochs",
+    "mlp-batch_size", "mlp-layer_sizes", "mlp-blobs.classes", "rosenbrock-grid.resolution",
+    "regret-dim", "regret-theta0.dim", "regret-milestone-iteration", "gradcheck-seed",
+    "gradcheck-points_per_objective", "gradcheck-rosenbrock_dims", "gradcheck-quadratic_dim",
+    "gradcheck-mlp_layer_sizes", "regret-Infinity", "toy-NaN", "toy-1e400",
+])
+def test_bad_config_number_exits_2(tmp_path, capsys, command, text, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    out = tmp_path / "a"
+    assert run(command, "--config", str(path), "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 

@@ -293,6 +293,100 @@ class TestFirstSteps:
         assert state.last_phi[0] == PHI_COS_MAX
 
 
+def one_formula(c, t, m, v, prev_grad, prev_angle, params, g):
+    """One step of the module's update written out with the row of
+    coefficients of ``c``'s rule: (new params, m, v)."""
+    b1, b2, gamma = c.beta1, c.beta2, c.momentum_gamma
+    moment = c.rule in MOMENT_RULES
+    m_coef = {"sgd": (0.0, 1.0), "sgdm": (gamma, 1.0), "rmsprop": (1.0, 0.0)}.get(
+        c.rule, (b1, 1.0 - b1))
+    v_coef = (1.0, 0.0) if c.rule in ("sgd", "sgdm") else (b2, 1.0 - b2)
+    m = m_coef[0] * m + m_coef[1] * g
+    d = g - m if c.rule == "adabelief" else g
+    v = v_coef[0] * v + v_coef[1] * d * d
+    bc1, bc2 = (1.0 - b1**t, 1.0 - b2**t) if moment else (1.0, 1.0)
+    mhat = g if c.rule == "rmsprop" else m / bc1
+    denom = 1.0 if c.rule in ("sgd", "sgdm") else np.sqrt(v / bc2) + c.epsilon
+    scale = 1.0
+    if c.rule == "diffgrad":
+        scale = 1.0 / (1.0 + np.exp(-np.abs(g - prev_grad)))
+    if c.rule == "radam":
+        r_t = radam_terms(t, b2)[2]
+        scale, denom = (1.0, 1.0) if r_t is None else (r_t, denom)
+    if c.rule == "angulargrad":
+        a_min = np.minimum(prev_angle, angle_between(g, prev_grad))
+        scale = angular_coefficient(a_min, c.angle_variant, c.lambda1, c.lambda2)
+    return params - c.alpha * scale * mhat / denom, m, v
+
+
+ONE_FORMULA_CONFIGS = {
+    "sgd": OptimizerConfig(rule="sgd", alpha=0.1),
+    "sgdm": OptimizerConfig(rule="sgdm", alpha=0.1, momentum_gamma=0.5),
+    "rmsprop": OptimizerConfig(rule="rmsprop", alpha=0.1, beta2=0.9),
+    "rmsprop_slow": OptimizerConfig(rule="rmsprop", beta2=0.99),
+    "adam": OptimizerConfig(rule="adam", alpha=0.1),
+    "adamw": OptimizerConfig(rule="adamw", alpha=0.1, beta1=0.5),
+    "radam": OptimizerConfig(rule="radam", alpha=0.1),
+    "diffgrad": OptimizerConfig(rule="diffgrad", alpha=0.1),
+    "adabelief": OptimizerConfig(rule="adabelief", alpha=0.1, beta2=0.99),
+    "angulargrad_cos": OptimizerConfig(rule="angulargrad", alpha=0.1),
+    "angulargrad_tan": OptimizerConfig(rule="angulargrad", alpha=0.1, angle_variant="tan"),
+}
+
+
+class TestOneFormula:
+    """Every row steps by the one update with its rule's coefficients, from a
+    state that is not zero, alone, in a stack of one family or among all."""
+
+    @pytest.mark.parametrize("rows", [
+        *([name] for name in ONE_FORMULA_CONFIGS),
+        ["sgd", "sgdm"],
+        ["rmsprop", "rmsprop_slow"],
+        list(ONE_FORMULA_CONFIGS),
+    ], ids=lambda rows: "+".join(rows) if len(rows) < 3 else "every-rule")
+    @pytest.mark.parametrize("t0", [1, 4])  # radam not yet rectifiable, then rectified
+    def test_one_step_from_a_nonzero_state(self, rows, t0):
+        cs = [ONE_FORMULA_CONFIGS[name] for name in rows]
+        shape = (len(cs), 3)
+        rng = make_rng(11)
+        params, g, prev_grad, m = (rng.normal(size=shape) for _ in range(4))
+        v, prev_angle = rng.random(shape), rng.random(shape) * (math.pi / 2.0)
+        lone = len(cs) == 1
+        config = cs[0] if lone else ConfigStack(cs)
+        state = init_state(config, 3)
+        alpha_t = state.alpha_t
+        state.t = t0
+        fill = (lambda a: a[0]) if lone else (lambda a: a)
+        state.m, state.v, state.prev_grad, state.prev_angle = (
+            fill(a).copy() for a in (m, v, prev_grad, prev_angle))
+        new = step(state, config, fill(params), fill(g)).reshape(shape)
+        assert np.array_equal(alpha_t, state.alpha_t)
+        for r, c in enumerate(cs):
+            want, want_m, want_v = one_formula(
+                c, t0 + 1, m[r], v[r], prev_grad[r], prev_angle[r], params[r], g[r])
+            assert new[r].tobytes() == want.tobytes()
+            assert state.m.reshape(shape)[r].tobytes() == want_m.tobytes()
+            assert state.v.reshape(shape)[r].tobytes() == want_v.tobytes()
+            # a slot the rule does not read keeps its value
+            if c.rule == "rmsprop":
+                assert np.array_equal(state.m.reshape(shape)[r], m[r])
+            if c.rule in ("sgd", "sgdm"):
+                assert np.array_equal(state.v.reshape(shape)[r], v[r])
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_rmsprop_zero_gradient_keeps_ieee_sign(self, stacked):
+        # theta - alpha * g / denom with g = theta = -0.0 is -0.0 - -0.0 = +0.0;
+        # a beta1 = 0 moment, 0 * m + g, would make g +0.0 and the result -0.0
+        rmsprop, adam = OptimizerConfig(rule="rmsprop"), OptimizerConfig(rule="adam")
+        rows = [rmsprop, adam] if stacked else [rmsprop]
+        config = ConfigStack(rows) if stacked else rows[0]
+        shape = (len(rows), 2) if stacked else (2,)
+        state = init_state(config, 2)
+        state.v = np.full(shape, 0.25)
+        new = step(state, config, np.full(shape, -0.0), np.full(shape, -0.0))
+        assert new.reshape(-1, 2)[0].tobytes() == np.zeros(2).tobytes()
+
+
 class TestRadamTerms:
     def test_rho_inf(self):
         assert radam_terms(1, 0.999)[0] == pytest.approx(1999.0, abs=1e-9)
