@@ -86,25 +86,12 @@ DEFAULT_REGRET = {
     },
 }
 
-DEFAULT_GRADCHECK = {
-    "seed": 0,
-    "points_per_objective": 100,
-    "rosenbrock_dims": [2, 5, 10],
-    "quadratic_dim": 10,
-    "mlp_layer_sizes": [4, 8, 8, 3],
-    "nonsmooth_margin": 1e-3,
-    "tolerance_objectives": 1e-5,
-    "tolerance_mlp": 1e-4,
-}
-
-
 def default_config(command: str) -> dict:
     table = {
         "toy": DEFAULT_TOY,
         "rosenbrock": DEFAULT_ROSENBROCK,
         "mlp": DEFAULT_MLP,
         "regret": DEFAULT_REGRET,
-        "gradcheck": DEFAULT_GRADCHECK,
     }
     if command not in table:
         raise KeyError(f"no default config for {command!r}")

@@ -97,8 +97,6 @@ class RegretRecord:
     t: np.ndarray
     cumulative: np.ndarray
     average: np.ndarray
-    theta_star: Vector
-    theta_star_source: str  # "known_minimum" or "best_found"
     status: str = "ok"  # the status of the trajectory the record was computed from
 
 
@@ -192,26 +190,11 @@ def run_experiment(spec: ExperimentSpec) -> dict[str, list[Trajectory]]:
 # Analysis
 
 
-def compute_regret(
-    trajectory: Trajectory, objective: Objective, theta_star: Vector | None = None
-) -> RegretRecord:
-    """R(T) = sum_t [f(theta_t) - f(theta*)] from the trajectory's losses.
-
-    theta* defaults to the objective's first known minimum; passing one
-    explicitly records it as best-found.
-    """
-    if theta_star is None:
-        if not objective.known_minima:
-            raise ValueError("objective has no known minimum; pass theta_star")
-        loc, _ = objective.known_minima[0]
-        theta_star = np.array(loc, dtype=np.float64)
-        source = "known_minimum"
-    else:
-        theta_star = np.array(theta_star, dtype=np.float64).reshape(-1)
-        source = "best_found"
-    if theta_star.size != objective.dim:
-        raise ValueError("theta_star dim mismatch")
-    f_star = objective.eval(theta_star)
+def compute_regret(trajectory: Trajectory, objective: Objective) -> RegretRecord:
+    """R(T) = sum_t [f(theta_t) - f(theta*)] from the trajectory's losses, with
+    theta* the objective's first known minimum."""
+    loc, _ = objective.known_minima[0]
+    f_star = objective.eval(np.array(loc, dtype=np.float64))
     excess = trajectory.loss - f_star
     with np.errstate(over="ignore"):  # huge finite losses sum to inf, not a warning
         cumulative = np.cumsum(excess)
@@ -220,8 +203,6 @@ def compute_regret(
         t=trajectory.t.copy(),
         cumulative=cumulative,
         average=average,
-        theta_star=theta_star,
-        theta_star_source=source,
         status=trajectory.status,
     )
 

@@ -5,8 +5,10 @@ import json
 import warnings
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
+from angular_optim import models, objectives
 from angular_optim.cli import main
 
 
@@ -157,11 +159,12 @@ class TestToy:
 
 
 # a command rejects a flag it would ignore: only toy and plot draw a loss
-# axis, and gradcheck runs no optimizer
+# axis, and gradcheck runs no optimizer and reads no config
 @pytest.mark.parametrize("command,flag", [
     *(pytest.param(c, ["--log-scale"], id=c) for c in ["rosenbrock", "mlp", "regret", "gradcheck"]),
     *(pytest.param("gradcheck", f, id=f"gradcheck{f[0]}")
-      for f in (["--iters", "5"], ["--optimizers", "adam"], ["--allow-divergence"])),
+      for f in (["--iters", "5"], ["--optimizers", "adam"], ["--allow-divergence"],
+                ["--config", "g.json"])),
 ])
 def test_log_scale_only_where_it_acts(tmp_path, capsys, command, flag):
     with pytest.raises(SystemExit) as exc:
@@ -366,8 +369,9 @@ class TestRegret:
             assert run("regret", "--config", str(cfg), "--out", str(tmp_path / "b"),
                        "--allow-divergence") == 0
         summary = json.loads((out / "regret_summary.json").read_text())
-        assert summary["sgd"]["final_avg_regret"] is None
-        assert summary["sgd"]["status"].startswith("aborted: non-finite parameter at iteration 1")
+        assert summary["sgd"]["final_avg_regret"] == [None]
+        assert summary["sgd"]["status"][0].startswith(
+            "aborted: non-finite parameter at iteration 1")
         assert (out / "regret_sgd_s0.csv").read_text() == "t,regret,avg_regret\n"
 
     def test_hgd_ascent_aborts(self, tmp_path):
@@ -379,8 +383,20 @@ class TestRegret:
         out = tmp_path / "a"
         assert run("regret", "--config", str(cfg), "--out", str(out)) == 1
         summary = json.loads((out / "regret_summary.json").read_text())
-        assert summary["sgd"]["status"] == "aborted: non-positive learning rate at iteration 3"
+        assert summary["sgd"]["status"] == ["aborted: non-positive learning rate at iteration 3"]
         assert len((out / "regret_sgd_s0.csv").read_text().splitlines()) == 3
+
+    def test_summary_lists_every_seed(self, tmp_path, capsys):
+        # seed 2 runs all 3717 iterations and seed 5 aborts on the last one
+        cfg = tmp_path / "two.json"
+        cfg.write_text(json.dumps({"seeds": [2, 5], "iterations": 3717,
+                                   "optimizers": {"sgd": {"rule": "sgd", "alpha": 1.05}}}))
+        out = tmp_path / "a"
+        assert run("regret", "--config", str(cfg), "--out", str(out)) == 1
+        assert "aborted: non-finite loss at iteration 3716" in capsys.readouterr().err
+        summary = json.loads((out / "regret_summary.json").read_text())["sgd"]
+        assert summary["status"] == ["ok", "aborted: non-finite loss at iteration 3716"]
+        assert len(summary["final_avg_regret"]) == 2
 
     # json reads NaN and Infinity, which the config reader rejects as numbers
     @pytest.mark.parametrize("divisor, message", [
@@ -452,8 +468,9 @@ def test_retired_config_key_exits_2(tmp_path, capsys, command, key, value):
     assert not out.exists()
 
 
-# a number that must be an integer and any non-finite number (json reads NaN,
-# Infinity and 1e400 as floats) exit 2 before anything is written or printed
+# a number that must be an integer, any non-finite number (json reads NaN,
+# Infinity and 1e400 as floats) and a value that is not the list or object its
+# default is exit 2 before anything is written or printed
 @pytest.mark.parametrize("command, text, message", [
     ("mlp", '{"seeds": [0, 0.5]}', "seed must be an integer, not 0.5"),
     ("toy", '{"seeds": [0.5]}', "seed must be an integer, not 0.5"),
@@ -471,24 +488,29 @@ def test_retired_config_key_exits_2(tmp_path, capsys, command, key, value):
      "theta0.dim must be an integer, not 10.0"),
     ("regret", '{"lr_milestones": [[1.5, 2.0]]}',
      "lr_milestones iteration must be an integer, not 1.5"),
-    ("gradcheck", '{"seed": 0.0}', "seed must be an integer, not 0.0"),
-    ("gradcheck", '{"points_per_objective": 1.5}',
-     "points_per_objective must be an integer, not 1.5"),
-    ("gradcheck", '{"rosenbrock_dims": [2, 5.0]}', "rosenbrock_dims must be an integer, not 5.0"),
-    ("gradcheck", '{"quadratic_dim": 10.0}', "quadratic_dim must be an integer, not 10.0"),
-    ("gradcheck", '{"mlp_layer_sizes": [4, 8.0, 3]}',
-     "mlp_layer_sizes must be an integer, not 8.0"),
     ("regret", '{"optimizers": {"adam": {"rule": "adam", "epsilon": Infinity}}}',
      "non-finite number Infinity in config"),
     ("toy", '{"theta0": [NaN]}', "non-finite number NaN in config"),
     ("toy", '{"optimizers": {"adam": {"rule": "adam", "alpha": 1e400}}}',
      "non-finite number 1e400 in config"),
+    ("toy", '{"seeds": 5}', "seeds must be a list"),
+    ("toy", '{"seeds": {"a": 1}}', "seeds must be a list"),
+    ("toy", '{"tasks": 5}', "tasks must be a list"),
+    ("toy", '{"tasks": "f1"}', "tasks must be a list"),
+    ("mlp", '{"layer_sizes": 5}', "layer_sizes must be a list"),
+    ("toy", '{"optimizers": 5}', "optimizers must be an object"),
+    ("mlp", '{"optimizers": []}', "optimizers must be an object"),
+    ("rosenbrock", '{"grid": 5}', "grid must be an object"),
+    ("mlp", '{"blobs": 5}', "blobs must be an object"),
+    ("rosenbrock", '{"grid": {"x_range": 5, "y_range": [-1, 3], "resolution": 5}}',
+     "grid.x_range must be a list"),
 ], ids=[
     "mlp-seed", "toy-seed", "regret-iterations", "toy-iterations-bool", "mlp-epochs",
     "mlp-batch_size", "mlp-layer_sizes", "mlp-blobs.classes", "rosenbrock-grid.resolution",
-    "regret-dim", "regret-theta0.dim", "regret-milestone-iteration", "gradcheck-seed",
-    "gradcheck-points_per_objective", "gradcheck-rosenbrock_dims", "gradcheck-quadratic_dim",
-    "gradcheck-mlp_layer_sizes", "regret-Infinity", "toy-NaN", "toy-1e400",
+    "regret-dim", "regret-theta0.dim", "regret-milestone-iteration", "regret-Infinity",
+    "toy-NaN", "toy-1e400", "toy-seeds-number", "toy-seeds-object", "toy-tasks-number",
+    "toy-tasks-string", "mlp-layer_sizes-number", "toy-optimizers-number", "mlp-optimizers-list",
+    "rosenbrock-grid-number", "mlp-blobs-number", "rosenbrock-grid.x_range-number",
 ])
 def test_bad_config_number_exits_2(tmp_path, capsys, command, text, message):
     path = tmp_path / "cfg.json"
@@ -508,11 +530,21 @@ class TestGradcheck:
         assert len(lines) == 8  # f1 f2 f3, rosenbrock x3, quadratic, mlp
         assert all(line.endswith("ok") for line in lines)
 
-    def test_fails_with_tight_tolerance(self, tmp_path):
-        cfg = tmp_path / "g.json"
-        cfg.write_text(json.dumps({"tolerance_objectives": 1e-18,
-                                   "tolerance_mlp": 1e-18}))
-        assert run("gradcheck", "--config", str(cfg), "--out", str(tmp_path / "a")) == 3
+    # a wrong gradient and a NaN one each fail their check
+    @pytest.mark.parametrize("module, name, wrong, label, verdict", [
+        (objectives, "rosenbrock_grad", lambda grad: lambda *a: grad(*a) * 1.001,
+         "rosenbrock dim 2", "FAIL (tol 1e-05)"),
+        (objectives, "rosenbrock_grad", lambda grad: lambda *a: grad(*a) * np.nan,
+         "rosenbrock dim 2", "nan FAIL (tol 1e-05)"),
+        (models, "_act_deriv", lambda deriv: lambda *a: deriv(*a) * np.nan,
+         "mlp [4, 8, 8, 3]", "nan FAIL (tol 0.0001)"),
+    ], ids=["rosenbrock-scaled", "rosenbrock-nan", "mlp-nan"])
+    def test_fails_on_a_wrong_gradient(self, tmp_path, capsys, monkeypatch,
+                                       module, name, wrong, label, verdict):
+        monkeypatch.setattr(module, name, wrong(getattr(module, name)))
+        assert run("gradcheck", "--out", str(tmp_path / "a")) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith(f"{label}:")][0].endswith(verdict)
 
     def test_takes_one_seed(self, tmp_path, capsys):
         assert run("gradcheck", "--seeds", "3,4", "--out", str(tmp_path / "a")) == 2
@@ -781,7 +813,7 @@ PINNED_DEFAULT_ARTIFACTS = {
         "regret_avg.svg":
             "294d1e4dec549365ccd203512aca98a170a1fd1a706bdd6a2d5fcec4bcfe99da",
         "regret_summary.json":
-            "bb771590de4e75b896ea1ddd9d5d31b83e8f18857432dfd740a23b8f7c523e70",
+            "a54281868e40ca89072fbd83fd5bdf716acf7536e33be88dddabc927a13f1a8e",
     },
     "regret-composition": {
         "regret_adabelief_gc_s0.csv":
@@ -819,7 +851,7 @@ PINNED_DEFAULT_ARTIFACTS = {
         "regret_sgdm_s1.csv":
             "6c74e36635d176bc05e937ed61ff0659b72ce8de37db41ef8b35a440c9ac77d6",
         "regret_summary.json":
-            "b8c388cc260c054626b327114631143f3bd09782d6d7940362551e5acb6e69b3",
+            "ce4fb238f76859004e52912bcf9bae47b93576ae3e7d2e5554a67aa9c4b645dc",
     },
     "rosenbrock": {
         "rosenbrock_adabelief_s0.csv":

@@ -262,21 +262,8 @@ class TestRegret:
     def test_synthetic_known_minimum(self):
         traj = make_traj([3.0, 2.0, 1.0])
         rec = compute_regret(traj, get_objective("f3"))
-        assert rec.theta_star_source == "known_minimum"
-        assert rec.theta_star[0] == 0.0
         assert np.array_equal(rec.cumulative, [3.0, 5.0, 6.0])
         assert np.array_equal(rec.average, [3.0, 2.5, 2.0])
-
-    def test_explicit_theta_star(self):
-        traj = make_traj([3.0, 2.0, 1.0])
-        rec = compute_regret(traj, get_objective("f3"), theta_star=[0.4])
-        assert rec.theta_star_source == "best_found"
-        # f3(0.4) = 0.35: excess 2.65, 1.65, 0.65
-        assert rec.cumulative[-1] == pytest.approx(4.95, abs=1e-12)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            compute_regret(make_traj([1.0]), get_objective("f3"), theta_star=[0.0, 0.0])
 
     def test_overflowing_sum_reads_inf_without_a_warning(self):
         rec = compute_regret(make_traj([1e308, 1e308]), get_objective("f3"))
