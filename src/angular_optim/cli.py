@@ -193,6 +193,8 @@ def _write_runs(out: Path, prefix: str, seeds, runs: dict, to_csv=trajectory_to_
 
 
 def _toy(config: dict, out: Path, log_scale: bool) -> list[str]:
+    if not config["tasks"]:
+        raise ConfigError("need at least one task")
     if wide := [task for task in config["tasks"] if get_objective(task).dim != 1]:
         raise ConfigError(f"toy tasks must be 1-D, not {', '.join(wide)}")
     statuses = []
@@ -387,9 +389,11 @@ def cmd_plot(args) -> int:
     series = []
     for path in args.files:
         p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"no such trajectory file: {path}")
-        with open(p) as fh:
+        try:
+            fh = open(p)
+        except OSError as err:
+            raise ConfigError(f"cannot read trajectory file {path}: {err}")
+        with fh:
             header = fh.readline().strip().split(",")
             if "t" not in header or "loss" not in header:
                 raise ConfigError(f"{path}: expected t and loss columns")

@@ -262,7 +262,7 @@ def get_objective(name: str, dim: int | None = None) -> Objective:
         return rosenbrock_objective(2 if dim is None else dim)
     if name == "quadratic":
         return quadratic_objective(np.zeros(10 if dim is None else dim))
-    if name not in _SCALAR_OBJECTIVES:
+    if not isinstance(name, str) or name not in _SCALAR_OBJECTIVES:
         raise KeyError(f"unknown objective {name!r}")
     if dim is not None and dim != 1:
         raise ValueError(f"{name} is 1-D")

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -504,6 +507,10 @@ def test_retired_config_key_exits_2(tmp_path, capsys, command, key, value):
     ("mlp", '{"blobs": 5}', "blobs must be an object"),
     ("rosenbrock", '{"grid": {"x_range": 5, "y_range": [-1, 3], "resolution": 5}}',
      "grid.x_range must be a list"),
+    ("toy", '{"tasks": []}', "need at least one task"),
+    ("regret", '{"task": ["f1"]}', "unknown objective ['f1']"),
+    ("regret", '{"task": {"a": 1}}', "unknown objective {'a': 1}"),
+    ("toy", '{"tasks": [["f1"]]}', "unknown objective ['f1']"),
 ], ids=[
     "mlp-seed", "toy-seed", "regret-iterations", "toy-iterations-bool", "mlp-epochs",
     "mlp-batch_size", "mlp-layer_sizes", "mlp-blobs.classes", "rosenbrock-grid.resolution",
@@ -511,6 +518,7 @@ def test_retired_config_key_exits_2(tmp_path, capsys, command, key, value):
     "toy-NaN", "toy-1e400", "toy-seeds-number", "toy-seeds-object", "toy-tasks-number",
     "toy-tasks-string", "mlp-layer_sizes-number", "toy-optimizers-number", "mlp-optimizers-list",
     "rosenbrock-grid-number", "mlp-blobs-number", "rosenbrock-grid.x_range-number",
+    "toy-tasks-empty", "regret-task-list", "regret-task-object", "toy-task-list",
 ])
 def test_bad_config_number_exits_2(tmp_path, capsys, command, text, message):
     path = tmp_path / "cfg.json"
@@ -561,8 +569,27 @@ class TestPlot:
         assert code == 0
         ET.fromstring((out / "plot.svg").read_text())
 
-    def test_missing_file_exits_2(self, tmp_path):
-        assert run("plot", str(tmp_path / "nope.csv"), "--out", str(tmp_path)) == 2
+    @pytest.mark.parametrize("name", ["nope.csv", "."], ids=["missing", "directory"])
+    def test_missing_file_exits_2(self, tmp_path, capsys, name):
+        out = tmp_path / "a"
+        assert run("plot", str(tmp_path / name), "--out", str(out)) == 2
+        assert str(tmp_path / name) in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_import_loads_no_network_xml_or_email_modules():
+    """Importing the CLI in a fresh interpreter pulls in none of urllib.request,
+    xml, http or email: each would add to every command's start-up time.
+    (urllib.parse is exempt: pathlib imports it on Python 3.11.)"""
+    code = (
+        "import sys, angular_optim.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('urllib.request')\n"
+        "             or m.split('.')[0] in ('xml', 'http', 'email')))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 # sha256 of every file the default protocols write, so any change to the

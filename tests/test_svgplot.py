@@ -1,5 +1,6 @@
 """SVG output: well-formed XML, one polyline per series, log-scale handling."""
 
+import hashlib
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -135,3 +136,53 @@ class TestOverlay:
         ys = np.linspace(0.0, 1.0, 3)
         root = parse(render_overlay(xs, ys, np.ones((3, 3)), []))
         assert len(root.findall(f".//{NS}rect")) == 10
+
+
+def _pinned_case(case: str) -> str:
+    if case == "log-xy-nonfinite":
+        xs = np.array([-1.0, 0.0, 1.0, 10.0, np.nan, 100.0, np.inf, 1000.0])
+        ys = np.array([5.0, 1.0, -2.0, 0.0, 3.0, np.inf, 7.0, 1e-3])
+        return render_line_chart(
+            [Series("mixed", xs, ys), Series("tail", xs[::-1], np.abs(ys))],
+            title="log", xlabel="x", ylabel="y", log_x=True, log_y=True,
+        )
+    if case == "palette-wrap-escaped":
+        series = [
+            Series(f"s{i} <a> & <b>", np.arange(4.0), np.arange(4.0) * (i - 5))
+            for i in range(12)
+        ]
+        return render_line_chart(series, title="t & <u>", xlabel="<x>", ylabel="y&")
+    if case == "no-labels":
+        return render_line_chart(sample_series(2), title="", xlabel="", ylabel="")
+    if case == "constant-series":
+        return render_line_chart([Series("flat", np.arange(1.0, 4.0), np.full(3, 2.5))])
+    if case == "overlay-constant-empty-path":
+        xs = np.linspace(-2.0, 2.0, 5)
+        ys = np.linspace(-1.0, 3.0, 3)
+        path = Series("path", np.array([-1.0, 0.0, 1.5]), np.array([0.0, 1.0, 2.5]))
+        empty = Series("empty", np.array([]), np.array([]))
+        return render_overlay(xs, ys, np.full((3, 5), 4.0), [path, empty], title="flat")
+    raise KeyError(case)
+
+
+# sha256 of chart paths that no default CLI artifact reaches, so a change
+# to the layout that moves one byte fails here.
+PINNED_CHARTS = {
+    "log-xy-nonfinite":
+        "62fdb487f908e93cdd108a0c9e3daf7294386d876be5d88fcaf5cacd9bba7c13",
+    "palette-wrap-escaped":
+        "9aafd5b0afcc37fdc5da1e7b579275ae5a2f6f4e042ae305739a305f19ed147f",
+    "no-labels":
+        "c58678dd0abdba1760d78e5953121404176bc2d21deafaf9af1125a8f8864943",
+    "constant-series":
+        "7f28fb93d0ce56f05fbe4eeaefc5c3982e35f49468afd306402ffa3126dff917",
+    "overlay-constant-empty-path":
+        "fc28d84623ddb98672d20b9f981f3b8098646af3a016f03bd225e43a9f585340",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_CHARTS))
+def test_chart_bytes_match_pinned_digest(case):
+    text = _pinned_case(case)
+    parse(text)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CHARTS[case]
