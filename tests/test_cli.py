@@ -600,6 +600,10 @@ def test_import_loads_no_network_xml_or_email_modules():
 # mlp-composition: the same through the MLP with relu and mse, a batch size
 # that leaves a remainder batch, and two diverging optimizers, one on a
 # non-finite loss and one on a non-finite parameter.
+# toy-abort and rosenbrock-abort: a row that aborts mid-run (on a non-finite
+# loss, or in its first step) beside rows that run the whole budget, through
+# a milestone, an HGD row and angular rows, so a change in how the stacked
+# loop records or drops rows moves one of their bytes.
 PINNED_CONFIGS = {
     "regret-composition": {
         "task": "rosenbrock", "dim": 5, "seeds": [0, 1], "iterations": 3000,
@@ -654,10 +658,39 @@ PINNED_CONFIGS = {
             "adam_overflow": {"rule": "adam", "alpha": 1.7e308},
         },
     },
+    "toy-abort": {
+        "tasks": ["f1", "f3"], "iterations": 300, "seeds": [0],
+        "lr_milestones": [[150, 2.0]],
+        "optimizers": {
+            "sgd_big": {"rule": "sgd", "alpha": 50.0},
+            "adam": {"rule": "adam", "alpha": 0.1},
+            "diffgrad": {"rule": "diffgrad", "alpha": 0.1},
+            "angulargrad_cos": {"rule": "angulargrad", "alpha": 0.1},
+            "angulargrad_tan_hgd": {
+                "rule": "angulargrad", "angle_variant": "tan", "alpha": 0.1,
+                "hypergrad_omega": 0.001,
+            },
+        },
+    },
+    "rosenbrock-abort": {
+        "seeds": [0, 1], "iterations": 3000, "theta0": [-2.0, 2.0],
+        "lr_milestones": [[1000, 2.0]],
+        "optimizers": {
+            "sgd_hot": {"rule": "sgd", "alpha": 0.003},
+            "adam_overflow": {"rule": "adam", "alpha": 1.7e308},
+            "rmsprop": {"rule": "rmsprop", "alpha": 0.001, "beta2": 0.99},
+            "radam": {"rule": "radam", "alpha": 0.01},
+            "angulargrad_cos": {"rule": "angulargrad", "alpha": 0.01},
+            "angulargrad_tan_hgd": {
+                "rule": "angulargrad", "angle_variant": "tan", "alpha": 0.01,
+                "hypergrad_omega": 1e-06,
+            },
+        },
+    },
 }
 
 # The exit code of each case; 0 unless listed.
-PINNED_EXIT_CODES = {"mlp-composition": 1}
+PINNED_EXIT_CODES = {"mlp-composition": 1, "rosenbrock-abort": 1, "toy-abort": 1}
 
 # sha256 of every artifact, keyed by "<command>" for the defaults or by the
 # PINNED_CONFIGS case for a config run.
@@ -903,6 +936,72 @@ PINNED_DEFAULT_ARTIFACTS = {
             "59b8186fc35acc949107897288c39f0a714edb2e2a59ad3c00ee2fa58ff73349",
         "rosenbrock_summary.json":
             "4fb28520f51fcab7b1a6296785468cc63393fe39ca70da6930ef9c23d82b12a9",
+    },
+    "rosenbrock-abort": {
+        "rosenbrock_adam_overflow_s0.csv":
+            "b5bdb0ba6b99d3ae8dc01bd67d84f74c786eb235913660648a0ba98d050d94f5",
+        "rosenbrock_adam_overflow_s1.csv":
+            "b5bdb0ba6b99d3ae8dc01bd67d84f74c786eb235913660648a0ba98d050d94f5",
+        "rosenbrock_angulargrad_cos_s0.csv":
+            "aabc971be43e4215b6e96cf86821add4d9ee7a490953049ffe10044f205b29b6",
+        "rosenbrock_angulargrad_cos_s1.csv":
+            "aabc971be43e4215b6e96cf86821add4d9ee7a490953049ffe10044f205b29b6",
+        "rosenbrock_angulargrad_tan_hgd_s0.csv":
+            "af11febc5b866599794058d3f02ea9d3e7410d0160aaffc93b51e49fef6597f0",
+        "rosenbrock_angulargrad_tan_hgd_s1.csv":
+            "af11febc5b866599794058d3f02ea9d3e7410d0160aaffc93b51e49fef6597f0",
+        "rosenbrock_grid.csv":
+            "49acff0cd74cce6dd88df3f8bdbad2366d62e6f77b21fb04d6e20c0449248e7e",
+        "rosenbrock_overlay.svg":
+            "96a5ab97e3f64b08feaa1fde4d14f566cee8124043687836182a3d3560f40bca",
+        "rosenbrock_radam_s0.csv":
+            "6becf891f4fc72f035a18265800bc615d6ed340b8df57277cf995a406d9f9663",
+        "rosenbrock_radam_s1.csv":
+            "6becf891f4fc72f035a18265800bc615d6ed340b8df57277cf995a406d9f9663",
+        "rosenbrock_rmsprop_s0.csv":
+            "30dec35acd2f7b564bca42a0bbbd3ee353dc74966aad8d7411b786322f976f53",
+        "rosenbrock_rmsprop_s1.csv":
+            "30dec35acd2f7b564bca42a0bbbd3ee353dc74966aad8d7411b786322f976f53",
+        "rosenbrock_sgd_hot_s0.csv":
+            "ad05b53e6ec0936f29e6219c933d147da784881bca7b040a981bf5b9f77ae8f9",
+        "rosenbrock_sgd_hot_s1.csv":
+            "ad05b53e6ec0936f29e6219c933d147da784881bca7b040a981bf5b9f77ae8f9",
+        "rosenbrock_summary.json":
+            "ff06e35567adbf158917d9b1ee99c27cd328ae75d3d1d76258e514437c04c41b",
+    },
+    "toy-abort": {
+        "toy_f1_adam_s0.csv":
+            "e6852337e889f4da5b2b383bb154cdb00af0a780206b29675df6d944d89cae09",
+        "toy_f1_angulargrad_cos_s0.csv":
+            "09b21f4b4463d8acd76caf569003e4f97047f52f095ca42f5b861c9148fa35e5",
+        "toy_f1_angulargrad_tan_hgd_s0.csv":
+            "ca406b058fd6ea68a208ca96e089d985f137e8ee7a9d8f5b1e0da7982f977d8a",
+        "toy_f1_diffgrad_s0.csv":
+            "b6007f680fd1a934942a1f6f4ed2966cd529274416511b327b093fe70bd31e3f",
+        "toy_f1_loss.svg":
+            "0d6f53b74ca5dfa1911aa2e42ace0fd090bc9376203c90b7bdc2c9c202d2a270",
+        "toy_f1_sgd_big_s0.csv":
+            "c3a3e06f644369ad5dbdd1f18177a14da7e7292bb53e2c0f3673415d63fae73b",
+        "toy_f1_summary.json":
+            "302150e5638854abb9ff88ccc2c2470cbe47b169f2f2e0606cd4044afb5f7581",
+        "toy_f1_theta.svg":
+            "aabe8756eed8ff98d647f0c51b5d7966bb5fe0da31b8bdbc37db5394394f033d",
+        "toy_f3_adam_s0.csv":
+            "d107e429a08835fdcd4b1384c77e72566a77292b101b70e8a6ecf45852f7a3fb",
+        "toy_f3_angulargrad_cos_s0.csv":
+            "544a66b5ed0795ab35730ce24f09c9de9c9d49d94e2b6487242569ec63acca63",
+        "toy_f3_angulargrad_tan_hgd_s0.csv":
+            "dab175254b841cf90d3361d0643ba413e2080e592b19abba5693ae1c93ab5495",
+        "toy_f3_diffgrad_s0.csv":
+            "dcce30abb1da5dc38d3ae0740b65f4c8423892bc61b663a74f556ff9185b7ef8",
+        "toy_f3_loss.svg":
+            "7e1b4a0a4d077bc642f595a1eb04509c40725440101fcbce2849bb8759504a17",
+        "toy_f3_sgd_big_s0.csv":
+            "067f9b37882a6fbdbc1f9c482d738f034341574ce822e0fb58677ca4526f5db4",
+        "toy_f3_summary.json":
+            "b0bf7183eb9de545cdcef0a653e4fb93bca242ecf9e896a5f11885c6f4ffbdd4",
+        "toy_f3_theta.svg":
+            "ccf9c08c83deba0137767176e0de468a4e2efd34c1fa0c3547213e0c961edfe6",
     },
 }
 
