@@ -125,15 +125,22 @@ def single_run(
     lone run is the stack of one).  Never raises on divergence: a run whose
     gradient, parameters or loss turn non-finite stops, its status says why,
     and the other rows go on.
+
+    The loop records only the loss, the rate, the stepped params and (with
+    angular rows) the phi vectors; each run's step norms and phi means are
+    taken from them after the loop.  The params are always kept for that, and
+    ``record_params`` only decides whether the trajectories carry them.
     """
     lone = not isinstance(config, ConfigStack)
     stack = config.stack if lone else config
     runs = Runs(stack, np.array(theta0, dtype=np.float64).reshape(len(stack.configs), -1))
     n_runs, dim = runs.params.shape
     milestones = dict(lr_milestones)
-    records = np.empty((4, iterations, n_runs))  # loss, alpha, phi_mean, step_norm
-    loss, alpha, phi, norm = records
-    thetas = np.empty((iterations, n_runs, dim)) if record_params else None
+    loss, alpha = np.empty((2, iterations, n_runs))
+    # row 0 holds the starts, so consecutive rows give each step
+    thetas = np.empty((iterations + 1, n_runs, dim))
+    thetas[0] = runs.params
+    phi = None if runs.configs.angular is False else np.empty((iterations, n_runs, dim))
     # divergence is handled (abort status), so overflow on an exploding
     # trajectory must not warn
     with np.errstate(over="ignore", invalid="ignore"):
@@ -147,29 +154,28 @@ def single_run(
                 break
             # while every run is live a plain slice writes the records
             rows = slice(None) if live.size == n_runs else live
-            d = new - runs.params
-            norm[i - 1, rows] = np.sqrt(np.vecdot(d, d))
-            runs.params = new
+            runs.params = thetas[i, rows] = new
             loss[i - 1, rows] = row_loss = objective.eval(new)
             alpha[i - 1, rows] = runs.state.alpha_t[:, 0]
-            # np.mean's own sum-then-divide, without its call overhead
-            last_phi = runs.state.last_phi
-            phi[i - 1, rows] = 1.0 if last_phi is None else np.add.reduce(last_phi, axis=-1) / dim
-            if thetas is not None:
-                thetas[i - 1, rows] = new
+            if phi is not None:
+                phi[i - 1, rows] = runs.state.last_phi
             if failed := nonfinite_rows(row_loss, f"non-finite loss at iteration {i}"):
                 runs.drop(failed, i)
                 if not runs.live.size:
                     break
-    runs.finish()
-    trajectories = [
-        Trajectory(
-            np.arange(1, n + 1, dtype=np.int64), *records[:, :n, run].copy(),
-            thetas=None if thetas is None else thetas[:n, run].copy(),
-            final_params=runs.final[run], status=status,
-        )
-        for run, (n, status) in enumerate(zip(runs.steps.tolist(), runs.status))
-    ]
+        runs.finish()
+        trajectories = []
+        for run, (n, status) in enumerate(zip(runs.steps.tolist(), runs.status)):
+            path = thetas[: n + 1, run]
+            d = path[1:] - path[:-1]
+            trajectories.append(Trajectory(
+                np.arange(1, n + 1, dtype=np.int64), loss[:n, run].copy(), alpha[:n, run].copy(),
+                # np.mean's own sum-then-divide, without its call overhead
+                np.ones(n) if phi is None else np.add.reduce(phi[:n, run], axis=-1) / dim,
+                np.sqrt(np.vecdot(d, d)),
+                thetas=path[1:].copy() if record_params else None,
+                final_params=runs.final[run], status=status,
+            ))
     return trajectories[0] if lone else trajectories
 
 
@@ -272,11 +278,20 @@ def aggregate(
 # Serialization
 
 
+def _cells(column) -> list[str]:
+    """Each float of a column in shortest round-trip form, formatted from
+    Python floats (not numpy scalars) and only once for a column whose every
+    float has the same bits (so 0.0 and -0.0 keep their own text)."""
+    column = np.asarray(column, dtype=np.float64)
+    bits = column.view(np.int64)
+    if bits.size and (bits == bits[0]).all():
+        return [repr(column[0].item())] * bits.size
+    return list(map(repr, column.tolist()))
+
+
 def _csv(header: list[str], t, *columns) -> str:
-    """Rows of an integer column then float columns, each float in shortest
-    round-trip form (formatted from Python floats, not numpy scalars)."""
-    cells = [map(str, np.asarray(t, dtype=np.int64).tolist())]
-    cells += [map(repr, np.asarray(c, dtype=np.float64).tolist()) for c in columns]
+    """Rows of an integer column then float columns (see ``_cells``)."""
+    cells = [map(str, np.asarray(t, dtype=np.int64).tolist()), *map(_cells, columns)]
     return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
 
 

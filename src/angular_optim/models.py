@@ -196,18 +196,27 @@ def _check_labels(y: np.ndarray, k: int) -> None:
                          f"but the output layer has {k} units")
 
 
+def _onehot(shape: tuple, at: np.ndarray) -> np.ndarray:
+    """A bool array of ``shape`` that is True at the flat indices ``at``."""
+    onehot = np.zeros(shape, dtype=bool)
+    onehot.reshape(-1)[at] = True
+    return onehot
+
+
 def _loss(spec: MlpSpec, out: np.ndarray, y: np.ndarray, grad: bool = True):
     """Mean loss over the batch axis of outputs (..., B, K) against labels
     (..., B) in [0, K), and if ``grad`` its gradient w.r.t. the outputs."""
     n, k = out.shape[-2:]
-    onehot = y[..., None] == np.arange(k)
+    # each sample's label cell in the flattened outputs (the labels are
+    # checked: an out-of-range one would pick a neighbour's cell)
+    at = np.arange(y.size) * k + y.reshape(-1)
     if spec.loss == "softmax_cross_entropy":
         expz = np.exp(out - _fold(np.maximum, out)[..., None])
         probs = expz / _fold(np.add, expz)[..., None]
-        loss = -(np.add.reduce(np.log(probs[onehot].reshape(y.shape)), axis=-1) / n)
-        return loss, (probs - onehot) / n if grad else None
+        loss = -(np.add.reduce(np.log(probs.reshape(-1)[at].reshape(y.shape)), axis=-1) / n)
+        return loss, (probs - _onehot(out.shape, at)) / n if grad else None
     # mse against one-hot targets, summed over outputs, mean over batch
-    diff = out - onehot
+    diff = out - _onehot(out.shape, at)
     loss = np.add.reduce(_fold(np.add, diff * diff), axis=-1) / n
     return loss, 2.0 * diff / n if grad else None
 
@@ -245,6 +254,8 @@ def evaluate(params: MlpParams, spec: MlpSpec, X: np.ndarray, y: np.ndarray):
     """Loss and argmax accuracy of one run on all of (X, y), with no gradient."""
     if X.shape[0] == 0:
         raise ValueError("empty dataset")
+    y = np.asarray(y)
+    _check_labels(y, spec.layer_sizes[-1])
     out = _forward(params, spec, X)[-1]
     accuracy = np.count_nonzero(np.argmax(out, axis=-1) == y) / y.size
     return float(_loss(spec, out, y, grad=False)[0]), accuracy

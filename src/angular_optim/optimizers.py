@@ -33,11 +33,14 @@ The run axis: ``step`` advances one run (a vector and an OptimizerConfig) or
 R runs at once (an (R, D) stack and a ConfigStack), a lone run being the
 one-row case.  The kernel computes only the scale terms of the rules present
 and picks each row's coefficients with np.where, so a row gets, bit for bit,
-what its run gets alone.  Bias corrections and RAdam's r_t stay Python floats
-per row: numpy's power differs from Python's in the last ulp.  ``Runs`` holds
-the live rows of a stack for both training loops: a run that fails before or
-in its step drops out through it, keeping its final params and its reason,
-and the other rows go on.
+what its run gets alone.  A coefficient all rows share stays a plain number;
+one that differs is an array at the stack's width, which ``Runs`` sets to D,
+and the live rate of a stack is (R, D), so no step broadcasts an (R, 1)
+column (numpy runs such an op as R short loops).  Bias corrections and
+RAdam's r_t stay Python floats per row: numpy's power differs from Python's
+in the last ulp.  ``Runs`` holds the live rows of a stack for both training
+loops: a run that fails before or in its step drops out through it, keeping
+its final params and its reason, and the other rows go on.
 
 State vectors start at zero, so the gradient "before the first step" is 0 and
 the first angle compares against a zero previous angle.  The counter ``t``
@@ -145,12 +148,13 @@ class OptimizerConfig:
         return ConfigStack((self,))
 
 
-def _column(values):
-    """One value per row: the plain value if every row agrees, else an (R, 1)
-    column.  A row flag is thus False, True or a bool column: a row mask."""
+def _column(values, width: int):
+    """One value per row: the plain value if every row agrees, else an
+    (R, width) array whose row r holds values[r] throughout.  A row flag is
+    thus False, True or a bool array: a row mask."""
     if all(v == values[0] for v in values):
         return values[0]
-    return np.array(values).reshape(-1, 1)
+    return np.repeat(np.array(values).reshape(-1, 1), width, axis=1)
 
 
 def _pick(mask, a, b):
@@ -169,37 +173,40 @@ def _moment_coefficients(c: OptimizerConfig) -> tuple:
 
 class ConfigStack:
     """R OptimizerConfigs, one per row of a stack of runs: hyperparameters
-    and rule-family masks as ``_column``s (see the module docstring)."""
+    and rule-family masks as ``_column``s of the stack's ``width`` (see the
+    module docstring)."""
 
-    def __init__(self, configs):
+    def __init__(self, configs, width: int = 1):
         self.configs = cs = tuple(configs)
+        self.width = width
+        column = lambda values: _column(values, width)
         for name in ("epsilon", "lambda1", "lambda2"):
-            setattr(self, name, _column([getattr(c, name) for c in cs]))
+            setattr(self, name, column([getattr(c, name) for c in cs]))
         # the bias corrections apply to moment rows only, so the other rows take
         # the first moment row's betas and a stack of one Adam beta2 stays a number
         moment = next((c for c in cs if c.rule in MOMENT_RULES), cs[0])
         betas = [c if c.rule in MOMENT_RULES else moment for c in cs]
-        self.beta1, self.beta2 = _column([c.beta1 for c in betas]), _column([c.beta2 for c in betas])
+        self.beta1, self.beta2 = column([c.beta1 for c in betas]), column([c.beta2 for c in betas])
         coefficients = zip(*map(_moment_coefficients, cs))
-        self.m_decay, self.m_gain, self.v_decay, self.v_gain = map(_column, coefficients)
-        self.omega = _column([c.hypergrad_omega for c in cs])
-        self.decay_lambda = _column([c.weight_decay_lambda for c in cs])
+        self.m_decay, self.m_gain, self.v_decay, self.v_gain = map(column, coefficients)
+        self.omega = column([c.hypergrad_omega for c in cs])
+        self.decay_lambda = column([c.weight_decay_lambda for c in cs])
         rules = [c.rule for c in cs]
-        self.momentum = _column([r in ("sgd", "sgdm") for r in rules])
-        self.rmsprop = _column([r == "rmsprop" for r in rules])
-        self.moment = _column([r in MOMENT_RULES for r in rules])
+        self.momentum = column([r in ("sgd", "sgdm") for r in rules])
+        self.rmsprop = column([r == "rmsprop" for r in rules])
+        self.moment = column([r in MOMENT_RULES for r in rules])
         for rule in ("radam", "diffgrad", "adabelief"):
-            setattr(self, rule, _column([r == rule for r in rules]))
-        self.angular = _column([r == "angulargrad" for r in rules])
-        tan = _column([c.rule == "angulargrad" and c.angle_variant == "tan" for c in cs])
+            setattr(self, rule, column([r == rule for r in rules]))
+        self.angular = column([r == "angulargrad" for r in rules])
+        tan = column([c.rule == "angulargrad" and c.angle_variant == "tan" for c in cs])
         self.variant = tan if isinstance(tan, np.ndarray) else ("tan" if tan else "cos")
-        self.gc = _column([bool(c.gc_enabled) for c in cs])
-        self.hgd = _column([c.hypergrad_omega > 0.0 for c in cs])
-        self.decay = _column([c.weight_decay_lambda > 0.0 for c in cs])
+        self.gc = column([bool(c.gc_enabled) for c in cs])
+        self.hgd = column([c.hypergrad_omega > 0.0 for c in cs])
+        self.decay = column([c.weight_decay_lambda > 0.0 for c in cs])
 
     def rows(self, keep: np.ndarray) -> ConfigStack:
         """The configs of the rows a bool mask keeps."""
-        return ConfigStack(c for c, k in zip(self.configs, keep) if k)
+        return ConfigStack((c for c, k in zip(self.configs, keep) if k), self.width)
 
 
 @dataclass
@@ -211,12 +218,14 @@ class OptimizerState:
       rmsprop rows.
     * ``v``: second moment (AdaBelief: of g - m); unused on sgd and sgdm rows.
     * ``prev_grad``: the gradient of the previous step.
-    * ``prev_angle``: AngularGrad's previous raw angle A_{t-1}.
+    * ``prev_angle``: AngularGrad's previous raw angle A_{t-1}; written on
+      every row of a stack with angular rows, read on those rows only.
     * ``alpha_t``: the live learning rate.
     * ``last_phi``: a diagnostic slot holding the phi vector AngularGrad
-      applied, so the harness can log its mean per iteration.
+      applied, so the harness can record it and log its mean.
 
-    On a stack: (R, D) arrays, an (R, 1) ``alpha_t``, last_phi 1.0 off-rule.
+    On a stack: (R, D) arrays, ``alpha_t`` included (each row's rate repeated
+    across it), and last_phi 1.0 off-rule.
     """
 
     t: int
@@ -239,7 +248,7 @@ def init_state(config: OptimizerConfig | ConfigStack, dim: int) -> OptimizerStat
         raise ValueError("dim must be >= 1")
     stacked = isinstance(config, ConfigStack)
     shape = (len(config.configs), dim) if stacked else (dim,)
-    alpha_t = np.array([[c.alpha] for c in config.configs], float) if stacked else config.alpha
+    alpha_t = np.array([[c.alpha] * dim for c in config.configs], float) if stacked else config.alpha
     z = lambda: np.zeros(shape, dtype=np.float64)
     return OptimizerState(t=0, m=z(), v=z(), prev_grad=z(), prev_angle=z(), alpha_t=alpha_t)
 
@@ -276,9 +285,9 @@ def angular_coefficient(
 ) -> Vector:
     """phi[i] = tanh(|trig(a_min[i])|) * lambda1 + lambda2, trig = cos or tan.
 
-    On a stack ``variant`` may be the (R, 1) bool column of the rows that use
-    tan.  tan of the float closest to pi/2 is ~1.6e16, which tanh saturates
-    to exactly 1.0, so the perpendicular limit yields phi = lambda1 + lambda2
+    On a stack ``variant`` may be the bool array of the rows that use tan.
+    tan of the float closest to pi/2 is ~1.6e16, which tanh saturates to
+    exactly 1.0, so the perpendicular limit yields phi = lambda1 + lambda2
     without any special casing.
     """
     a_min = np.asarray(a_min, dtype=np.float64)
@@ -321,7 +330,7 @@ def _bias_correction(cfg: ConfigStack, beta, t: int):
     if cfg.moment is False:
         return 1.0
     if isinstance(beta, np.ndarray):
-        bc = np.array([[1.0 - b**t] for b in beta[:, 0].tolist()])
+        bc = _column([1.0 - b**t for b in beta[:, 0].tolist()], cfg.width)
     else:
         bc = 1.0 - beta**t
     return _pick(cfg.moment, bc, 1.0)
@@ -346,15 +355,16 @@ def _rule_kernel(state, cfg, params, grad):
         scale = _pick(cfg.diffgrad, xi, scale)
     if cfg.radam is not False:  # rows not yet rectifiable step with scale = denom = 1
         r_ts = [radam_terms(t, c.beta2)[2] if c.rule == "radam" else 1.0 for c in cfg.configs]
-        scale = _pick(cfg.radam, _column([1.0 if r is None else r for r in r_ts]), scale)
-        if (unrectified := _column([r is None for r in r_ts])) is not False:
+        r_t = _column([1.0 if r is None else r for r in r_ts], cfg.width)
+        scale = _pick(cfg.radam, r_t, scale)
+        if (unrectified := _column([r is None for r in r_ts], cfg.width)) is not False:
             denom = _pick(unrectified, 1.0, denom)
     if cfg.angular is not False:
         a_t = _angle(gap, grad, state.prev_grad)
         a_min = np.minimum(state.prev_angle, a_t)
         phi = angular_coefficient(a_min, cfg.variant, cfg.lambda1, cfg.lambda2)
         scale = _pick(cfg.angular, phi, scale)
-        state.prev_angle = _pick(cfg.angular, a_t, state.prev_angle)
+        state.prev_angle = a_t  # read on angular rows only
         state.last_phi = _pick(cfg.angular, phi, 1.0)
     state.t, state.m, state.v = t, m, v
     state.prev_grad = grad.copy()
@@ -377,7 +387,7 @@ def gc_transform(grad: Vector) -> Vector:
 def hgd_adapt(alpha_prev, grad_t: Vector, grad_tm1: Vector, omega):
     """Hypergradient rate update: alpha_t = alpha_{t-1} + omega * (g_t . g_{t-1}).
 
-    On a stack, per row with (R, 1) rates (vecdot matches a lone np.dot).
+    On a stack, per row with (R, D) rates (vecdot matches a lone np.dot).
     """
     grad_t = np.asarray(grad_t, dtype=np.float64)
     grad_tm1 = np.asarray(grad_tm1, dtype=np.float64)
@@ -451,8 +461,9 @@ class Runs:
     ``steps`` taken and ``reasons`` it stopped (None while it is ok)."""
 
     def __init__(self, configs: ConfigStack, params: np.ndarray):
-        self.params, self.configs = params, configs
-        self.state = init_state(configs, params.shape[1])
+        # the stack meets its width here: its columns become (R, D) arrays
+        self.params, self.configs = params, ConfigStack(configs.configs, params.shape[1])
+        self.state = init_state(self.configs, params.shape[1])
         self.live = np.arange(len(params))
         self.final = np.empty_like(params)
         self.steps = np.zeros(len(params), dtype=np.int64)
@@ -482,7 +493,8 @@ class Runs:
         except NonFiniteStepError as err:
             new, failed = err.params, {**err.rows, **failed}
         if self.configs.hgd is not False:
-            ascent = np.flatnonzero((self.state.alpha_t <= 0.0) & self.configs.hgd).tolist()
+            # alpha_t holds one rate per row, repeated across it
+            ascent = np.flatnonzero(((self.state.alpha_t <= 0.0) & self.configs.hgd)[:, 0]).tolist()
             reason = f"non-positive learning rate at iteration {self.state.t}"
             failed = {**dict.fromkeys(ascent, reason), **failed}
         if failed:  # the step just taken does not count for them

@@ -119,9 +119,8 @@ def _chart(series, x_range, y_range, log_x, log_y, title, xlabel, ylabel,
         n = min(np.size(s.xs), np.size(s.ys))
         tx, ty = np.asarray(s.xs, dtype=np.float64)[:n], np.asarray(s.ys, dtype=np.float64)[:n]
         finite = np.isfinite(tx) & np.isfinite(ty)
-        points = " ".join(
-            f"{a:.2f},{b:.2f}" for a, b in zip(px(tx[finite]).tolist(), py(ty[finite]).tolist())
-        )
+        xy = zip(px(tx[finite]).tolist(), py(ty[finite]).tolist())
+        points = " ".join(map("%.2f,%.2f".__mod__, xy))
         parts.append(
             f'<polyline fill="none" stroke="{PALETTE[i % len(PALETTE)]}" '
             f'stroke-width="1.5" points="{points}"/>'

@@ -13,6 +13,7 @@ from angular_optim.harness import (
     LOSS_THRESHOLD_1D,
     ExperimentSpec,
     Trajectory,
+    _csv,
     aggregate,
     compute_regret,
     grid_eval,
@@ -155,6 +156,19 @@ class TestSingleRun:
         assert len(aborted) == 2 and np.allclose(aborted.alpha, [0.1, 32.1])
         assert np.allclose(aborted.final_params, [-50.56])  # before the uphill step
         assert plain.status == "ok" and len(plain) == 5
+
+    def test_non_positive_hgd_rate_aborts_its_row_at_width_three(self):
+        # the HGD row is row 1 of a (2, 3) stack, so a rate read as flat
+        # indices would name other rows: f = |x|^2 from (1, 1, 1) gives
+        # alpha_2 = 0.1 + 10 * 3 * 1.6 * 2 = 96.1, then a negative alpha_3
+        obj = get_objective("quadratic", dim=3)
+        hot = OptimizerConfig(rule="sgd", alpha=0.1, hypergrad_omega=10.0)
+        stack = ConfigStack([OptimizerConfig(rule="sgd", alpha=0.1), hot])
+        plain, aborted = single_run(obj, stack, np.ones((2, 3)), 5)
+        assert aborted.status == "aborted: non-positive learning rate at iteration 3"
+        assert len(aborted) == 2 and np.allclose(aborted.alpha, [0.1, 96.1])
+        assert plain.status == "ok" and len(plain) == 5
+        assert np.array_equal(plain.alpha, np.full(5, 0.1))
 
     def test_aborted_run_keeps_theta_columns(self):
         obj = get_objective("quadratic", dim=1)
@@ -406,6 +420,21 @@ class TestSerialization:
             cells = line.split(",")
             assert float(cells[1]) == traj.loss[i]
             assert float(cells[4]) == traj.step_norm[i]
+
+    def test_csv_formats_each_float_by_its_bits(self):
+        # a constant column is formatted once; 0.0 and -0.0 compare equal but
+        # keep their own text
+        columns = [
+            np.full(3, 0.1),
+            np.full(3, -0.0),
+            np.array([0.0, -0.0, 0.0]),
+            np.array([1e-308, 2.5, 332946.9625815]),
+            np.arange(12.0).reshape(3, 4).T[1],  # a strided view
+        ]
+        text = _csv(["t", "a", "b", "c", "d", "e"], [1, 2, 3], *columns)
+        want = [f"{t},{','.join(repr(float(c[t - 1])) for c in columns)}" for t in (1, 2, 3)]
+        assert text == "\n".join(["t,a,b,c,d,e", *want]) + "\n"
+        assert want[1] == "2,0.1,-0.0,-0.0,2.5,5.0"
 
     def test_regret_csv(self):
         rec = compute_regret(make_traj([3.0, 2.0, 1.0]), get_objective("f3"))

@@ -293,6 +293,15 @@ class TestPredictAndAccuracy:
         data = Dataset(features=np.zeros((4, 2)), labels=np.array([0, 0, 1, 1]))
         assert evaluate(params, spec, data.features, data.labels)[1] == 0.5
 
+    @pytest.mark.parametrize("labels", [[3, 1, 2, 0, 1, 0], [0, 1, 2, -1, 1, 0]])
+    @pytest.mark.parametrize("loss", LOSSES)
+    def test_label_without_output_unit_rejected(self, labels, loss):
+        # the loss picks each sample's cell by a flat index, where an
+        # out-of-range label would land on a neighbour's cell
+        spec = MlpSpec(layer_sizes=(2, 3), loss=loss)
+        with pytest.raises(ValueError, match="output layer has 3 units"):
+            evaluate(zero_params(spec), spec, np.zeros((6, 2)), np.array(labels))
+
     def test_accuracy_empty_rejected(self):
         spec = MlpSpec(layer_sizes=(2, 2))
         data = Dataset(features=np.zeros((0, 2)), labels=np.zeros(0, dtype=int))

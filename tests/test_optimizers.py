@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from angular_optim.defaults import default_config
 from angular_optim.numerics import make_rng
 from angular_optim.optimizers import (
     ANGLE_VARIANTS,
@@ -17,6 +18,7 @@ from angular_optim.optimizers import (
     NonFiniteStepError,
     OptimizerConfig,
     OptimizerState,
+    Runs,
     angle_between,
     angular_coefficient,
     gc_transform,
@@ -621,3 +623,29 @@ class TestStackFastPaths:
         ])
         assert stack.beta1 == 0.9 and stack.beta2 == 0.999
         assert ConfigStack([OptimizerConfig(rule="sgd", beta2=0.5)]).beta2 == 0.5
+
+
+class TestStackWidth:
+    """A stack meets its width D in ``Runs``: every array column the kernel
+    reads, and the live rate, is (R, D), so no step broadcasts an (R, 1)."""
+
+    @staticmethod
+    def wide_arrays(runs):
+        columns = [v for v in vars(runs.configs).values() if isinstance(v, np.ndarray)]
+        return [*columns, runs.state.alpha_t]
+
+    @pytest.mark.parametrize("protocol, seeds, dim", [("rosenbrock", 1, 2), ("mlp", 5, 99)])
+    def test_default_sets_step_at_full_width(self, protocol, seeds, dim):
+        configs = default_config(protocol)["optimizers"].values()
+        stack = ConfigStack(OptimizerConfig(**c) for c in configs for _ in range(seeds))
+        runs = Runs(stack, np.zeros((len(stack.configs), dim)))
+        for rows in (len(stack.configs), len(stack.configs) - 1):
+            arrays = self.wide_arrays(runs)
+            assert len(arrays) > 1
+            assert all(a.shape == (rows, dim) for a in arrays)
+            runs.drop({0: "dropped"}, 0)
+
+    def test_lone_stack_holds_no_arrays(self):
+        for rule in RULES:
+            stack = OptimizerConfig(rule=rule, hypergrad_omega=0.1, gc_enabled=True).stack
+            assert not any(isinstance(v, np.ndarray) for v in vars(stack).values())
