@@ -167,10 +167,10 @@ def single_run(
         trajectories = []
         for run, (n, status) in enumerate(zip(runs.steps.tolist(), runs.status)):
             path = thetas[: n + 1, run]
-            d = path[1:] - path[:-1]
+            d = np.diff(path, axis=0)
             trajectories.append(Trajectory(
                 np.arange(1, n + 1, dtype=np.int64), loss[:n, run].copy(), alpha[:n, run].copy(),
-                # np.mean's own sum-then-divide, without its call overhead
+                # np.mean's own sum-then-divide
                 np.ones(n) if phi is None else np.add.reduce(phi[:n, run], axis=-1) / dim,
                 np.sqrt(np.vecdot(d, d)),
                 thetas=path[1:].copy() if record_params else None,
