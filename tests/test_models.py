@@ -211,6 +211,97 @@ class TestFoldedLoss:
             train_alone(spec, data, OptimizerConfig(), 1, 4, make_rng(0))
 
 
+def frozen_forward(params, spec, X):
+    """models._forward as it was before its temporaries went in place: the
+    bitwise reference for the in-place one."""
+    acts = [X]
+    last = len(params.layout) - 1
+    for i in range(len(params.layout)):
+        z = np.matmul(acts[-1], params.weights(i).swapaxes(-1, -2)) + params.biases(i)[..., None, :]
+        if i < last:
+            z = np.tanh(z) if spec.activation == "tanh" else np.maximum(z, 0.0)
+        acts.append(z)
+    return acts
+
+
+def frozen_act_deriv(spec, h):
+    if spec.activation == "tanh":
+        return 1.0 - h * h
+    return (h > 0.0).astype(np.float64)
+
+
+def frozen_loss_and_grad(params, spec, X, y):
+    """models.loss_and_grad as it was before its batch-major bias sums and
+    in-place temporaries, scored by frozen_loss."""
+    acts = frozen_forward(params, spec, X)
+    loss, delta = frozen_loss(spec, acts[-1], y)
+    grad = np.empty_like(params.flat)
+    for i in range(len(params.layout) - 1, -1, -1):
+        slot = params.layout[i]
+        gw = np.matmul(delta.swapaxes(-1, -2), acts[i])
+        grad[..., slot.w_start : slot.b_start] = gw.reshape(*gw.shape[:-2], -1)
+        grad[..., slot.b_start : slot.b_end] = delta.sum(axis=-2)
+        if i > 0:
+            delta = np.matmul(delta, params.weights(i)) * frozen_act_deriv(spec, acts[i])
+    return (float(loss) if params.flat.ndim == 1 else loss), grad
+
+
+def frozen_evaluate(params, spec, X, y):
+    """models.evaluate of one run as it was before it took stacks."""
+    out = frozen_forward(params, spec, X)[-1]
+    accuracy = np.count_nonzero(np.argmax(out, axis=-1) == y) / y.size
+    return float(frozen_loss(spec, out, y)[0]), accuracy
+
+
+def random_network(layer_sizes, activation, loss, rows, batch, seed=0):
+    """Normal params (one run, or a stack of ``rows``), inputs and labels."""
+    spec = MlpSpec(layer_sizes, activation, loss)
+    rng = make_rng(seed)
+    lead = () if rows is None else (rows,)
+    params = MlpParams(rng.normal(size=(*lead, n_params(spec))), layout_for(spec))
+    X = rng.normal(size=(*lead, batch, layer_sizes[0]))
+    y = rng.integers(0, layer_sizes[-1], size=(*lead, batch))
+    return spec, params, X, y
+
+
+class TestFrozenForwardBackward:
+    """loss_and_grad and evaluate keep the bits of the frozen forms, alone and
+    on stacks, for hidden widths on both sides of the width-1 reduction."""
+
+    @pytest.mark.parametrize("rows", [None, 1, 5, 30], ids=lambda r: f"R{r or '-lone'}")
+    @pytest.mark.parametrize("batch", [1, 4, 32])
+    @pytest.mark.parametrize("hidden", [1, 2, 3, 16])
+    @pytest.mark.parametrize("classes", [1, 3])
+    def test_loss_and_grad_match_frozen_bitwise(self, rows, batch, hidden, classes):
+        for activation in ACTIVATIONS:
+            for loss in LOSSES:
+                spec, params, X, y = random_network(
+                    (3, hidden, hidden, classes), activation, loss, rows, batch)
+                value, grad = loss_and_grad(params, spec, X, y)
+                want_value, want_grad = frozen_loss_and_grad(params, spec, X, y)
+                assert np.asarray(value).tobytes() == np.asarray(want_value).tobytes()
+                assert grad.tobytes() == want_grad.tobytes()
+                assert type(value) is type(want_value)
+
+    @pytest.mark.parametrize("hidden", [1, 16])
+    @pytest.mark.parametrize("loss", LOSSES)
+    def test_lone_evaluate_matches_frozen(self, hidden, loss):
+        spec, params, X, y = random_network((2, hidden, 3), "tanh", loss, None, 40)
+        got, want = evaluate(params, spec, X, y), frozen_evaluate(params, spec, X, y)
+        assert [float.hex(v) for v in got] == [float.hex(v) for v in want]
+        assert list(map(type, got)) == list(map(type, want))
+
+    def test_width_one_bias_keeps_its_own_fold(self):
+        # numpy folds a width-1 delta's batch pairwise; a batch-major sum folds
+        # it left to right, and on this data the two differ in the last bits
+        spec, params, X, y = random_network((2, 1, 1), "tanh", "mse", 30, 32)
+        _, grad = loss_and_grad(params, spec, X, y)
+        assert grad.tobytes() == frozen_loss_and_grad(params, spec, X, y)[1].tobytes()
+        delta = frozen_loss(spec, frozen_forward(params, spec, X)[-1], y)[1]
+        batch_major = np.add.reduce(np.ascontiguousarray(np.moveaxis(delta, -2, 0)), axis=0)
+        assert batch_major.tobytes() != delta.sum(axis=-2).tobytes()
+
+
 class TestGradCheck:
     @pytest.mark.parametrize(
         "activation,loss", [("tanh", "softmax_cross_entropy"), ("tanh", "mse")]

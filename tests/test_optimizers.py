@@ -591,18 +591,40 @@ class TestStackFastPaths:
     """The cheap forms ``step`` takes on a stack give the full forms' results."""
 
     def test_perpendicular_angle_on_a_stack(self):
-        # 2 * -0.5 == -1: the angle's denominator is exactly zero on both rows
-        stack = ConfigStack(
-            OptimizerConfig(rule="angulargrad", angle_variant=v) for v in ("cos", "tan")
-        )
+        # 2 * -0.5 == -1: the angle's denominator is exactly zero on every row
+        stack = ConfigStack([
+            *(OptimizerConfig(rule="angulargrad", angle_variant=v) for v in ("cos", "tan")),
+            OptimizerConfig(rule="sgd"),
+        ])
         state = init_state(stack, 1)
         state.prev_grad[:] = 2.0
         state.prev_angle[:] = math.pi / 2.0
-        step(state, stack, np.zeros((2, 1)), np.full((2, 1), -0.5))
-        assert np.array_equal(state.prev_angle, np.full((2, 1), math.pi / 2.0))
+        step(state, stack, np.zeros((3, 1)), np.full((3, 1), -0.5))
+        assert np.array_equal(state.prev_angle, np.full((3, 1), math.pi / 2.0))
         for row, variant in enumerate(("cos", "tan")):
             want = angular_coefficient(np.array([math.pi / 2.0]), variant, 0.5, 0.5)
             assert state.last_phi[row].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("variants", [
+        ["tan", None, "cos", None, "tan"], ["cos", None], [None, "tan"], ["tan", "cos"],
+    ], ids=lambda vs: "+".join(v or "sgd" for v in vs))
+    @pytest.mark.parametrize("dim", [1, 2, 99])
+    @pytest.mark.parametrize("a_min", [0.0, 1e-8, 0.3, math.pi / 2.0])
+    def test_each_angular_row_takes_its_own_trig(self, variants, dim, a_min):
+        # a perpendicular step (2 * -0.5 == -1) makes a_t = pi/2, so a_min is
+        # the previous angle; rows without a variant run sgd
+        configs = [OptimizerConfig(rule="sgd") if v is None else
+                   OptimizerConfig(rule="angulargrad", angle_variant=v) for v in variants]
+        stack = ConfigStack(configs, dim)
+        state = init_state(stack, dim)
+        state.prev_grad[:] = 2.0
+        state.prev_angle[:] = a_min
+        shape = (len(configs), dim)
+        step(state, stack, np.zeros(shape), np.full(shape, -0.5))
+        for row, variant in enumerate(variants):
+            if variant is not None:
+                want = angular_coefficient(np.full(dim, a_min), variant, 0.5, 0.5)
+                assert state.last_phi[row].tobytes() == want.tobytes()
 
     def test_finite_stack_whose_sum_overflows(self):
         # the rows sum to inf while every entry stays finite: no abort
