@@ -168,10 +168,11 @@ def single_run(
         for run, (n, status) in enumerate(zip(runs.steps.tolist(), runs.status)):
             path = thetas[: n + 1, run]
             d = np.diff(path, axis=0)
+            angular = stack.configs[run].rule == "angulargrad"
             trajectories.append(Trajectory(
                 np.arange(1, n + 1, dtype=np.int64), loss[:n, run].copy(), alpha[:n, run].copy(),
                 # np.mean's own sum-then-divide
-                np.ones(n) if phi is None else np.add.reduce(phi[:n, run], axis=-1) / dim,
+                np.add.reduce(phi[:n, run], axis=-1) / dim if angular else np.ones(n),
                 np.sqrt(np.vecdot(d, d)),
                 thetas=path[1:].copy() if record_params else None,
                 final_params=runs.final[run], status=status,
@@ -315,7 +316,8 @@ def grid_to_csv(xs: np.ndarray, ys: np.ndarray, Z: np.ndarray) -> str:
     x_cells = [repr(x) for x in np.asarray(xs, dtype=np.float64).tolist()]
     lines = ["x,y,f"]
     for y, row in zip(np.asarray(ys, dtype=np.float64).tolist(), Z.tolist()):
-        lines += [f"{x},{y!r},{f!r}" for x, f in zip(x_cells, row)]
+        y_cell = f",{y!r},"
+        lines += [x + y_cell + repr(f) for x, f in zip(x_cells, row)]
     return "\n".join(lines) + "\n"
 
 

@@ -11,6 +11,12 @@ The run axis: R runs train as one stack, an (R, P) array whose weights are
 over the last axes.  A run whose loss or step turns non-finite drops out of
 the stack through ``optimizers.Runs``.  Training takes only stacks (a lone
 run is a one-row stack), and each row is bit for bit its run trained alone.
+Each minibatch gathers every row's samples from one (S * n, F) table of all
+seeds' data, and each epoch ends with one evaluation per seed of that seed's
+live rows, a (k, P) stack on its (n, F) data.  The forward and backward
+passes work in place where they can (``z += b``, ``np.tanh(z, out=z)``,
+``delta *= deriv``): each element meets the same ufunc in the same order as
+in the out-of-place form, so the bits stay the same.
 
 Activation conventions: tanh, or relu with the gradient at exactly 0 defined
 as 0.  Losses: mean squared error against one-hot targets, or softmax
@@ -163,9 +169,13 @@ def _forward(params: MlpParams, spec: MlpSpec, X: np.ndarray) -> list[np.ndarray
     acts = [X]
     last = len(params.layout) - 1
     for i in range(len(params.layout)):
-        z = np.matmul(acts[-1], params.weights(i).swapaxes(-1, -2)) + params.biases(i)[..., None, :]
+        z = np.matmul(acts[-1], params.weights(i).swapaxes(-1, -2))
+        z += params.biases(i)[..., None, :]
         if i < last:
-            z = np.tanh(z) if spec.activation == "tanh" else np.maximum(z, 0.0)
+            if spec.activation == "tanh":
+                np.tanh(z, out=z)
+            else:
+                np.maximum(z, 0.0, out=z)
         acts.append(z)  # the loss applies any link function to the output
     return acts
 
@@ -173,7 +183,8 @@ def _forward(params: MlpParams, spec: MlpSpec, X: np.ndarray) -> list[np.ndarray
 def _act_deriv(spec: MlpSpec, h: np.ndarray) -> np.ndarray:
     """Derivative of the activation at its output h."""
     if spec.activation == "tanh":
-        return 1.0 - h * h
+        hh = h * h
+        return np.subtract(1.0, hh, out=hh)
     # relu: h > 0 exactly where z > 0, so the derivative at 0 is 0
     return (h > 0.0).astype(np.float64)
 
@@ -196,13 +207,6 @@ def _check_labels(y: np.ndarray, k: int) -> None:
                          f"but the output layer has {k} units")
 
 
-def _onehot(shape: tuple, at: np.ndarray) -> np.ndarray:
-    """A bool array of ``shape`` that is True at the flat indices ``at``."""
-    onehot = np.zeros(shape, dtype=bool)
-    onehot.reshape(-1)[at] = True
-    return onehot
-
-
 def _loss(spec: MlpSpec, out: np.ndarray, y: np.ndarray, grad: bool = True):
     """Mean loss over the batch axis of outputs (..., B, K) against labels
     (..., B) in [0, K), and if ``grad`` its gradient w.r.t. the outputs."""
@@ -210,15 +214,28 @@ def _loss(spec: MlpSpec, out: np.ndarray, y: np.ndarray, grad: bool = True):
     # each sample's label cell in the flattened outputs (the labels are
     # checked: an out-of-range one would pick a neighbour's cell)
     at = np.arange(y.size) * k + y.reshape(-1)
+    # one-hot targets subtract 1.0 at the label cells and (exactly) nothing
+    # elsewhere, so the flat cells ``at`` of one buffer take them in place
     if spec.loss == "softmax_cross_entropy":
-        expz = np.exp(out - _fold(np.maximum, out)[..., None])
-        probs = expz / _fold(np.add, expz)[..., None]
-        loss = -(np.add.reduce(np.log(probs.reshape(-1)[at].reshape(y.shape)), axis=-1) / n)
-        return loss, (probs - _onehot(out.shape, at)) / n if grad else None
+        probs = np.subtract(out, _fold(np.maximum, out)[..., None])
+        np.exp(probs, out=probs)
+        probs /= _fold(np.add, probs)[..., None]
+        flat = probs.reshape(-1)
+        loss = -(np.add.reduce(np.log(flat[at].reshape(y.shape)), axis=-1) / n)
+        if not grad:
+            return loss, None
+        flat[at] -= 1.0
+        probs /= n
+        return loss, probs
     # mse against one-hot targets, summed over outputs, mean over batch
-    diff = out - _onehot(out.shape, at)
+    diff = out.copy()
+    diff.reshape(-1)[at] -= 1.0
     loss = np.add.reduce(_fold(np.add, diff * diff), axis=-1) / n
-    return loss, 2.0 * diff / n if grad else None
+    if not grad:
+        return loss, None
+    diff *= 2.0
+    diff /= n
+    return loss, diff
 
 
 def loss_and_grad(
@@ -244,21 +261,32 @@ def loss_and_grad(
         slot = params.layout[i]
         gw = np.matmul(delta.swapaxes(-1, -2), acts[i])
         grad[..., slot.w_start : slot.b_start] = gw.reshape(*gw.shape[:-2], -1)
-        grad[..., slot.b_start : slot.b_end] = delta.sum(axis=-2)
+        if lone or delta.shape[-1] < 2:
+            grad[..., slot.b_start : slot.b_end] = delta.sum(axis=-2)
+        else:
+            # numpy sums a stacked delta's batch axis left to right when it is
+            # at least 2 wide, as a batch-major reduce does, only faster; one
+            # column wide it folds the batch pairwise, so that stays a sum
+            np.add.reduce(np.ascontiguousarray(delta.swapaxes(0, 1)), axis=0,
+                          out=grad[..., slot.b_start : slot.b_end])
         if i > 0:
-            delta = np.matmul(delta, params.weights(i)) * _act_deriv(spec, acts[i])
+            delta = np.matmul(delta, params.weights(i))
+            delta *= _act_deriv(spec, acts[i])
     return (float(loss) if lone else loss), grad
 
 
 def evaluate(params: MlpParams, spec: MlpSpec, X: np.ndarray, y: np.ndarray):
-    """Loss and argmax accuracy of one run on all of (X, y), with no gradient."""
-    if X.shape[0] == 0:
+    """Loss and argmax accuracy on all of (X, y), with no gradient: of one run,
+    or as arrays of k, of each row of (k, P) params on the same data."""
+    n = X.shape[0]
+    if n == 0:
         raise ValueError("empty dataset")
     y = np.asarray(y)
     _check_labels(y, spec.layer_sizes[-1])
     out = _forward(params, spec, X)[-1]
-    accuracy = np.count_nonzero(np.argmax(out, axis=-1) == y) / y.size
-    return float(_loss(spec, out, y, grad=False)[0]), accuracy
+    accuracy = np.count_nonzero(np.argmax(out, axis=-1) == y, axis=-1) / n
+    loss = _loss(spec, out, np.broadcast_to(y, out.shape[:-1]), grad=False)[0]
+    return (float(loss), accuracy) if params.flat.ndim == 1 else (loss, accuracy)
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +332,8 @@ def train_mlp(spec: MlpSpec, datasets, stack, epochs: int, batch_size: int, rngs
     labels = np.stack([d.labels for d in datasets])
     _check_labels(labels, spec.layer_sizes[-1])
     n = inputs.shape[1]
+    # every seed's samples in one (S * n, F) table: seed s's sample i is row s * n + i
+    flat_inputs, flat_labels = inputs.reshape(-1, inputs.shape[-1]), labels.reshape(-1)
     layout = layout_for(spec)
     seed_of = np.arange(n_runs) % seeds
     runs = Runs(stack, np.array([init_params(spec, g).flat for g in rngs])[seed_of])
@@ -314,24 +344,30 @@ def train_mlp(spec: MlpSpec, datasets, stack, epochs: int, batch_size: int, rngs
     # run must not warn
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(1, epochs + 1):
-            orders = np.array([g.permutation(n) for g in rngs])
+            orders = np.array([g.permutation(n) for g in rngs]) + (np.arange(seeds) * n)[:, None]
             batch_losses = np.empty((n_runs, -(-n // batch_size)))
             for j, lo in enumerate(range(0, n, batch_size)):
-                at = seed_of[runs.live, None], orders[seed_of[runs.live], lo : lo + batch_size]
+                at = orders[seed_of[runs.live], lo : lo + batch_size]
                 loss, grad = loss_and_grad(MlpParams(runs.params, layout), spec,
-                                           inputs[at], labels[at])
+                                           np.take(flat_inputs, at, axis=0), np.take(flat_labels, at))
                 batch_losses[runs.live, j] = loss
                 # a row's non-finite loss stops it before its step
                 runs.params = runs.step(grad, nonfinite_rows(loss, diverged))
                 if not runs.live.size:
                     break
-            losses = []  # row by row: an (R, n, K) stack would raise peak memory
-            for flat, run in zip(runs.params, runs.live.tolist()):
-                at = seed_of[run]
-                loss, acc = evaluate(MlpParams(flat, layout), spec, inputs[at], labels[at])
-                losses.append(loss)
-                mean = float(np.add.reduce(batch_losses[run]) / batch_losses.shape[1])
-                records[run].append(EpochRecord(epoch, mean, loss, acc))
+            # one evaluate per seed on its k live rows: each temporary holds
+            # k x n x widest-layer floats (0.69 MB at the default), not n x widest
+            losses = np.empty(runs.live.size)
+            for s in range(seeds):
+                rows = np.flatnonzero(seed_of[runs.live] == s)
+                if not rows.size:
+                    continue
+                loss, acc = evaluate(MlpParams(runs.params[rows], layout), spec,
+                                     inputs[s], labels[s])
+                losses[rows] = loss
+                for run, row_loss, row_acc in zip(runs.live[rows].tolist(), loss.tolist(), acc.tolist()):
+                    mean = float(np.add.reduce(batch_losses[run]) / batch_losses.shape[1])
+                    records[run].append(EpochRecord(epoch, mean, row_loss, row_acc))
             if failed := nonfinite_rows(losses, diverged):
                 runs.drop(failed, runs.state.t)
             if not runs.live.size:

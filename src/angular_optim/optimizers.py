@@ -36,11 +36,14 @@ and picks each row's coefficients with np.where, so a row gets, bit for bit,
 what its run gets alone.  A coefficient all rows share stays a plain number;
 one that differs is an array at the stack's width, which ``Runs`` sets to D,
 and the live rate of a stack is (R, D), so no step broadcasts an (R, 1)
-column (numpy runs such an op as R short loops).  Bias corrections and
-RAdam's r_t stay Python floats per row: numpy's power differs from Python's
-in the last ulp.  ``Runs`` holds the live rows of a stack for both training
-loops: a run that fails before or in its step drops out through it, keeping
-its final params and its reason, and the other rows go on.
+column (numpy runs such an op as R short loops).  On a stack that mixes
+variants or rules, AngularGrad's cos and tan run masked (``where=``) on their
+own rows only, with the bits unmasked trig gives those rows.  Bias
+corrections and RAdam's r_t stay Python floats per row: numpy's power
+differs from Python's in the last ulp.  ``Runs`` holds the live rows of a
+stack for both training loops: a run that fails before or in its step drops
+out through it, keeping its final params and its reason, and the other rows
+go on.
 
 State vectors start at zero, so the gradient "before the first step" is 0 and
 the first angle compares against a zero previous angle.  The counter ``t``
@@ -198,8 +201,11 @@ class ConfigStack:
         for rule in ("radam", "diffgrad", "adabelief"):
             setattr(self, rule, column([r == rule for r in rules]))
         self.angular = column([r == "angulargrad" for r in rules])
-        tan = column([c.rule == "angulargrad" and c.angle_variant == "tan" for c in cs])
-        self.variant = tan if isinstance(tan, np.ndarray) else ("tan" if tan else "cos")
+        cos, tan = (column([c.rule == "angulargrad" and c.angle_variant == v for c in cs])
+                    for v in ANGLE_VARIANTS)
+        # a stack that mixes variants or rules takes each trig on its own rows
+        mixed = isinstance(self.angular, np.ndarray) or isinstance(tan, np.ndarray)
+        self.variant = (cos, tan) if mixed else ("tan" if tan else "cos")
         self.gc = column([bool(c.gc_enabled) for c in cs])
         self.hgd = column([c.hypergrad_omega > 0.0 for c in cs])
         self.decay = column([c.weight_decay_lambda > 0.0 for c in cs])
@@ -222,10 +228,11 @@ class OptimizerState:
       every row of a stack with angular rows, read on those rows only.
     * ``alpha_t``: the live learning rate.
     * ``last_phi``: a diagnostic slot holding the phi vector AngularGrad
-      applied, so the harness can record it and log its mean.
+      applied, so the harness can record it and log its mean; written on
+      every row of a stack with angular rows, read on those rows only.
 
     On a stack: (R, D) arrays, ``alpha_t`` included (each row's rate repeated
-    across it), and last_phi 1.0 off-rule.
+    across it).
     """
 
     t: int
@@ -281,18 +288,21 @@ def _angle(gap: np.ndarray, g_t: np.ndarray, g_prev: np.ndarray) -> np.ndarray:
 
 
 def angular_coefficient(
-    a_min: Vector, variant: str | np.ndarray, lambda1: float, lambda2: float
+    a_min: Vector, variant: str | tuple, lambda1: float, lambda2: float
 ) -> Vector:
     """phi[i] = tanh(|trig(a_min[i])|) * lambda1 + lambda2, trig = cos or tan.
 
-    On a stack ``variant`` may be the bool array of the rows that use tan.
-    tan of the float closest to pi/2 is ~1.6e16, which tanh saturates to
-    exactly 1.0, so the perpendicular limit yields phi = lambda1 + lambda2
-    without any special casing.
+    On a stack ``variant`` may be the pair of row masks (cos rows, tan rows):
+    each trig is computed on its own rows only, and trig is 1.0 on the rows of
+    neither.  tan of the float closest to pi/2 is ~1.6e16, which tanh
+    saturates to exactly 1.0, so the perpendicular limit yields phi = lambda1 +
+    lambda2 without any special casing.
     """
     a_min = np.asarray(a_min, dtype=np.float64)
-    if isinstance(variant, np.ndarray):
-        trig = np.where(variant, np.tan(a_min), np.cos(a_min))
+    if isinstance(variant, tuple):
+        trig = np.ones(a_min.shape)
+        for fn, rows in zip((np.cos, np.tan), variant):
+            fn(a_min, out=trig, where=rows)
     elif variant == "cos":
         trig = np.cos(a_min)
     elif variant == "tan":
@@ -365,7 +375,7 @@ def _rule_kernel(state, cfg, params, grad):
         phi = angular_coefficient(a_min, cfg.variant, cfg.lambda1, cfg.lambda2)
         scale = _pick(cfg.angular, phi, scale)
         state.prev_angle = a_t  # read on angular rows only
-        state.last_phi = _pick(cfg.angular, phi, 1.0)
+        state.last_phi = phi  # read on angular rows only
     state.t, state.m, state.v = t, m, v
     state.prev_grad = grad.copy()
     return params - state.alpha_t * scale * mhat / denom

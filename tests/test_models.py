@@ -291,6 +291,23 @@ class TestFrozenForwardBackward:
         assert [float.hex(v) for v in got] == [float.hex(v) for v in want]
         assert list(map(type, got)) == list(map(type, want))
 
+    @pytest.mark.parametrize("hidden", [1, 16])
+    @pytest.mark.parametrize("loss", LOSSES)
+    def test_stacked_evaluate_matches_lone_calls(self, hidden, loss):
+        spec, params, X, y = random_network((2, hidden, 3), "tanh", loss, 4, 40, seed=5)
+        params.flat[1] = 0.0  # every logit ties: argmax takes class 0
+        # classes 1 and 2 tie on every sample of row 2
+        params.weights(1)[2, 2], params.biases(1)[2, 2] = params.weights(1)[2, 1], params.biases(1)[2, 1]
+        X, y = X[0], y[0]  # one seed's data
+        for rows in (slice(0, 1), slice(None)):
+            stacked = MlpParams(params.flat[rows], params.layout)
+            losses, accuracies = evaluate(stacked, spec, X, y)
+            assert losses.shape == accuracies.shape == (len(stacked.flat),)
+            for row, flat in enumerate(stacked.flat):
+                want = frozen_evaluate(MlpParams(flat, params.layout), spec, X, y)
+                assert [float.hex(losses[row]), float.hex(accuracies[row])] == list(map(float.hex, want))
+        assert accuracies[1] == np.count_nonzero(y == 0) / y.size
+
     def test_width_one_bias_keeps_its_own_fold(self):
         # numpy folds a width-1 delta's batch pairwise; a batch-major sum folds
         # it left to right, and on this data the two differ in the last bits
