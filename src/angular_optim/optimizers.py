@@ -296,20 +296,23 @@ def angular_coefficient(
     each trig is computed on its own rows only, and trig is 1.0 on the rows of
     neither.  tan of the float closest to pi/2 is ~1.6e16, which tanh
     saturates to exactly 1.0, so the perpendicular limit yields phi = lambda1 +
-    lambda2 without any special casing.
+    lambda2 without any special casing.  Each step after the trig runs in
+    place in one buffer, with the bits of the out-of-place expression.
     """
     a_min = np.asarray(a_min, dtype=np.float64)
+    phi = np.empty(a_min.shape)
     if isinstance(variant, tuple):
-        trig = np.ones(a_min.shape)
+        phi.fill(1.0)
         for fn, rows in zip((np.cos, np.tan), variant):
-            fn(a_min, out=trig, where=rows)
-    elif variant == "cos":
-        trig = np.cos(a_min)
-    elif variant == "tan":
-        trig = np.tan(a_min)
+            fn(a_min, out=phi, where=rows)
+    elif variant in ANGLE_VARIANTS:
+        (np.cos if variant == "cos" else np.tan)(a_min, out=phi)
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return np.tanh(np.abs(trig)) * lambda1 + lambda2
+    np.tanh(np.abs(phi, out=phi), out=phi)
+    phi *= lambda1
+    phi += lambda2
+    return phi
 
 
 # ---------------------------------------------------------------------------
