@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from angular_optim.defaults import default_config
-from angular_optim.numerics import make_rng
+from angular_optim.numerics import first_nonfinite, make_rng
 from angular_optim.optimizers import (
     ANGLE_VARIANTS,
     MOMENT_RULES,
@@ -671,3 +671,301 @@ class TestStackWidth:
         for rule in RULES:
             stack = OptimizerConfig(rule=rule, hypergrad_omega=0.1, gc_enabled=True).stack
             assert not any(isinstance(v, np.ndarray) for v in vars(stack).values())
+
+
+# ---------------------------------------------------------------------------
+# The row-mask kernel, frozen: each rule family's terms on every row, picked
+# with np.where.  The live kernel must keep its bits on every row a run reads.
+
+
+def frozen_column(values, width: int):
+    if all(v == values[0] for v in values):
+        return values[0]
+    return np.repeat(np.array(values).reshape(-1, 1), width, axis=1)
+
+
+def frozen_pick(mask, a, b):
+    return a if mask is True else b if mask is False else np.where(mask, a, b)
+
+
+def frozen_moment_coefficients(c: OptimizerConfig) -> tuple:
+    if c.rule in ("sgd", "sgdm"):
+        return (c.momentum_gamma if c.rule == "sgdm" else 0.0), 1.0, 1.0, 0.0
+    m = (1.0, 0.0) if c.rule == "rmsprop" else (c.beta1, 1.0 - c.beta1)
+    return *m, c.beta2, 1.0 - c.beta2
+
+
+class FrozenStack:
+    """The mask-building ConfigStack."""
+
+    def __init__(self, configs, width: int = 1):
+        self.configs = cs = tuple(configs)
+        self.width = width
+        column = lambda values: frozen_column(values, width)
+        for name in ("epsilon", "lambda1", "lambda2"):
+            setattr(self, name, column([getattr(c, name) for c in cs]))
+        moment = next((c for c in cs if c.rule in MOMENT_RULES), cs[0])
+        betas = [c if c.rule in MOMENT_RULES else moment for c in cs]
+        self.beta1, self.beta2 = column([c.beta1 for c in betas]), column([c.beta2 for c in betas])
+        coefficients = zip(*map(frozen_moment_coefficients, cs))
+        self.m_decay, self.m_gain, self.v_decay, self.v_gain = map(column, coefficients)
+        self.omega = column([c.hypergrad_omega for c in cs])
+        self.decay_lambda = column([c.weight_decay_lambda for c in cs])
+        rules = [c.rule for c in cs]
+        self.momentum = column([r in ("sgd", "sgdm") for r in rules])
+        self.rmsprop = column([r == "rmsprop" for r in rules])
+        self.moment = column([r in MOMENT_RULES for r in rules])
+        for rule in ("radam", "diffgrad", "adabelief"):
+            setattr(self, rule, column([r == rule for r in rules]))
+        self.angular = column([r == "angulargrad" for r in rules])
+        cos, tan = (column([c.rule == "angulargrad" and c.angle_variant == v for c in cs])
+                    for v in ANGLE_VARIANTS)
+        mixed = isinstance(self.angular, np.ndarray) or isinstance(tan, np.ndarray)
+        self.variant = (cos, tan) if mixed else ("tan" if tan else "cos")
+        self.gc = column([bool(c.gc_enabled) for c in cs])
+        self.hgd = column([c.hypergrad_omega > 0.0 for c in cs])
+        self.decay = column([c.weight_decay_lambda > 0.0 for c in cs])
+
+
+def frozen_angle(gap, g_t, g_prev):
+    return np.arctan(gap / np.abs(1.0 + g_t * g_prev))
+
+
+def frozen_angular_coefficient(a_min, variant, lambda1, lambda2):
+    a_min = np.asarray(a_min, dtype=np.float64)
+    phi = np.empty(a_min.shape)
+    if isinstance(variant, tuple):
+        phi.fill(1.0)
+        for fn, rows in zip((np.cos, np.tan), variant):
+            fn(a_min, out=phi, where=rows)
+    elif variant in ANGLE_VARIANTS:
+        (np.cos if variant == "cos" else np.tan)(a_min, out=phi)
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    np.tanh(np.abs(phi, out=phi), out=phi)
+    phi *= lambda1
+    phi += lambda2
+    return phi
+
+
+def frozen_bias_correction(cfg, beta, t: int):
+    if cfg.moment is False:
+        return 1.0
+    if isinstance(beta, np.ndarray):
+        bc = frozen_column([1.0 - b**t for b in beta[:, 0].tolist()], cfg.width)
+    else:
+        bc = 1.0 - beta**t
+    return frozen_pick(cfg.moment, bc, 1.0)
+
+
+def frozen_rule_kernel(state, cfg, params, grad):
+    t = state.t + 1
+    m = cfg.m_decay * state.m + cfg.m_gain * grad
+    d = grad if cfg.adabelief is False else frozen_pick(cfg.adabelief, grad - m, grad)
+    v = cfg.v_decay * state.v + cfg.v_gain * d * d
+    bc1 = frozen_bias_correction(cfg, cfg.beta1, t)
+    bc2 = frozen_bias_correction(cfg, cfg.beta2, t)
+    mhat = frozen_pick(cfg.rmsprop, grad, m / bc1)
+    denom = frozen_pick(cfg.momentum, 1.0, np.sqrt(v / bc2) + cfg.epsilon)
+    scale = 1.0
+    if cfg.diffgrad is not False or cfg.angular is not False:
+        gap = np.abs(grad - state.prev_grad)
+    if cfg.diffgrad is not False:
+        xi = 1.0 / (1.0 + np.exp(-gap))
+        scale = frozen_pick(cfg.diffgrad, xi, scale)
+    if cfg.radam is not False:
+        r_ts = [radam_terms(t, c.beta2)[2] if c.rule == "radam" else 1.0 for c in cfg.configs]
+        r_t = frozen_column([1.0 if r is None else r for r in r_ts], cfg.width)
+        scale = frozen_pick(cfg.radam, r_t, scale)
+        if (unrectified := frozen_column([r is None for r in r_ts], cfg.width)) is not False:
+            denom = frozen_pick(unrectified, 1.0, denom)
+    if cfg.angular is not False:
+        a_t = frozen_angle(gap, grad, state.prev_grad)
+        a_min = np.minimum(state.prev_angle, a_t)
+        phi = frozen_angular_coefficient(a_min, cfg.variant, cfg.lambda1, cfg.lambda2)
+        scale = frozen_pick(cfg.angular, phi, scale)
+        state.prev_angle = a_t
+        state.last_phi = phi
+    state.t, state.m, state.v = t, m, v
+    state.prev_grad = grad.copy()
+    return params - state.alpha_t * scale * mhat / denom
+
+
+def frozen_step(state, config, params, grad):
+    cfg = config if isinstance(config, FrozenStack) else FrozenStack((config,))
+    params = np.asarray(params, dtype=np.float64)
+    grad = np.asarray(grad, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if cfg.gc is not False:
+            grad = frozen_pick(cfg.gc, gc_transform(grad), grad)
+        if cfg.hgd is not False:
+            adapted = hgd_adapt(state.alpha_t, grad, state.prev_grad, cfg.omega)
+            state.alpha_t = frozen_pick(cfg.hgd, adapted, state.alpha_t)
+        new = frozen_rule_kernel(state, cfg, params, grad)
+        if cfg.decay is not False:
+            decayed = new - state.alpha_t * cfg.decay_lambda * params
+            new = frozen_pick(cfg.decay, decayed, new)
+        finite = math.isfinite(np.add.reduce(new, axis=None)) or np.isfinite(new).all()
+    if not finite:
+        bad = enumerate(map(first_nonfinite, new.reshape(-1, new.shape[-1])))
+        rules = [c.rule for c in cfg.configs]
+        errors = {r: NonFiniteStepError(state.t, i, rules[r]) for r, i in bad if i is not None}
+        err = next(iter(errors.values()))
+        err.rows, err.params = errors, new
+        raise err
+    return new
+
+
+def copy_state(state: OptimizerState) -> OptimizerState:
+    slots = vars(state).items()
+    return OptimizerState(**{k: v.copy() if isinstance(v, np.ndarray) else v for k, v in slots})
+
+
+def outcome(step_fn, state, config, params, grad):
+    """The new params, or the error's text, failed rows and stepped stack."""
+    try:
+        return step_fn(state, config, params, grad), None
+    except NonFiniteStepError as err:
+        rows = {r: str(e) for r, e in err.rows.items()}
+        return err.params, (str(err), rows)
+
+
+def assert_steps_match_frozen(config, state, params, grads):
+    """Step ``config`` and the frozen kernel from copies of ``state`` through
+    ``grads``; every slot a run reads keeps the frozen bytes at every step."""
+    configs = config.configs if isinstance(config, ConfigStack) else (config,)
+    frozen = FrozenStack(configs, config.width) if isinstance(config, ConfigStack) else config
+    angular = [r for r, c in enumerate(configs) if c.rule == "angulargrad"]
+    rows = lambda a: np.asarray(a, dtype=np.float64).reshape(len(configs), -1)
+    mine, theirs = copy_state(state), copy_state(state)
+    for grad in grads:
+        got, got_err = outcome(step, mine, config, params, grad)
+        want, want_err = outcome(frozen_step, theirs, frozen, params, grad)
+        assert got.tobytes() == want.tobytes()
+        assert got_err == want_err
+        assert mine.t == theirs.t
+        for slot in ("m", "v", "alpha_t", "prev_grad"):
+            assert rows(getattr(mine, slot)).tobytes() == rows(getattr(theirs, slot)).tobytes()
+        if angular:
+            for slot in ("prev_angle", "last_phi"):
+                got_rows, want_rows = rows(getattr(mine, slot)), rows(getattr(theirs, slot))
+                assert got_rows[angular].tobytes() == want_rows[angular].tobytes()
+        if want_err is not None:
+            return want_err
+        params = got
+
+
+# every rule, both variants; beta2 = 0.5 keeps RAdam unrectified for good
+FROZEN_BETAS = [(0.9, 0.999), (0.5, 0.99), (0.0, 0.5), (0.9, 0.9)]
+FROZEN_ROWS = [(r, "cos") for r in RULES] + [("angulargrad", "tan")]
+
+
+def random_config(rng, rule, variant, extras=True) -> OptimizerConfig:
+    beta1, beta2 = FROZEN_BETAS[rng.integers(len(FROZEN_BETAS))]
+    pick = lambda *values: values[rng.integers(len(values))]
+    return OptimizerConfig(
+        rule=rule, angle_variant=variant, beta1=beta1, beta2=beta2,
+        alpha=pick(1e-3, 0.1), epsilon=pick(1e-8, 1e-3), momentum_gamma=pick(0.9, 0.5),
+        lambda1=pick(0.5, 0.3), lambda2=pick(0.5, 0.25),
+        hypergrad_omega=pick(0.0, 0.01) if extras else 0.0,
+        weight_decay_lambda=pick(0.0, 0.1) if extras else 0.0,
+        gc_enabled=bool(pick(False, True)) if extras else False,
+    )
+
+
+def random_grads(rng, shape, steps=10):
+    """Normal gradients with a few exact +-0.0 and repeated entries."""
+    grads = rng.normal(size=(steps, *shape)) * rng.choice([0.1, 1.0, 10.0], size=(steps, *shape))
+    grads[rng.random(grads.shape) < 0.1] = 0.0
+    grads[rng.random(grads.shape) < 0.1] = -0.0
+    for t in range(1, steps):
+        repeat = rng.random(shape) < 0.1
+        grads[t][repeat] = grads[t - 1][repeat]
+    return grads
+
+
+class TestFrozenStep:
+    """``step`` keeps the frozen row-mask kernel's bytes on every row: params,
+    t, m, v, alpha_t, prev_grad, and on angular rows prev_angle and last_phi,
+    plus a failed step's text and rows."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("dim", [1, 2, 99])
+    @pytest.mark.parametrize("n_rows", [1, 2, 6, 30])
+    @pytest.mark.parametrize("built_by_runs", [False, True], ids=["width-1", "runs"])
+    def test_random_stacks(self, n_rows, dim, seed, built_by_runs):
+        rng = make_rng(1000 * n_rows + 10 * dim + seed)
+        configs = [random_config(rng, *FROZEN_ROWS[i]) for i in rng.integers(len(FROZEN_ROWS), size=n_rows)]
+        params = rng.normal(size=(n_rows, dim))
+        if built_by_runs:
+            runs = Runs(ConfigStack(configs), params)
+            stack, state = runs.configs, runs.state
+        else:
+            stack = ConfigStack(configs)
+            state = init_state(stack, dim)
+        assert_steps_match_frozen(stack, state, params, random_grads(rng, params.shape))
+
+    @pytest.mark.parametrize("rule, variant", FROZEN_ROWS)
+    @pytest.mark.parametrize("dim", [1, 2, 99])
+    def test_lone_calls(self, rule, variant, dim):
+        rng = make_rng(dim)
+        for _ in range(3):
+            config = random_config(rng, rule, variant)
+            state = init_state(config, dim)
+            assert_steps_match_frozen(config, state, rng.normal(size=dim), random_grads(rng, (dim,)))
+
+    @pytest.mark.parametrize("dim", [1, 2, 99])
+    @pytest.mark.parametrize("width", ["one", "full"])
+    def test_families_in_non_adjacent_rows(self, dim, width):
+        rng = make_rng(dim)
+        rows = [("angulargrad", "cos"), ("adam", "cos"), ("angulargrad", "tan"),
+                ("diffgrad", "cos"), ("adam", "cos"), ("diffgrad", "cos")]
+        configs = [random_config(rng, *row) for row in rows]
+        # GC, HGD and decay on alternate rows too
+        configs = [dataclasses.replace(c, gc_enabled=r % 2 == 0, hypergrad_omega=0.01 * (r % 2),
+                                       weight_decay_lambda=0.1 * (r % 3 == 0))
+                   for r, c in enumerate(configs)]
+        stack = ConfigStack(configs, dim if width == "full" else 1)
+        params = rng.normal(size=(len(configs), dim))
+        assert_steps_match_frozen(stack, init_state(stack, dim), params, random_grads(rng, params.shape))
+
+    @pytest.mark.parametrize("beta2s", [(0.999,), (0.999, 0.5), (0.5, 0.99, 0.999)])
+    def test_radam_before_and_after_rectification(self, beta2s):
+        # rectification starts at t = 5 for beta2 0.99 and 0.999, never for 0.5
+        configs = [OptimizerConfig(rule="radam", beta1=0.5, beta2=b) for b in beta2s]
+        stack = ConfigStack([OptimizerConfig(rule="sgd"), *configs, OptimizerConfig(rule="adam")], 3)
+        rng = make_rng(len(beta2s))
+        params = rng.normal(size=(len(stack.configs), 3))
+        assert_steps_match_frozen(stack, init_state(stack, 3), params, random_grads(rng, params.shape, 8))
+
+    @pytest.mark.parametrize("dim", [1, 2, 99])
+    def test_perpendicular_angle_and_signed_zeros(self, dim):
+        stack = ConfigStack([OptimizerConfig(rule=r, angle_variant=v) for r, v in FROZEN_ROWS], dim)
+        shape = (len(stack.configs), dim)
+        state = init_state(stack, dim)
+        state.prev_grad[:] = 2.0
+        state.prev_angle[:] = math.pi / 2.0
+        # 2 * -0.5 == -1 makes every angle's denominator exactly zero
+        grads = [np.full(shape, -0.5), np.full(shape, -0.0), np.zeros(shape), np.full(shape, -0.0)]
+        assert_steps_match_frozen(stack, state, np.full(shape, -0.0), grads)
+
+    def test_failed_rows(self):
+        configs = [OptimizerConfig(rule="sgd", alpha=10.0), OptimizerConfig(rule="angulargrad"),
+                   OptimizerConfig(rule="rmsprop", alpha=10.0), OptimizerConfig(rule="adam")]
+        stack = ConfigStack(configs, 2)
+        grads = np.ones((2, 4, 2))
+        grads[1, [0, 2], 1] = 1e308
+        _, rows = assert_steps_match_frozen(stack, init_state(stack, 2), np.zeros((4, 2)), grads)
+        assert list(rows) == [0, 2]
+
+    def test_after_dropping_a_middle_row(self):
+        rng = make_rng(7)
+        configs = [dataclasses.replace(random_config(rng, *row, extras=False), gc_enabled=r % 2 == 0)
+                   for r, row in enumerate(FROZEN_ROWS)]
+        runs = Runs(ConfigStack(configs), rng.normal(size=(len(configs), 5)))
+        for grad in random_grads(rng, runs.params.shape, 3):
+            runs.params = runs.step(grad, {})
+        runs.drop({len(configs) // 2: "dropped"}, runs.state.t)
+        assert runs.live.size == len(configs) - 1
+        assert_steps_match_frozen(runs.configs, runs.state, runs.params,
+                                  random_grads(rng, runs.params.shape))
