@@ -140,7 +140,7 @@ def single_run(
     # row 0 holds the starts, so consecutive rows give each step
     thetas = np.empty((iterations + 1, n_runs, dim))
     thetas[0] = runs.params
-    phi = None if runs.configs.angular is False else np.empty((iterations, n_runs, dim))
+    phi = None if runs.configs.angular is None else np.empty((iterations, n_runs, dim))
     # divergence is handled (abort status), so overflow on an exploding
     # trajectory must not warn
     with np.errstate(over="ignore", invalid="ignore"):

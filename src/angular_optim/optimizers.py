@@ -31,19 +31,18 @@ Bi = 1 - bi^t; S = sqrt(v / bc2) + eps.
 
 The run axis: ``step`` advances one run (a vector and an OptimizerConfig) or
 R runs at once (an (R, D) stack and a ConfigStack), a lone run being the
-one-row case.  The kernel computes only the scale terms of the rules present
-and picks each row's coefficients with np.where, so a row gets, bit for bit,
-what its run gets alone.  A coefficient all rows share stays a plain number;
-one that differs is an array at the stack's width, which ``Runs`` sets to D,
-and the live rate of a stack is (R, D), so no step broadcasts an (R, 1)
-column (numpy runs such an op as R short loops).  On a stack that mixes
-variants or rules, AngularGrad's cos and tan run masked (``where=``) on their
-own rows only, with the bits unmasked trig gives those rows.  Bias
-corrections and RAdam's r_t stay Python floats per row: numpy's power
-differs from Python's in the last ulp.  ``Runs`` holds the live rows of a
-stack for both training loops: a run that fails before or in its step drops
-out through it, keeping its final params and its reason, and the other rows
-go on.
+one-row case.  A coefficient all rows share stays a plain number; one that
+differs is an array at the stack's width, which ``Runs`` sets to D, and the
+live rate of a stack is (R, D), so no step broadcasts an (R, 1) column (numpy
+runs such an op as R short loops).  Each rule family's rows are a selector
+(None, every row, a slice of adjacent rows as in the protocols'
+optimizer-major stacks, or an index array), and its terms run on those rows
+only, each element meeting the same ufuncs in the same order, so a row gets,
+bit for bit, what its run gets alone.  Bias corrections and RAdam's r_t stay
+Python floats per row: numpy's power differs from Python's in the last ulp.
+``Runs`` holds the live rows of a stack for both training loops: a run that
+fails before or in its step drops out through it, keeping its final params
+and its reason, and the other rows go on.
 
 State vectors start at zero, so the gradient "before the first step" is 0 and
 the first angle compares against a zero previous angle.  The counter ``t``
@@ -153,16 +152,24 @@ class OptimizerConfig:
 
 def _column(values, width: int):
     """One value per row: the plain value if every row agrees, else an
-    (R, width) array whose row r holds values[r] throughout.  A row flag is
-    thus False, True or a bool array: a row mask."""
+    (R, width) array whose row r holds values[r] throughout."""
     if all(v == values[0] for v in values):
         return values[0]
     return np.repeat(np.array(values).reshape(-1, 1), width, axis=1)
 
 
-def _pick(mask, a, b):
-    """``a`` on the rows a mask selects, ``b`` on the others."""
-    return a if mask is True else b if mask is False else np.where(mask, a, b)
+def _rows(flags):
+    """The flagged rows' selector: None, ``slice(None)`` for all, a slice of
+    adjacent rows (a contiguous view of a stack) or else an index array."""
+    rows = [r for r, f in enumerate(flags) if f]
+    if len(rows) in (0, len(flags)):
+        return slice(None) if rows else None
+    return slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] == len(rows) - 1 else np.array(rows)
+
+
+def _at(value, rows):
+    """A column's, or a lone run's plain number's, value on selected rows."""
+    return value[rows] if isinstance(value, np.ndarray) else value
 
 
 def _moment_coefficients(c: OptimizerConfig) -> tuple:
@@ -175,9 +182,9 @@ def _moment_coefficients(c: OptimizerConfig) -> tuple:
 
 
 class ConfigStack:
-    """R OptimizerConfigs, one per row of a stack of runs: hyperparameters
-    and rule-family masks as ``_column``s of the stack's ``width`` (see the
-    module docstring)."""
+    """R OptimizerConfigs, one per row of a stack of runs: hyperparameters as
+    ``_column``s of the stack's ``width``, rule families as ``_rows`` selectors
+    (RAdam's per beta2) and the angular rows' ``variant`` (angular_coefficient)."""
 
     def __init__(self, configs, width: int = 1):
         self.configs = cs = tuple(configs)
@@ -195,20 +202,19 @@ class ConfigStack:
         self.omega = column([c.hypergrad_omega for c in cs])
         self.decay_lambda = column([c.weight_decay_lambda for c in cs])
         rules = [c.rule for c in cs]
-        self.momentum = column([r in ("sgd", "sgdm") for r in rules])
-        self.rmsprop = column([r == "rmsprop" for r in rules])
-        self.moment = column([r in MOMENT_RULES for r in rules])
-        for rule in ("radam", "diffgrad", "adabelief"):
-            setattr(self, rule, column([r == rule for r in rules]))
-        self.angular = column([r == "angulargrad" for r in rules])
-        cos, tan = (column([c.rule == "angulargrad" and c.angle_variant == v for c in cs])
-                    for v in ANGLE_VARIANTS)
-        # a stack that mixes variants or rules takes each trig on its own rows
-        mixed = isinstance(self.angular, np.ndarray) or isinstance(tan, np.ndarray)
-        self.variant = (cos, tan) if mixed else ("tan" if tan else "cos")
-        self.gc = column([bool(c.gc_enabled) for c in cs])
-        self.hgd = column([c.hypergrad_omega > 0.0 for c in cs])
-        self.decay = column([c.weight_decay_lambda > 0.0 for c in cs])
+        self.momentum = _rows([r in ("sgd", "sgdm") for r in rules])
+        self.rmsprop = _rows([r == "rmsprop" for r in rules])
+        for rule in ("diffgrad", "adabelief"):
+            setattr(self, rule, _rows([r == rule for r in rules]))
+        self.radam = tuple((b, _rows([c.rule == "radam" and c.beta2 == b for c in cs]))
+                           for b in dict.fromkeys(c.beta2 for c in cs if c.rule == "radam"))
+        self.angular = _rows([r == "angulargrad" for r in rules])
+        variants = [c.angle_variant for c in cs if c.rule == "angulargrad"]
+        self.variant = (tuple(_rows([v == w for v in variants]) for w in ANGLE_VARIANTS)
+                        if len(set(variants)) > 1 else next(iter(variants), "cos"))
+        self.gc = _rows([c.gc_enabled for c in cs])
+        self.hgd = _rows([c.hypergrad_omega > 0.0 for c in cs])
+        self.decay = _rows([c.weight_decay_lambda > 0.0 for c in cs])
 
     def rows(self, keep: np.ndarray) -> ConfigStack:
         """The configs of the rows a bool mask keeps."""
@@ -224,12 +230,12 @@ class OptimizerState:
       rmsprop rows.
     * ``v``: second moment (AdaBelief: of g - m); unused on sgd and sgdm rows.
     * ``prev_grad``: the gradient of the previous step.
-    * ``prev_angle``: AngularGrad's previous raw angle A_{t-1}; written on
-      every row of a stack with angular rows, read on those rows only.
+    * ``prev_angle``: AngularGrad's previous raw angle A_{t-1}; meaningful
+      on angular rows only, the only rows a step writes or reads.
     * ``alpha_t``: the live learning rate.
     * ``last_phi``: a diagnostic slot holding the phi vector AngularGrad
-      applied, so the harness can record it and log its mean; written on
-      every row of a stack with angular rows, read on those rows only.
+      applied, so the harness can record it and log its mean; meaningful on
+      angular rows only (the other rows hold their own step scale).
 
     On a stack: (R, D) arrays, ``alpha_t`` included (each row's rate repeated
     across it).
@@ -292,19 +298,17 @@ def angular_coefficient(
 ) -> Vector:
     """phi[i] = tanh(|trig(a_min[i])|) * lambda1 + lambda2, trig = cos or tan.
 
-    On a stack ``variant`` may be the pair of row masks (cos rows, tan rows):
-    each trig is computed on its own rows only, and trig is 1.0 on the rows of
-    neither.  tan of the float closest to pi/2 is ~1.6e16, which tanh
-    saturates to exactly 1.0, so the perpendicular limit yields phi = lambda1 +
-    lambda2 without any special casing.  Each step after the trig runs in
-    place in one buffer, with the bits of the out-of-place expression.
+    On a stack ``variant`` may be (cos rows, tan rows), two row selectors
+    covering every row.  tan of the float closest to pi/2 is ~1.6e16, which
+    tanh saturates to exactly 1.0, so the perpendicular limit yields phi =
+    lambda1 + lambda2 without any special casing.  Each step after the trig
+    runs in place in one buffer, with the bits of the out-of-place expression.
     """
     a_min = np.asarray(a_min, dtype=np.float64)
     phi = np.empty(a_min.shape)
     if isinstance(variant, tuple):
-        phi.fill(1.0)
         for fn, rows in zip((np.cos, np.tan), variant):
-            fn(a_min, out=phi, where=rows)
+            phi[rows] = fn(a_min[rows])
     elif variant in ANGLE_VARIANTS:
         (np.cos if variant == "cos" else np.tan)(a_min, out=phi)
     else:
@@ -338,15 +342,12 @@ def radam_terms(t: int, beta2: float) -> tuple[float, float, float | None]:
 
 
 def _bias_correction(cfg: ConfigStack, beta, t: int):
-    """1 - beta**t on moment rows and exactly 1.0 on the others, in Python
-    floats per row: numpy's power differs from Python's in the last ulp."""
-    if cfg.moment is False:
-        return 1.0
+    """1 - beta**t, in Python floats per row: numpy's power differs from
+    Python's in the last ulp.  sgd, sgdm and rmsprop rows take none: the
+    kernel writes their mhat and denom over what it gives them."""
     if isinstance(beta, np.ndarray):
-        bc = _column([1.0 - b**t for b in beta[:, 0].tolist()], cfg.width)
-    else:
-        bc = 1.0 - beta**t
-    return _pick(cfg.moment, bc, 1.0)
+        return _column([1.0 - b**t for b in beta[:, 0].tolist()], cfg.width)
+    return 1.0 - beta**t
 
 
 def _rule_kernel(state, cfg, params, grad):
@@ -354,31 +355,36 @@ def _rule_kernel(state, cfg, params, grad):
     by the one formula of the module docstring with each row's coefficients."""
     t = state.t + 1
     m = cfg.m_decay * state.m + cfg.m_gain * grad
-    d = grad if cfg.adabelief is False else _pick(cfg.adabelief, grad - m, grad)
+    d = grad
+    if (rows := cfg.adabelief) is not None:
+        d = grad.copy()
+        d[rows] -= m[rows]
     v = cfg.v_decay * state.v + cfg.v_gain * d * d
-    bc1, bc2 = _bias_correction(cfg, cfg.beta1, t), _bias_correction(cfg, cfg.beta2, t)
-    # rmsprop's numerator is the raw gradient: 0 * m + g would turn -0.0 into 0.0
-    mhat = _pick(cfg.rmsprop, grad, m / bc1)
-    denom = _pick(cfg.momentum, 1.0, np.sqrt(v / bc2) + cfg.epsilon)
+    mhat = m / _bias_correction(cfg, cfg.beta1, t)
+    denom = np.sqrt(v / _bias_correction(cfg, cfg.beta2, t))
+    denom += cfg.epsilon
+    if (rows := cfg.momentum) is not None:
+        mhat[rows], denom[rows] = m[rows], 1.0
+    if (rows := cfg.rmsprop) is not None:
+        # rmsprop's numerator is the raw gradient: 0 * m + g would turn -0.0 into 0.0
+        mhat[rows], denom[rows] = grad[rows], np.sqrt(v[rows]) + _at(cfg.epsilon, rows)
     scale = 1.0
-    if cfg.diffgrad is not False or cfg.angular is not False:
-        gap = np.abs(grad - state.prev_grad)  # diffGrad's and the angle's |g_t - g_{t-1}|
-    if cfg.diffgrad is not False:
-        xi = 1.0 / (1.0 + np.exp(-gap))
-        scale = _pick(cfg.diffgrad, xi, scale)
-    if cfg.radam is not False:  # rows not yet rectifiable step with scale = denom = 1
-        r_ts = [radam_terms(t, c.beta2)[2] if c.rule == "radam" else 1.0 for c in cfg.configs]
-        r_t = _column([1.0 if r is None else r for r in r_ts], cfg.width)
-        scale = _pick(cfg.radam, r_t, scale)
-        if (unrectified := _column([r is None for r in r_ts], cfg.width)) is not False:
-            denom = _pick(unrectified, 1.0, denom)
-    if cfg.angular is not False:
-        a_t = _angle(gap, grad, state.prev_grad)
-        a_min = np.minimum(state.prev_angle, a_t)
-        phi = angular_coefficient(a_min, cfg.variant, cfg.lambda1, cfg.lambda2)
-        scale = _pick(cfg.angular, phi, scale)
-        state.prev_angle = a_t  # read on angular rows only
-        state.last_phi = phi  # read on angular rows only
+    if cfg.diffgrad is not None or cfg.radam or cfg.angular is not None:
+        scale = np.ones(grad.shape)
+    if (rows := cfg.diffgrad) is not None:  # xi = sigmoid(|g_t - g_{t-1}|)
+        scale[rows] = 1.0 / (1.0 + np.exp(-np.abs(grad[rows] - state.prev_grad[rows])))
+    for beta2, rows in cfg.radam:  # rows not yet rectifiable step with scale = denom = 1
+        if (r_t := radam_terms(t, beta2)[2]) is None:
+            denom[rows] = 1.0
+        else:
+            scale[rows] = r_t
+    if (rows := cfg.angular) is not None:
+        g, g_prev = grad[rows], state.prev_grad[rows]
+        a_t = _angle(np.abs(g - g_prev), g, g_prev)
+        scale[rows] = angular_coefficient(np.minimum(state.prev_angle[rows], a_t), cfg.variant,
+                                          _at(cfg.lambda1, rows), _at(cfg.lambda2, rows))
+        state.prev_angle[rows] = a_t
+        state.last_phi = scale  # phi on the angular rows
     state.t, state.m, state.v = t, m, v
     state.prev_grad = grad.copy()
     return params - state.alpha_t * scale * mhat / denom
@@ -434,15 +440,19 @@ def step(state: OptimizerState, config, params: Vector, grad: Vector) -> Vector:
     # any non-finite result into NonFiniteStepError instead of a warning (a
     # perpendicular angle divides by zero on purpose)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if cfg.gc is not False:
-            grad = _pick(cfg.gc, gc_transform(grad), grad)
-        if cfg.hgd is not False:
-            adapted = hgd_adapt(state.alpha_t, grad, state.prev_grad, cfg.omega)
-            state.alpha_t = _pick(cfg.hgd, adapted, state.alpha_t)
+        if (rows := cfg.gc) is not None:
+            grad = grad.copy()
+            grad[rows] = gc_transform(grad[rows])
+        if (rows := cfg.hgd) is not None:
+            adapted = hgd_adapt(_at(state.alpha_t, rows), grad[rows], state.prev_grad[rows],
+                                _at(cfg.omega, rows))
+            if isinstance(state.alpha_t, np.ndarray):
+                state.alpha_t[rows] = adapted
+            else:  # a lone run's rate is a number
+                state.alpha_t = adapted
         new = _rule_kernel(state, cfg, params, grad)
-        if cfg.decay is not False:
-            decayed = new - state.alpha_t * cfg.decay_lambda * params
-            new = _pick(cfg.decay, decayed, new)
+        if (rows := cfg.decay) is not None:
+            new[rows] -= _at(state.alpha_t, rows) * _at(cfg.decay_lambda, rows) * params[rows]
         # a finite sum needs every entry finite; only a sum that overflows or
         # meets a NaN or Inf pays for the entrywise check
         finite = math.isfinite(np.add.reduce(new, axis=None)) or np.isfinite(new).all()
@@ -505,9 +515,9 @@ class Runs:
             new = step(self.state, self.configs, self.params, grad)
         except NonFiniteStepError as err:
             new, failed = err.params, {**err.rows, **failed}
-        if self.configs.hgd is not False:
+        if (hgd := self.configs.hgd) is not None:
             # alpha_t holds one rate per row, repeated across it
-            ascent = np.flatnonzero(((self.state.alpha_t <= 0.0) & self.configs.hgd)[:, 0]).tolist()
+            ascent = np.arange(len(self.live))[hgd][self.state.alpha_t[hgd, 0] <= 0.0].tolist()
             reason = f"non-positive learning rate at iteration {self.state.t}"
             failed = {**dict.fromkeys(ascent, reason), **failed}
         if failed:  # the step just taken does not count for them

@@ -656,16 +656,51 @@ class TestStackWidth:
         columns = [v for v in vars(runs.configs).values() if isinstance(v, np.ndarray)]
         return [*columns, runs.state.alpha_t]
 
-    @pytest.mark.parametrize("protocol, seeds, dim", [("rosenbrock", 1, 2), ("mlp", 5, 99)])
-    def test_default_sets_step_at_full_width(self, protocol, seeds, dim):
+    # the rate, and on rosenbrock the four moment coefficients its plain rules
+    # set apart; the mlp rows share every coefficient
+    @pytest.mark.parametrize("protocol, seeds, dim, n_arrays", [
+        ("rosenbrock", 1, 2, 5), ("mlp", 5, 99, 1)])
+    def test_default_sets_step_at_full_width(self, protocol, seeds, dim, n_arrays):
         configs = default_config(protocol)["optimizers"].values()
         stack = ConfigStack(OptimizerConfig(**c) for c in configs for _ in range(seeds))
         runs = Runs(stack, np.zeros((len(stack.configs), dim)))
         for rows in (len(stack.configs), len(stack.configs) - 1):
             arrays = self.wide_arrays(runs)
-            assert len(arrays) > 1
+            assert len(arrays) == n_arrays
             assert all(a.shape == (rows, dim) for a in arrays)
             runs.drop({0: "dropped"}, 0)
+
+    @staticmethod
+    def selectors(stack):
+        names = ("momentum", "rmsprop", "diffgrad", "adabelief", "angular", "gc", "hgd", "decay")
+        yield from (getattr(stack, name) for name in names)
+        yield from (rows for _, rows in stack.radam)
+        yield from stack.variant if isinstance(stack.variant, tuple) else ()
+
+    @pytest.mark.parametrize("protocol, seeds, dim", [
+        ("toy", 1, 1), ("rosenbrock", 1, 2), ("mlp", 5, 99), ("regret", 1, 10)])
+    @pytest.mark.parametrize("dropped", ["none", "first", "middle", "last"])
+    def test_default_selects_families_by_slices(self, protocol, seeds, dim, dropped):
+        # optimizer-major stacks hold each family in adjacent rows, so every
+        # family's terms run on a contiguous view, before and after a drop
+        configs = default_config(protocol)["optimizers"].values()
+        stack = ConfigStack(OptimizerConfig(**c) for c in configs for _ in range(seeds))
+        runs = Runs(stack, np.zeros((len(stack.configs), dim)))
+        n = len(stack.configs)
+        if dropped != "none":
+            runs.drop({{"first": 0, "middle": n // 2, "last": n - 1}[dropped]: "dropped"}, 0)
+        selectors = list(self.selectors(runs.configs))
+        assert any(isinstance(rows, slice) for rows in selectors)
+        for rows in selectors:
+            assert rows is None or isinstance(rows, slice) and rows.step is None
+
+    def test_scattered_family_takes_an_index_array(self):
+        adam, cos = OptimizerConfig(rule="adam"), OptimizerConfig(rule="angulargrad")
+        stack = ConfigStack([cos, adam, cos, adam])
+        assert stack.angular.tolist() == [0, 2]
+        assert stack.momentum is None and stack.radam == ()
+        assert ConfigStack([cos]).angular == slice(None)
+        assert ConfigStack([adam, cos, cos]).angular == slice(1, 3)
 
     def test_lone_stack_holds_no_arrays(self):
         for rule in RULES:
