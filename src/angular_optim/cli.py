@@ -38,7 +38,7 @@ from angular_optim.harness import (
 from angular_optim.models import (
     MlpParams, MlpRun, MlpSpec, init_params, loss_and_grad, make_blobs, train_mlp,
 )
-from angular_optim.numerics import finite_diff_grad, make_rng, relative_error
+from angular_optim.numerics import finite_diff_grad, make_rng, mean_std, relative_error
 from angular_optim.objectives import get_objective
 from angular_optim.optimizers import ConfigStack, OptimizerConfig
 from angular_optim.svgplot import Series, render_line_chart, render_overlay
@@ -280,12 +280,11 @@ def _mlp(config: dict, out: Path) -> list[str]:
     for name, results in runs.items():
         entry = summary[name] = {"status": [r.status for r in results]}
         for metric in ("loss", "accuracy"):
-            finals = [getattr(r.records[-1], f"train_{metric}") for r in results if r.records]
+            # one entry per seed, NaN (null in the JSON) where the run aborted
+            finals = [getattr(r.records[-1], f"train_{metric}") if r.status == "ok" else math.nan
+                      for r in results]
             entry[f"final_train_{metric}"] = finals
-            entry[f"mean_final_{metric}"] = float(np.mean(finals)) if finals else None
-            entry[f"std_final_{metric}"] = (
-                float(np.std(finals, ddof=1)) if len(finals) > 1 else 0.0
-            )
+            entry[f"mean_final_{metric}"], entry[f"std_final_{metric}"] = mean_std(finals)
     write_text_atomic(out / "mlp_summary.json", summary_to_json(summary))
     return statuses
 

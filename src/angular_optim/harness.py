@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from angular_optim.numerics import Vector, make_rng
+from angular_optim.numerics import Vector, make_rng, mean_std
 from angular_optim.objectives import Objective, get_objective
 from angular_optim.optimizers import ConfigStack, OptimizerConfig, Runs, nonfinite_rows
 
@@ -112,27 +112,22 @@ def resolve_theta0(theta0, dim: int, rng: np.random.Generator) -> Vector:
 
 def single_run(
     objective: Objective,
-    config: OptimizerConfig | ConfigStack,
+    stack: ConfigStack,
     theta0: Vector,
     iterations: int,
     lr_milestones: tuple[tuple[int, float], ...] = (),
     record_params: bool = False,
-) -> Trajectory | list[Trajectory]:
-    """Run one optimizer from one start, or a stack of runs at once.
-
-    An OptimizerConfig and a start vector give one Trajectory; a ConfigStack
-    of R configs and an (R, D) array of starts give R of them, one per row (a
-    lone run is the stack of one).  Never raises on divergence: a run whose
-    gradient, parameters or loss turn non-finite stops, its status says why,
-    and the other rows go on.
+) -> list[Trajectory]:
+    """Run a stack of runs at once: a ConfigStack of R configs and an (R, D)
+    array of starts give R Trajectories, one per row (a lone run is the stack
+    of one).  Never raises on divergence: a run whose gradient, parameters or
+    loss turn non-finite stops, its status says why, and the other rows go on.
 
     The loop records only the loss, the rate, the stepped params and (with
     angular rows) the phi vectors; each run's step norms and phi means are
     taken from them after the loop.  The params are always kept for that, and
     ``record_params`` only decides whether the trajectories carry them.
     """
-    lone = not isinstance(config, ConfigStack)
-    stack = config.stack if lone else config
     runs = Runs(stack, np.array(theta0, dtype=np.float64).reshape(len(stack.configs), -1))
     n_runs, dim = runs.params.shape
     milestones = dict(lr_milestones)
@@ -177,7 +172,7 @@ def single_run(
                 thetas=path[1:].copy() if record_params else None,
                 final_params=runs.final[run], status=status,
             ))
-    return trajectories[0] if lone else trajectories
+    return trajectories
 
 
 def run_experiment(spec: ExperimentSpec) -> dict[str, list[Trajectory]]:
@@ -260,10 +255,7 @@ def aggregate(
         for traj in trajs:
             series, threshold = threshold_fn(traj)
             iters.append(iterations_to_threshold(series, threshold, iterations))
-        # diverged runs' inf or huge final losses give inf or nan, not warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean = float(np.mean(finals))
-            std = 0.0 if len(finals) < 2 else float(np.std(finals, ddof=1))
+        mean, std = mean_std(finals)
         summary[name] = {
             "final_loss": finals,
             "best_loss": bests,

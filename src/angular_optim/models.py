@@ -9,8 +9,9 @@ exercise them fully.
 The run axis: R runs train as one stack, an (R, P) array whose weights are
 (R, fan_out, fan_in) views, through stacked matmuls and per-row reductions
 over the last axes.  A run whose loss or step turns non-finite drops out of
-the stack through ``optimizers.Runs``.  Training takes only stacks (a lone
-run is a one-row stack), and each row is bit for bit its run trained alone.
+the stack through ``optimizers.Runs``.  Training and ``evaluate`` take only
+stacks (a lone run is a one-row stack), and each row is bit for bit its run
+trained alone.
 Each minibatch gathers every row's samples from one (S * n, F) table of all
 seeds' data, and each epoch ends with one evaluation per seed of that seed's
 live rows, a (k, P) stack on its (n, F) data.  The forward and backward
@@ -276,8 +277,8 @@ def loss_and_grad(
 
 
 def evaluate(params: MlpParams, spec: MlpSpec, X: np.ndarray, y: np.ndarray):
-    """Loss and argmax accuracy on all of (X, y), with no gradient: of one run,
-    or as arrays of k, of each row of (k, P) params on the same data."""
+    """Loss and argmax accuracy on all of (X, y), with no gradient, of each row
+    of (k, P) params on the same data, as arrays of k."""
     n = X.shape[0]
     if n == 0:
         raise ValueError("empty dataset")
@@ -285,8 +286,7 @@ def evaluate(params: MlpParams, spec: MlpSpec, X: np.ndarray, y: np.ndarray):
     _check_labels(y, spec.layer_sizes[-1])
     out = _forward(params, spec, X)[-1]
     accuracy = np.count_nonzero(np.argmax(out, axis=-1) == y, axis=-1) / n
-    loss = _loss(spec, out, np.broadcast_to(y, out.shape[:-1]), grad=False)[0]
-    return (float(loss), accuracy) if params.flat.ndim == 1 else (loss, accuracy)
+    return _loss(spec, out, np.broadcast_to(y, out.shape[:-1]), grad=False)[0], accuracy
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +315,13 @@ def train_mlp(spec: MlpSpec, datasets, stack, epochs: int, batch_size: int, rngs
 
     Takes a Dataset and a Generator per seed and a ConfigStack of (optimizer,
     seed) rows, row r on seed r % S, and returns an MlpRun per row: one record
-    per epoch (mean minibatch loss, then full-train loss and accuracy at the
-    epoch's end) and status "ok", or no records and why the row aborted.
+    per epoch it reached the end of (mean minibatch loss, then full-train loss
+    and accuracy at the epoch's end) and status "ok", or why the row aborted.
     Each seed's generator draws the init, then a shuffle per epoch, for all
     its rows; each minibatch makes one loss_and_grad and one step call, and a
-    row whose loss or step turns non-finite drops out.
+    row whose loss or step turns non-finite drops out.  A loss status names
+    the epoch and the step: the step a minibatch's loss was for, or the last
+    step before the epoch's full-train loss.
     """
     from angular_optim.optimizers import Runs, nonfinite_rows
 
@@ -338,7 +340,7 @@ def train_mlp(spec: MlpSpec, datasets, stack, epochs: int, batch_size: int, rngs
     seed_of = np.arange(n_runs) % seeds
     runs = Runs(stack, np.array([init_params(spec, g).flat for g in rngs])[seed_of])
     records = [[] for _ in range(n_runs)]
-    diverged = "non-finite loss"
+    diverged = lambda epoch, step: f"non-finite loss at epoch {epoch}, step {step}"
 
     # divergence is handled (the row drops out), so overflow on an exploding
     # run must not warn
@@ -353,7 +355,8 @@ def train_mlp(spec: MlpSpec, datasets, stack, epochs: int, batch_size: int, rngs
                                            np.take(flat_labels, at))
                 batch_losses[runs.live, j] = loss
                 # a row's non-finite loss stops it before its step
-                runs.params = runs.step(grad, nonfinite_rows(loss, diverged))
+                failed = nonfinite_rows(loss, diverged(epoch, runs.state.t + 1))
+                runs.params = runs.step(grad, failed)
                 if not runs.live.size:
                     break
             # one evaluate per seed on its k live rows: each temporary holds k x n
@@ -370,13 +373,10 @@ def train_mlp(spec: MlpSpec, datasets, stack, epochs: int, batch_size: int, rngs
                                                   acc.tolist()):
                     mean = float(np.add.reduce(batch_losses[run]) / batch_losses.shape[1])
                     records[run].append(EpochRecord(epoch, mean, row_loss, row_acc))
-            if failed := nonfinite_rows(losses, diverged):
+            if failed := nonfinite_rows(losses, diverged(epoch, runs.state.t)):
                 runs.drop(failed, runs.state.t)
             if not runs.live.size:
                 break
     runs.finish()
-    # an aborted run keeps no records
-    return [
-        MlpRun(MlpParams(final, layout), records[run] if reason is None else [], status)
-        for run, (final, reason, status) in enumerate(zip(runs.final, runs.reasons, runs.status))
-    ]
+    return [MlpRun(MlpParams(final, layout), records[run], status)
+            for run, (final, status) in enumerate(zip(runs.final, runs.status))]

@@ -1,8 +1,9 @@
-"""Flat float64 vector utilities, seeded randomness, and a gradient oracle.
+"""Float64 vector utilities, seeded randomness, and a gradient oracle.
 
-Everything in this package works on flat 1-D float64 arrays ("parameter
-vectors").  32-bit floats are deliberately unsupported: the toy protocols
-measure behavior close to minima where float32 rounding would dominate.
+A run's parameters are a flat float64 vector (a "parameter vector"), and R
+runs stepped together are an (R, D) stack of them.  32-bit floats are
+deliberately unsupported: the toy protocols measure behavior close to minima
+where float32 rounding would dominate.
 
 The random generator is PCG64 (numpy's default bit generator), wrapped by
 ``make_rng`` so every call site names its seed explicitly.  The algorithm
@@ -31,13 +32,11 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def mean(a: Vector) -> float | np.ndarray:
-    """Arithmetic mean of a non-empty vector, or per row of a stack as an
-    (R, 1) column (bitwise the mean of each row alone)."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.size == 0:
-        raise ValueError("mean of empty vector")
-    return float(np.mean(a)) if a.ndim == 1 else np.mean(a, axis=-1, keepdims=True)
+def mean_std(values) -> tuple[float, float]:
+    """Mean and sample (n-1) std of per-seed values, std 0.0 for one seed; a
+    diverged run's inf, huge or NaN value gives inf or NaN, not a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.mean(values)), 0.0 if len(values) < 2 else float(np.std(values, ddof=1))
 
 
 def finite_diff_grad(

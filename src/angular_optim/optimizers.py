@@ -29,13 +29,13 @@ Bi = 1 - bi^t; S = sqrt(v / bc2) + eps.
 * adamw is adam: the dispatcher's decoupled decay supplies its
   -alpha * lambda * theta term, with the shrinking sign.
 
-The run axis: ``step`` advances one run (a vector and an OptimizerConfig) or
-R runs at once (an (R, D) stack and a ConfigStack), a lone run being the
-one-row case.  A coefficient all rows share stays a plain number; one that
-differs is an array at the stack's width, which ``Runs`` sets to D, and the
-live rate of a stack is (R, D), so no step broadcasts an (R, 1) column (numpy
-runs such an op as R short loops).  Each rule family's rows are a selector
-(None, every row, a slice of adjacent rows as in the protocols'
+The run axis: ``step`` advances R runs at once (an (R, D) stack and a
+ConfigStack); a lone run (a vector and an OptimizerConfig) is the one-row
+stack, whose state is (1, D).  A coefficient all rows share stays a plain
+number; one that differs is an array at the stack's width, which ``Runs`` sets
+to D, and the live rate of a stack is (R, D), so no step broadcasts an (R, 1)
+column (numpy runs such an op as R short loops).  Each rule family's rows are
+a selector (None, every row, a slice of adjacent rows as in the protocols'
 optimizer-major stacks, or an index array), and its terms run on those rows
 only, each element meeting the same ufuncs in the same order, so a row gets,
 bit for bit, what its run gets alone.  Bias corrections and RAdam's r_t stay
@@ -61,7 +61,7 @@ from functools import cached_property
 
 import numpy as np
 
-from angular_optim.numerics import Vector, first_nonfinite, mean
+from angular_optim.numerics import Vector, first_nonfinite
 
 RULES = (
     "sgd",
@@ -159,8 +159,9 @@ def _column(values, width: int):
 
 
 def _rows(flags):
-    """The flagged rows' selector: None, ``slice(None)`` for all, a slice of
-    adjacent rows (a contiguous view of a stack) or else an index array."""
+    """The flagged rows' selector into a stack's (R, D) arrays: None,
+    ``slice(None)`` for all (a lone run's one row too), a slice of adjacent
+    rows (a contiguous view of a stack) or else an index array."""
     rows = [r for r, f in enumerate(flags) if f]
     if len(rows) in (0, len(flags)):
         return slice(None) if rows else None
@@ -168,7 +169,7 @@ def _rows(flags):
 
 
 def _at(value, rows):
-    """A column's, or a lone run's plain number's, value on selected rows."""
+    """A column's value on selected rows, or the plain number every row shares."""
     return value[rows] if isinstance(value, np.ndarray) else value
 
 
@@ -237,8 +238,8 @@ class OptimizerState:
       applied, so the harness can record it and log its mean; meaningful on
       angular rows only (the other rows hold their own step scale).
 
-    On a stack: (R, D) arrays, ``alpha_t`` included (each row's rate repeated
-    across it).
+    Every slot but ``t`` is an (R, D) array, (1, D) for a lone run, and
+    ``alpha_t`` repeats each row's rate across it.
     """
 
     t: int
@@ -246,7 +247,7 @@ class OptimizerState:
     v: Vector
     prev_grad: Vector
     prev_angle: Vector
-    alpha_t: float | np.ndarray
+    alpha_t: np.ndarray
     last_phi: Vector | None = field(default=None)
 
     def rows(self, keep: np.ndarray) -> OptimizerState:
@@ -256,13 +257,12 @@ class OptimizerState:
 
 
 def init_state(config: OptimizerConfig | ConfigStack, dim: int) -> OptimizerState:
-    """Zeroed state for one run, or (R, dim) state for a ConfigStack of R."""
+    """Zeroed (R, dim) state for a ConfigStack of R, (1, dim) for one run."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    stacked = isinstance(config, ConfigStack)
-    shape = (len(config.configs), dim) if stacked else (dim,)
-    alpha_t = np.array([[c.alpha] * dim for c in config.configs], float) if stacked else config.alpha
-    z = lambda: np.zeros(shape, dtype=np.float64)
+    configs = (config,) if isinstance(config, OptimizerConfig) else config.configs
+    alpha_t = np.array([[c.alpha] * dim for c in configs], float)
+    z = lambda: np.zeros(alpha_t.shape, dtype=np.float64)
     return OptimizerState(t=0, m=z(), v=z(), prev_grad=z(), prev_angle=z(), alpha_t=alpha_t)
 
 
@@ -270,26 +270,13 @@ def init_state(config: OptimizerConfig | ConfigStack, dim: int) -> OptimizerStat
 # Angular machinery
 
 
-def angle_between(g_t: Vector, g_prev: Vector) -> Vector:
-    """Elementwise angle between consecutive gradient slopes, in [0, pi/2].
-
-    A[i] = arctan(|g_t[i] - g_prev[i]| / |1 + g_t[i] * g_prev[i]|), the
-    slope-difference identity applied per coordinate.  A zero denominator is
-    the perpendicular-slope limit and maps to pi/2.
-    """
-    g_t = np.asarray(g_t, dtype=np.float64)
-    g_prev = np.asarray(g_prev, dtype=np.float64)
-    if g_t.shape != g_prev.shape:
-        raise ValueError("dim mismatch")
-    with np.errstate(divide="ignore"):
-        return _angle(np.abs(g_t - g_prev), g_t, g_prev)
-
-
 def _angle(gap: np.ndarray, g_t: np.ndarray, g_prev: np.ndarray) -> np.ndarray:
-    """``angle_between`` from ``gap`` = |g_t - g_prev|, unchecked, for a caller
-    that ignores divide errors: a zero denominator with finite slopes has a
-    non-zero gap (g_t = g_prev would need g_t^2 = -1), and arctan(inf) is
-    exactly pi/2."""
+    """Elementwise angle between consecutive gradient slopes, in [0, pi/2]:
+    A = arctan(|g_t - g_prev| / |1 + g_t * g_prev|) from ``gap`` = |g_t - g_prev|,
+    the slope-difference identity per coordinate, for a caller that ignores
+    divide errors.  A zero denominator is the perpendicular-slope limit: with
+    finite slopes its gap is non-zero (g_t = g_prev would need g_t^2 = -1),
+    and arctan(inf) is exactly pi/2."""
     return np.arctan(gap / np.abs(1.0 + g_t * g_prev))
 
 
@@ -391,45 +378,24 @@ def _rule_kernel(state, cfg, params, grad):
 
 
 # ---------------------------------------------------------------------------
-# Wrappers and dispatcher
-
-
-def gc_transform(grad: Vector) -> Vector:
-    """Centralize: subtract the gradient's mean (per row of a stack) so the
-    output sums to zero."""
-    grad = np.asarray(grad, dtype=np.float64)
-    if grad.size == 0:
-        raise ValueError("empty gradient")
-    return grad - mean(grad)
-
-
-def hgd_adapt(alpha_prev, grad_t: Vector, grad_tm1: Vector, omega):
-    """Hypergradient rate update: alpha_t = alpha_{t-1} + omega * (g_t . g_{t-1}).
-
-    On a stack, per row with (R, D) rates (vecdot matches a lone np.dot).
-    """
-    grad_t = np.asarray(grad_t, dtype=np.float64)
-    grad_tm1 = np.asarray(grad_tm1, dtype=np.float64)
-    if grad_t.shape != grad_tm1.shape:
-        raise ValueError("dim mismatch")
-    dot = np.vecdot(grad_t, grad_tm1)
-    if grad_t.ndim == 1:
-        return float(alpha_prev + omega * dot)
-    return alpha_prev + omega * dot[:, None]
+# The dispatcher
 
 
 def step(state: OptimizerState, config, params: Vector, grad: Vector) -> Vector:
     """One optimization step: GC, hypergradient adaptation, the kernel, guard.
 
-    ``config`` is an OptimizerConfig for a parameter vector, or a ConfigStack
-    for an (R, D) stack whose every row steps with its own config and state.
-    The hypergradient update adjusts state.alpha_t before the rule runs, so
-    the adapted rate applies to the current step (the first step sees no
-    change because the stored previous gradient is zero).  Decoupled weight
+    ``config`` is a ConfigStack for an (R, D) stack whose every row steps
+    with its own config and state, or an OptimizerConfig for a parameter
+    vector, which steps as the one-row stack.  GC subtracts each row's mean
+    gradient, so the row sums to zero.  The hypergradient update alpha_t =
+    alpha_{t-1} + omega * (g_t . g_{t-1}) adjusts state.alpha_t before the rule
+    runs, so the adapted rate applies to the current step (the first step sees
+    no change because the stored previous gradient is zero).  Decoupled weight
     decay composes with any rule: when weight_decay_lambda > 0 the step also
     shrinks theta by alpha_t * lambda * theta, which is all adamw adds to adam.
     """
-    cfg = config if isinstance(config, ConfigStack) else config.stack
+    if isinstance(config, OptimizerConfig):
+        return step(state, config.stack, np.asarray(params)[None], np.asarray(grad)[None])[0]
     params = np.asarray(params, dtype=np.float64)
     grad = np.asarray(grad, dtype=np.float64)
     if params.shape != grad.shape:
@@ -440,25 +406,21 @@ def step(state: OptimizerState, config, params: Vector, grad: Vector) -> Vector:
     # any non-finite result into NonFiniteStepError instead of a warning (a
     # perpendicular angle divides by zero on purpose)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if (rows := cfg.gc) is not None:
+        if (rows := config.gc) is not None:
             grad = grad.copy()
-            grad[rows] = gc_transform(grad[rows])
-        if (rows := cfg.hgd) is not None:
-            adapted = hgd_adapt(_at(state.alpha_t, rows), grad[rows], state.prev_grad[rows],
-                                _at(cfg.omega, rows))
-            if isinstance(state.alpha_t, np.ndarray):
-                state.alpha_t[rows] = adapted
-            else:  # a lone run's rate is a number
-                state.alpha_t = adapted
-        new = _rule_kernel(state, cfg, params, grad)
-        if (rows := cfg.decay) is not None:
-            new[rows] -= _at(state.alpha_t, rows) * _at(cfg.decay_lambda, rows) * params[rows]
+            grad[rows] -= np.mean(grad[rows], axis=-1, keepdims=True)
+        if (rows := config.hgd) is not None:
+            dot = np.vecdot(grad[rows], state.prev_grad[rows])
+            state.alpha_t[rows] = state.alpha_t[rows] + _at(config.omega, rows) * dot[:, None]
+        new = _rule_kernel(state, config, params, grad)
+        if (rows := config.decay) is not None:
+            new[rows] -= state.alpha_t[rows] * _at(config.decay_lambda, rows) * params[rows]
         # a finite sum needs every entry finite; only a sum that overflows or
         # meets a NaN or Inf pays for the entrywise check
         finite = math.isfinite(np.add.reduce(new, axis=None)) or np.isfinite(new).all()
     if not finite:
         bad = enumerate(map(first_nonfinite, new.reshape(-1, new.shape[-1])))
-        rules = [c.rule for c in cfg.configs]
+        rules = [c.rule for c in config.configs]
         errors = {r: NonFiniteStepError(state.t, i, rules[r]) for r, i in bad if i is not None}
         err = next(iter(errors.values()))
         err.rows, err.params = errors, new

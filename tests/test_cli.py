@@ -313,6 +313,21 @@ class TestMlp:
         cfg.write_text(json.dumps({"seeds": [0], "batch_size": 0}))
         assert run("mlp", "--config", str(cfg), "--out", str(tmp_path / "c")) == 2
 
+    def test_aborted_seed_keeps_its_epochs_and_its_summary_slot(self, tmp_path):
+        # HGD drives seed 1's rate up until a minibatch loss overflows in epoch 45
+        cfg = tmp_path / "hgd.json"
+        cfg.write_text(json.dumps({"seeds": [0, 1], "epochs": 50, "optimizers": {
+            "hgd": {"rule": "adam", "alpha": 0.01, "hypergrad_omega": 0.5}}}))
+        out = tmp_path / "a"
+        assert run("mlp", "--config", str(cfg), "--out", str(out)) == 1
+        entry = json.loads((out / "mlp_summary.json").read_text())["hgd"]
+        assert entry["status"] == ["ok", "aborted: non-finite loss at epoch 45, step 1283"]
+        for metric in ("loss", "accuracy"):
+            finals = entry[f"final_train_{metric}"]
+            assert len(finals) == 2 and finals[0] is not None and finals[1] is None
+            assert entry[f"mean_final_{metric}"] is None
+        assert len((out / "mlp_hgd_s1.csv").read_text().splitlines()) == 1 + 44
+
     @pytest.mark.parametrize("empty", [{"optimizers": {}}, {"seeds": []}])
     def test_no_runs_exits_2(self, tmp_path, capsys, empty):
         cfg = tmp_path / "empty.json"
@@ -866,7 +881,7 @@ PINNED_DEFAULT_ARTIFACTS = {
         "mlp_sgdm_s1.csv":
             "f5d08c43ad1480add287760338a5165d4fcf38ad33218b351cd42451a7c5c794",
         "mlp_summary.json":
-            "77401c7f6bf1e9a2e22cab8963bf37eb3adde5a05b7d12d521cfa262f5e62131",
+            "c748b9c3c488b80c6e594b38c37c73e7763b132868632fdf87220b6efbc21fbe",
     },
     "regret": {
         "regret_adam_s0.csv":

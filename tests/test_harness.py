@@ -32,6 +32,12 @@ from angular_optim.objectives import get_objective
 from angular_optim.optimizers import ANGLE_VARIANTS, RULES, ConfigStack, OptimizerConfig
 
 
+def run_alone(objective, config, theta0, iterations, *args, **kwargs) -> Trajectory:
+    """single_run on the one-row stack of ``config``: its only trajectory."""
+    (trajectory,) = single_run(objective, config.stack, theta0, iterations, *args, **kwargs)
+    return trajectory
+
+
 def make_traj(losses, thetas=None, ts=None):
     losses = np.asarray(losses, dtype=np.float64)
     n = losses.size
@@ -95,7 +101,7 @@ class TestSingleRun:
         # alpha 0.25 on f(x) = x^2: theta <- theta - 0.25 * 2 theta = theta / 2,
         # exact in binary floating point
         obj = get_objective("quadratic", dim=1)
-        traj = single_run(obj, OptimizerConfig(rule="sgd", alpha=0.25), [1.0], 4)
+        traj = run_alone(obj, OptimizerConfig(rule="sgd", alpha=0.25), [1.0], 4)
         assert np.array_equal(traj.t, [1, 2, 3, 4])
         assert np.array_equal(traj.loss, [0.25, 0.0625, 0.015625, 0.00390625])
         assert np.array_equal(traj.alpha, np.full(4, 0.25))
@@ -106,13 +112,13 @@ class TestSingleRun:
 
     def test_phi_mean_recorded_for_angular(self):
         obj = get_objective("quadratic", dim=1)
-        traj = single_run(obj, OptimizerConfig(rule="angulargrad", alpha=0.1), [1.0], 3)
+        traj = run_alone(obj, OptimizerConfig(rule="angulargrad", alpha=0.1), [1.0], 3)
         assert np.all(traj.phi_mean >= 0.5)
         assert np.all(traj.phi_mean <= 1.0)
 
     def test_milestone_divides_before_step(self):
         obj = get_objective("quadratic", dim=1)
-        traj = single_run(
+        traj = run_alone(
             obj,
             OptimizerConfig(rule="sgd", alpha=0.25),
             [1.0],
@@ -125,7 +131,7 @@ class TestSingleRun:
 
     def test_record_params(self):
         obj = get_objective("quadratic", dim=1)
-        traj = single_run(
+        traj = run_alone(
             obj, OptimizerConfig(rule="sgd", alpha=0.25), [1.0], 3, record_params=True
         )
         assert traj.thetas is not None
@@ -135,13 +141,13 @@ class TestSingleRun:
 
     def test_abort_on_nonfinite_loss(self):
         obj = get_objective("quadratic", dim=1)
-        traj = single_run(obj, OptimizerConfig(rule="sgd", alpha=1e200), [1.0], 10)
+        traj = run_alone(obj, OptimizerConfig(rule="sgd", alpha=1e200), [1.0], 10)
         assert traj.status.startswith("aborted: non-finite loss")
         assert len(traj) == 1
 
     def test_abort_on_nonfinite_step(self):
         obj = get_objective("quadratic", dim=1)
-        traj = single_run(obj, OptimizerConfig(rule="sgd", alpha=1e200), [1e200], 10)
+        traj = run_alone(obj, OptimizerConfig(rule="sgd", alpha=1e200), [1e200], 10)
         assert traj.status.startswith("aborted: non-finite parameter")
         assert len(traj) == 0
 
@@ -172,7 +178,7 @@ class TestSingleRun:
 
     def test_aborted_run_keeps_theta_columns(self):
         obj = get_objective("quadratic", dim=1)
-        traj = single_run(
+        traj = run_alone(
             obj, OptimizerConfig(rule="sgd", alpha=1e200), [1e200], 10, record_params=True
         )
         assert traj.thetas is not None and traj.thetas.shape == (0, 1)
@@ -258,7 +264,7 @@ class TestStackedRuns:
 
         def alone(config, seed):
             theta0 = resolve_theta0(spec.theta0, objective.dim, make_rng(seed))
-            return single_run(
+            return run_alone(
                 objective, config, theta0, iterations, spec.lr_milestones, record_params
             )
 
@@ -287,7 +293,7 @@ class TestRegret:
     def test_average_regret_decays_on_quadratic(self):
         obj = get_objective("quadratic", dim=10)
         theta0 = make_rng(0).uniform(-1.0, 1.0, size=10)
-        traj = single_run(obj, OptimizerConfig(rule="adam", alpha=0.1), theta0, 1000)
+        traj = run_alone(obj, OptimizerConfig(rule="adam", alpha=0.1), theta0, 1000)
         rec = compute_regret(traj, obj)
         avg = {int(t): a for t, a in zip(rec.t, rec.average)}
         assert avg[500] < avg[250]
@@ -297,7 +303,7 @@ class TestRegret:
 class TestRosenbrockHelpers:
     def test_minimum_is_stationary(self):
         obj = get_objective("rosenbrock")
-        traj = single_run(obj, OptimizerConfig(rule="adam", alpha=1e-3), [1.0, 1.0], 20)
+        traj = run_alone(obj, OptimizerConfig(rule="adam", alpha=1e-3), [1.0, 1.0], 20)
         assert np.all(traj.loss == 0.0)
         assert np.array_equal(traj.final_params, [1.0, 1.0])
 
@@ -396,7 +402,7 @@ class TestThresholdAndAggregate:
 class TestSerialization:
     def test_trajectory_csv_shape(self):
         obj = get_objective("quadratic", dim=1)
-        traj = single_run(obj, OptimizerConfig(rule="sgd", alpha=0.25), [1.0], 4)
+        traj = run_alone(obj, OptimizerConfig(rule="sgd", alpha=0.25), [1.0], 4)
         text = trajectory_to_csv(traj)
         lines = text.splitlines()
         assert lines[0] == "t,loss,alpha,phi_mean,step_norm"
@@ -405,7 +411,7 @@ class TestSerialization:
 
     def test_trajectory_csv_with_params(self):
         obj = get_objective("quadratic", dim=1)
-        traj = single_run(
+        traj = run_alone(
             obj, OptimizerConfig(rule="sgd", alpha=0.25), [1.0], 2, record_params=True
         )
         lines = trajectory_to_csv(traj).splitlines()
@@ -414,7 +420,7 @@ class TestSerialization:
 
     def test_csv_floats_round_trip(self):
         obj = get_objective("f2")
-        traj = single_run(obj, OptimizerConfig(rule="adam", alpha=0.1), [-1.0], 50)
+        traj = run_alone(obj, OptimizerConfig(rule="adam", alpha=0.1), [-1.0], 50)
         lines = trajectory_to_csv(traj).splitlines()[1:]
         for i, line in enumerate(lines):
             cells = line.split(",")
@@ -482,7 +488,7 @@ class TestDocumentedGaps:
     )
     def test_angular_reaches_minimum_at_default_rate(self):
         obj = get_objective("rosenbrock")
-        traj = single_run(
+        traj = run_alone(
             obj,
             OptimizerConfig(rule="angulargrad", alpha=1e-3),
             [-2.0, 2.0],
@@ -496,7 +502,7 @@ class TestDocumentedGaps:
     )
     def test_sgd_stays_far_from_minimum(self):
         obj = get_objective("rosenbrock")
-        traj = single_run(
+        traj = run_alone(
             obj, OptimizerConfig(rule="sgd", alpha=1e-3), [-2.0, 2.0], 5000
         )
         assert np.linalg.norm(traj.final_params - 1.0) > 0.5

@@ -44,6 +44,12 @@ def zero_params(spec: MlpSpec) -> MlpParams:
     )
 
 
+def evaluate_alone(params, spec, X, y):
+    """evaluate on the one-row stack of ``params``: its loss and accuracy."""
+    losses, accuracies = evaluate(MlpParams(params.flat[None], params.layout), spec, X, y)
+    return float(losses[0]), accuracies[0]
+
+
 def train_alone(spec, data, config, epochs, batch_size, rng) -> MlpRun:
     """train_mlp on the one-row stack of ``config``: its only run."""
     return train_mlp(spec, [data], config.stack, epochs, batch_size, [rng])[0]
@@ -287,7 +293,7 @@ class TestFrozenForwardBackward:
     @pytest.mark.parametrize("loss", LOSSES)
     def test_lone_evaluate_matches_frozen(self, hidden, loss):
         spec, params, X, y = random_network((2, hidden, 3), "tanh", loss, None, 40)
-        got, want = evaluate(params, spec, X, y), frozen_evaluate(params, spec, X, y)
+        got, want = evaluate_alone(params, spec, X, y), frozen_evaluate(params, spec, X, y)
         assert [float.hex(v) for v in got] == [float.hex(v) for v in want]
         assert list(map(type, got)) == list(map(type, want))
 
@@ -392,14 +398,14 @@ class TestPredictAndAccuracy:
     def test_zero_network_predicts_class_zero(self):
         spec = MlpSpec(layer_sizes=(2, 3))
         params = zero_params(spec)
-        _, acc = evaluate(params, spec, np.array([[1.0, 2.0], [0.0, 0.0]]), np.array([0, 0]))
+        _, acc = evaluate_alone(params, spec, np.array([[1.0, 2.0], [0.0, 0.0]]), np.array([0, 0]))
         assert acc == 1.0
 
     def test_accuracy_values(self):
         spec = MlpSpec(layer_sizes=(2, 2))
         params = zero_params(spec)
         data = Dataset(features=np.zeros((4, 2)), labels=np.array([0, 0, 1, 1]))
-        assert evaluate(params, spec, data.features, data.labels)[1] == 0.5
+        assert evaluate_alone(params, spec, data.features, data.labels)[1] == 0.5
 
     @pytest.mark.parametrize("labels", [[3, 1, 2, 0, 1, 0], [0, 1, 2, -1, 1, 0]])
     @pytest.mark.parametrize("loss", LOSSES)
@@ -408,13 +414,13 @@ class TestPredictAndAccuracy:
         # out-of-range label would land on a neighbour's cell
         spec = MlpSpec(layer_sizes=(2, 3), loss=loss)
         with pytest.raises(ValueError, match="output layer has 3 units"):
-            evaluate(zero_params(spec), spec, np.zeros((6, 2)), np.array(labels))
+            evaluate_alone(zero_params(spec), spec, np.zeros((6, 2)), np.array(labels))
 
     def test_accuracy_empty_rejected(self):
         spec = MlpSpec(layer_sizes=(2, 2))
         data = Dataset(features=np.zeros((0, 2)), labels=np.zeros(0, dtype=int))
         with pytest.raises(ValueError):
-            evaluate(zero_params(spec), spec, data.features, data.labels)
+            evaluate_alone(zero_params(spec), spec, data.features, data.labels)
 
 
 @pytest.fixture(scope="module")
@@ -464,15 +470,36 @@ class TestTraining:
             train_alone(spec, blobs, config, epochs=1, batch_size=0, rng=make_rng(0))
 
 
+class TestAbortedRow:
+    def test_row_that_aborts_after_epoch_one_keeps_its_records(self):
+        # HGD at omega 0.5 drives seed 1's rate up until a minibatch loss
+        # overflows in epoch 45 (29 minibatches an epoch); seed 0 runs all 50
+        spec = MlpSpec((2, 16, 3))
+        config = OptimizerConfig(rule="adam", alpha=0.01, hypergrad_omega=0.5)
+
+        def train(epochs):
+            rngs = [make_rng(0), make_rng(1)]
+            data = [make_blobs(g, 300, 3, 4.0) for g in rngs]
+            return train_mlp(spec, data, ConfigStack([config] * 2), epochs, 32, rngs)
+
+        finished, aborted = train(50)
+        assert finished.status == "ok" and len(finished.records) == 50
+        assert aborted.status == "aborted: non-finite loss at epoch 45, step 1283"
+        # the epochs it finished are those of the same run stopped before epoch 45
+        stopped = train(44)[1]
+        assert stopped.status == "ok"
+        assert aborted.records == stopped.records
+
+
 class Diverged(RuntimeError):
     """reference_training's own abort: a NaN/Inf batch or full-train loss, or
     a hypergradient rate that is not positive."""
 
 
-def finite_loss_and_grad(params, spec, X, y):
+def finite_loss_and_grad(params, spec, X, y, where):
     loss, grad = loss_and_grad(params, spec, X, y)
     if not np.isfinite(loss):
-        raise Diverged("non-finite loss")
+        raise Diverged(f"non-finite loss at {where}")
     return loss, grad
 
 
@@ -480,28 +507,35 @@ def finite_loss_and_grad(params, spec, X, y):
 def reference_training(spec, data, config, epochs, batch_size, rng) -> MlpRun:
     """The one-run loop on lone vectors, scored by frozen_loss: lone
     loss_and_grad and step calls, then a full loss_and_grad and the argmax
-    accuracy at each epoch's end.  Raises Diverged or NonFiniteStepError when
-    the run diverges."""
+    accuracy at each epoch's end.  A run that diverges (Diverged or
+    NonFiniteStepError) stops with the records of the epochs it reached the
+    end of and why it stopped."""
     params = init_params(spec, rng)
     state = init_state(config, params.flat.size)
     records = []
     n = data.labels.size
-    for epoch in range(1, epochs + 1):
-        order = rng.permutation(n)
-        losses = []
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for lo in range(0, n, batch_size):
-                idx = order[lo : lo + batch_size]
-                X, y = data.features[idx], data.labels[idx]
-                loss, grad = finite_loss_and_grad(params, spec, X, y)
-                losses.append(loss)
-                params.flat = step(state, config, params.flat, grad)
-                if config.hypergrad_omega > 0 and state.alpha_t <= 0:
-                    raise Diverged(f"non-positive learning rate at iteration {state.t}")
-            full_loss, _ = finite_loss_and_grad(params, spec, data.features, data.labels)
-            out = models._forward(params, spec, data.features)[-1]
-            acc = float(np.mean(np.argmax(out, axis=1) == data.labels))
-        records.append(EpochRecord(epoch, float(np.mean(losses)), full_loss, acc))
+    try:
+        for epoch in range(1, epochs + 1):
+            order = rng.permutation(n)
+            losses = []
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                for lo in range(0, n, batch_size):
+                    idx = order[lo : lo + batch_size]
+                    X, y = data.features[idx], data.labels[idx]
+                    where = f"epoch {epoch}, step {state.t + 1}"
+                    loss, grad = finite_loss_and_grad(params, spec, X, y, where)
+                    losses.append(loss)
+                    params.flat = step(state, config, params.flat, grad)
+                    if config.hypergrad_omega > 0 and state.alpha_t[0, 0] <= 0:
+                        raise Diverged(f"non-positive learning rate at iteration {state.t}")
+                full_loss, _ = loss_and_grad(params, spec, data.features, data.labels)
+                out = models._forward(params, spec, data.features)[-1]
+                acc = float(np.mean(np.argmax(out, axis=1) == data.labels))
+            records.append(EpochRecord(epoch, float(np.mean(losses)), full_loss, acc))
+            if not np.isfinite(full_loss):
+                raise Diverged(f"non-finite loss at epoch {epoch}, step {state.t}")
+    except (Diverged, NonFiniteStepError) as err:
+        return MlpRun(None, records, f"aborted: {err}")
     return MlpRun(params, records)
 
 
@@ -551,10 +585,7 @@ class TestStackedTraining:
 
         def alone(config, seed, train):
             rng = make_rng(seed)
-            try:
-                return train(spec, blobs(rng), config, epochs, batch_size, rng)
-            except (Diverged, NonFiniteStepError) as err:
-                return MlpRun(None, [], f"aborted: {err}")
+            return train(spec, blobs(rng), config, epochs, batch_size, rng)
 
         rngs = [make_rng(seed) for seed in seeds]
         stack = ConfigStack(c for c in configs for _ in seeds)

@@ -11,7 +11,7 @@ from angular_optim.numerics import (
     finite_diff_grad,
     first_nonfinite,
     make_rng,
-    mean,
+    mean_std,
     relative_error,
 )
 from angular_optim.objectives import get_objective, rosenbrock
@@ -19,17 +19,17 @@ from angular_optim.objectives import get_objective, rosenbrock
 
 class TestMean:
     def test_symmetric(self):
-        assert mean(np.array([1.0, 2.0, 3.0])) == 2.0
+        assert mean_std([1.0, 2.0, 3.0]) == (2.0, 1.0)
 
     def test_singleton(self):
-        assert mean(np.array([5.0])) == 5.0
+        assert mean_std([5.0]) == (5.0, 0.0)
 
     def test_antisymmetric(self):
-        assert mean(np.array([-1.0, 1.0])) == 0.0
+        assert mean_std([-1.0, 1.0])[0] == 0.0
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            mean(np.array([]))
+    def test_diverged_value_reads_inf_or_nan(self):
+        assert mean_std([1.0, np.inf])[0] == np.inf
+        assert all(map(np.isnan, mean_std([1.0, np.nan])))
 
 
 class TestFiniteDiff:

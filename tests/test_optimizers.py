@@ -19,10 +19,8 @@ from angular_optim.optimizers import (
     OptimizerConfig,
     OptimizerState,
     Runs,
-    angle_between,
+    _angle,
     angular_coefficient,
-    gc_transform,
-    hgd_adapt,
     init_state,
     nonfinite_rows,
     radam_terms,
@@ -33,6 +31,12 @@ TANH_1 = 0.7615941559557649
 PHI_COS_MAX = 0.8807970779778824  # tanh(1) * 0.5 + 0.5, attained at a_min = 0
 ARCTAN_HALF = 0.4636476090008061
 SIGMOID_1 = 0.7310585786300049
+
+
+def angle(g_t, g_prev):
+    """The kernel's angle between consecutive slopes, perpendicular limit included."""
+    with np.errstate(divide="ignore"):
+        return _angle(np.abs(g_t - g_prev), g_t, g_prev)
 
 
 def run_steps(rule, grads, theta0, **cfg):
@@ -82,30 +86,26 @@ class TestConfigValidation:
 
 class TestAngleBetween:
     def test_equal_gradients_zero_angle(self):
-        assert np.array_equal(angle_between(np.array([0.7]), np.array([0.7])), [0.0])
+        assert np.array_equal(angle(np.array([0.7]), np.array([0.7])), [0.0])
 
     def test_first_step_against_zero(self):
-        a = angle_between(np.array([0.5]), np.array([0.0]))
+        a = angle(np.array([0.5]), np.array([0.0]))
         assert a[0] == pytest.approx(ARCTAN_HALF, abs=1e-15)
 
     def test_perpendicular_slopes(self):
         # g * g_prev = -1 makes the denominator vanish: right angle
-        a = angle_between(np.array([1.0]), np.array([-1.0]))
+        a = angle(np.array([1.0]), np.array([-1.0]))
         assert a[0] == math.pi / 2.0
 
     def test_symmetric(self):
         g1 = np.array([0.3, -2.0, 5.0])
         g2 = np.array([-1.1, 0.0, 4.0])
-        assert np.array_equal(angle_between(g1, g2), angle_between(g2, g1))
+        assert np.array_equal(angle(g1, g2), angle(g2, g1))
 
     def test_elementwise(self):
-        a = angle_between(np.array([0.5, 1.0]), np.array([0.0, -1.0]))
+        a = angle(np.array([0.5, 1.0]), np.array([0.0, -1.0]))
         assert a[0] == pytest.approx(ARCTAN_HALF, abs=1e-15)
         assert a[1] == math.pi / 2.0
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            angle_between(np.zeros(2), np.zeros(3))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -113,7 +113,7 @@ class TestAngleBetween:
         st.floats(-1e8, 1e8, allow_nan=False),
     )
     def test_range(self, g1, g2):
-        a = angle_between(np.array([g1]), np.array([g2]))[0]
+        a = angle(np.array([g1]), np.array([g2]))[0]
         assert 0.0 <= a <= math.pi / 2.0
 
 
@@ -250,8 +250,8 @@ class TestFirstSteps:
     def test_adabelief_first_step(self):
         state, traj = run_steps("adabelief", [[1.0]], [0.0], alpha=0.1)
         # m1 = 0.1, resid = 0.9, v1 = 0.001 * 0.81, vhat = 0.81
-        assert state.m[0] == pytest.approx(0.1, abs=1e-16)
-        assert state.v[0] == pytest.approx(8.1e-4, abs=1e-18)
+        assert state.m[0, 0] == pytest.approx(0.1, abs=1e-16)
+        assert state.v[0, 0] == pytest.approx(8.1e-4, abs=1e-18)
         assert traj[1][0] == pytest.approx(-0.1111111098765433, abs=1e-13)
 
     def test_adabelief_outpaces_adam_on_constant_gradient(self):
@@ -274,9 +274,9 @@ class TestFirstSteps:
         # small angle, then two large ones: A_min pairs the last two raw
         # angles, it is not a running minimum over the whole history
         g1, g2, g3 = np.array([0.1]), np.array([-5.0]), np.array([0.5])
-        a1 = angle_between(g1, np.zeros(1))
-        a2 = angle_between(g2, g1)
-        a3 = angle_between(g3, g2)
+        a1 = angle(g1, np.zeros(1))
+        a2 = angle(g2, g1)
+        a3 = angle(g3, g2)
         assert a1[0] < 0.2 and a2[0] > 1.0 and a3[0] > 1.0
         for variant in ANGLE_VARIANTS:
             state, _ = run_steps(
@@ -284,15 +284,15 @@ class TestFirstSteps:
             )
             pairwise = angular_coefficient(np.minimum(a2, a3), variant, 0.5, 0.5)
             running = angular_coefficient(a1, variant, 0.5, 0.5)
-            assert np.array_equal(state.last_phi, pairwise)
-            assert not np.array_equal(state.last_phi, running)
+            assert np.array_equal(state.last_phi[0], pairwise)
+            assert not np.array_equal(state.last_phi[0], running)
 
     def test_angulargrad_state_updates(self):
         state, _ = run_steps("angulargrad", [[0.5]], [0.0], alpha=0.1)
-        assert state.prev_angle[0] == pytest.approx(ARCTAN_HALF, abs=1e-15)
-        assert state.prev_grad[0] == 0.5
+        assert state.prev_angle[0, 0] == pytest.approx(ARCTAN_HALF, abs=1e-15)
+        assert state.prev_grad[0, 0] == 0.5
         assert state.last_phi is not None
-        assert state.last_phi[0] == PHI_COS_MAX
+        assert state.last_phi[0, 0] == PHI_COS_MAX
 
 
 def one_formula(c, t, m, v, prev_grad, prev_angle, params, g):
@@ -316,7 +316,7 @@ def one_formula(c, t, m, v, prev_grad, prev_angle, params, g):
         r_t = radam_terms(t, b2)[2]
         scale, denom = (1.0, 1.0) if r_t is None else (r_t, denom)
     if c.rule == "angulargrad":
-        a_min = np.minimum(prev_angle, angle_between(g, prev_grad))
+        a_min = np.minimum(prev_angle, angle(g, prev_grad))
         scale = angular_coefficient(a_min, c.angle_variant, c.lambda1, c.lambda2)
     return params - c.alpha * scale * mhat / denom, m, v
 
@@ -360,7 +360,7 @@ class TestOneFormula:
         state.t = t0
         fill = (lambda a: a[0]) if lone else (lambda a: a)
         state.m, state.v, state.prev_grad, state.prev_angle = (
-            fill(a).copy() for a in (m, v, prev_grad, prev_angle))
+            a.copy() for a in (m, v, prev_grad, prev_angle))
         new = step(state, config, fill(params), fill(g)).reshape(shape)
         assert np.array_equal(alpha_t, state.alpha_t)
         for r, c in enumerate(cs):
@@ -384,7 +384,7 @@ class TestOneFormula:
         config = ConfigStack(rows) if stacked else rows[0]
         shape = (len(rows), 2) if stacked else (2,)
         state = init_state(config, 2)
-        state.v = np.full(shape, 0.25)
+        state.v = np.full((len(rows), 2), 0.25)
         new = step(state, config, np.full(shape, -0.0), np.full(shape, -0.0))
         assert new.reshape(-1, 2)[0].tobytes() == np.zeros(2).tobytes()
 
@@ -451,7 +451,7 @@ class TestSharedContract:
     @pytest.mark.parametrize("rule", RULES)
     def test_prev_grad_stored(self, rule):
         state, _ = run_steps(rule, [[0.3], [0.7]], [0.0], alpha=0.01)
-        assert state.prev_grad[0] == 0.7
+        assert state.prev_grad[0, 0] == 0.7
 
     @pytest.mark.parametrize("rule", RULES)
     def test_shape_and_finiteness(self, rule):
@@ -504,8 +504,8 @@ class TestSharedContract:
         state = init_state(OptimizerConfig(), 3)
         assert state.t == 0
         for vec in (state.m, state.v, state.prev_grad, state.prev_angle):
-            assert np.array_equal(vec, np.zeros(3))
-        assert state.alpha_t == 1e-3
+            assert np.array_equal(vec, np.zeros((1, 3)))
+        assert np.array_equal(state.alpha_t, np.full((1, 3), 1e-3))
         assert state.last_phi is None
 
     def test_init_state_bad_dim(self):
@@ -513,38 +513,47 @@ class TestSharedContract:
             init_state(OptimizerConfig(), 0)
 
 
+def centralized(g):
+    """The gradient GC hands the kernel, read back as the stored prev_grad."""
+    config = OptimizerConfig(rule="sgd", gc_enabled=True)
+    state = init_state(config, len(g))
+    step(state, config, np.zeros(len(g)), np.asarray(g, dtype=np.float64))
+    return state.prev_grad[0]
+
+
+def adapted_rate(alpha, g, g_prev, omega):
+    """The rate HGD adapts from ``alpha`` for a step on g after g_prev."""
+    config = OptimizerConfig(rule="sgd", alpha=alpha, hypergrad_omega=omega)
+    state = init_state(config, len(g))
+    state.prev_grad[0] = g_prev
+    step(state, config, np.zeros(len(g)), np.asarray(g, dtype=np.float64))
+    return state.alpha_t[0, 0]
+
+
 class TestWrappers:
     def test_gc_example(self):
-        out = gc_transform(np.array([1.0, 2.0, 3.0]))
+        out = centralized(np.array([1.0, 2.0, 3.0]))
         assert np.array_equal(out, [-1.0, 0.0, 1.0])
 
     def test_gc_output_sums_to_zero(self):
         rng = make_rng(21)
         for _ in range(20):
             g = rng.normal(size=7)
-            assert abs(gc_transform(g).sum()) < 1e-12
+            assert abs(centralized(g).sum()) < 1e-12
 
     def test_gc_scalar(self):
-        assert np.array_equal(gc_transform(np.array([4.2])), [0.0])
-
-    def test_gc_empty_rejected(self):
-        with pytest.raises(ValueError):
-            gc_transform(np.array([]))
+        assert np.array_equal(centralized(np.array([4.2])), [0.0])
 
     def test_hgd_example(self):
-        out = hgd_adapt(0.1, np.array([1.0, 2.0]), np.array([3.0, 4.0]), 0.01)
+        out = adapted_rate(0.1, np.array([1.0, 2.0]), np.array([3.0, 4.0]), 0.01)
         assert out == pytest.approx(0.21, abs=1e-15)
 
     def test_hgd_zero_omega(self):
-        assert hgd_adapt(0.1, np.ones(2), np.ones(2), 0.0) == 0.1
+        assert adapted_rate(0.1, np.ones(2), np.ones(2), 0.0) == 0.1
 
     def test_hgd_opposing_gradients_cut_rate(self):
-        out = hgd_adapt(0.1, np.array([1.0]), np.array([-1.0]), 0.05)
+        out = adapted_rate(0.1, np.array([1.0]), np.array([-1.0]), 0.05)
         assert out == pytest.approx(0.05, abs=1e-15)
-
-    def test_hgd_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            hgd_adapt(0.1, np.zeros(2), np.zeros(3), 0.01)
 
 
 class TestDispatcherComposition:
@@ -570,21 +579,21 @@ class TestDispatcherComposition:
     def test_hgd_first_step_unchanged(self):
         # stored previous gradient is zero, so the first dot product vanishes
         state, _ = run_steps("sgd", [[1.0]], [0.0], alpha=0.1, hypergrad_omega=0.01)
-        assert state.alpha_t == 0.1
+        assert state.alpha_t[0, 0] == 0.1
 
     def test_hgd_adapts_before_second_step(self):
         state, traj = run_steps(
             "sgd", [[1.0], [2.0]], [0.0], alpha=0.1, hypergrad_omega=0.01
         )
         # alpha_2 = 0.1 + 0.01 * (2 * 1) = 0.12, applied to the second step
-        assert state.alpha_t == pytest.approx(0.12, abs=1e-15)
+        assert state.alpha_t[0, 0] == pytest.approx(0.12, abs=1e-15)
         assert traj[2][0] == pytest.approx(traj[1][0] - 0.12 * 2.0, abs=1e-15)
 
     def test_hgd_composes_with_angulargrad(self):
         state, _ = run_steps(
             "angulargrad", [[1.0], [1.0]], [0.0], alpha=0.1, hypergrad_omega=0.01
         )
-        assert state.alpha_t > 0.1
+        assert state.alpha_t[0, 0] > 0.1
 
 
 class TestStackFastPaths:
@@ -826,15 +835,40 @@ def frozen_rule_kernel(state, cfg, params, grad):
     return params - state.alpha_t * scale * mhat / denom
 
 
+def frozen_mean(a):
+    a = np.asarray(a, dtype=np.float64)
+    if a.size == 0:
+        raise ValueError("mean of empty vector")
+    return float(np.mean(a)) if a.ndim == 1 else np.mean(a, axis=-1, keepdims=True)
+
+
+def frozen_gc_transform(grad):
+    grad = np.asarray(grad, dtype=np.float64)
+    if grad.size == 0:
+        raise ValueError("empty gradient")
+    return grad - frozen_mean(grad)
+
+
+def frozen_hgd_adapt(alpha_prev, grad_t, grad_tm1, omega):
+    grad_t = np.asarray(grad_t, dtype=np.float64)
+    grad_tm1 = np.asarray(grad_tm1, dtype=np.float64)
+    if grad_t.shape != grad_tm1.shape:
+        raise ValueError("dim mismatch")
+    dot = np.vecdot(grad_t, grad_tm1)
+    if grad_t.ndim == 1:
+        return float(alpha_prev + omega * dot)
+    return alpha_prev + omega * dot[:, None]
+
+
 def frozen_step(state, config, params, grad):
     cfg = config if isinstance(config, FrozenStack) else FrozenStack((config,))
     params = np.asarray(params, dtype=np.float64)
     grad = np.asarray(grad, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if cfg.gc is not False:
-            grad = frozen_pick(cfg.gc, gc_transform(grad), grad)
+            grad = frozen_pick(cfg.gc, frozen_gc_transform(grad), grad)
         if cfg.hgd is not False:
-            adapted = hgd_adapt(state.alpha_t, grad, state.prev_grad, cfg.omega)
+            adapted = frozen_hgd_adapt(state.alpha_t, grad, state.prev_grad, cfg.omega)
             state.alpha_t = frozen_pick(cfg.hgd, adapted, state.alpha_t)
         new = frozen_rule_kernel(state, cfg, params, grad)
         if cfg.decay is not False:
@@ -865,22 +899,25 @@ def outcome(step_fn, state, config, params, grad):
         return err.params, (str(err), rows)
 
 
-def assert_steps_match_frozen(config, state, params, grads):
-    """Step ``config`` and the frozen kernel from copies of ``state`` through
-    ``grads``; every slot a run reads keeps the frozen bytes at every step."""
+def assert_steps_match_frozen(config, state, params, grads, frozen_state=None):
+    """Step ``config`` from a copy of ``state`` and the frozen kernel from one
+    of ``frozen_state`` (default ``state``) through ``grads``; every slot a run
+    reads keeps the frozen bytes at every step (a float rate across its row)."""
     configs = config.configs if isinstance(config, ConfigStack) else (config,)
     frozen = FrozenStack(configs, config.width) if isinstance(config, ConfigStack) else config
     angular = [r for r, c in enumerate(configs) if c.rule == "angulargrad"]
     rows = lambda a: np.asarray(a, dtype=np.float64).reshape(len(configs), -1)
-    mine, theirs = copy_state(state), copy_state(state)
+    mine, theirs = copy_state(state), copy_state(state if frozen_state is None else frozen_state)
     for grad in grads:
         got, got_err = outcome(step, mine, config, params, grad)
         want, want_err = outcome(frozen_step, theirs, frozen, params, grad)
         assert got.tobytes() == want.tobytes()
         assert got_err == want_err
         assert mine.t == theirs.t
-        for slot in ("m", "v", "alpha_t", "prev_grad"):
+        for slot in ("m", "v", "prev_grad"):
             assert rows(getattr(mine, slot)).tobytes() == rows(getattr(theirs, slot)).tobytes()
+        rate = np.broadcast_to(rows(theirs.alpha_t), mine.alpha_t.shape)
+        assert mine.alpha_t.tobytes() == rate.tobytes()
         if angular:
             for slot in ("prev_angle", "last_phi"):
                 got_rows, want_rows = rows(getattr(mine, slot)), rows(getattr(theirs, slot))
@@ -946,8 +983,12 @@ class TestFrozenStep:
         rng = make_rng(dim)
         for _ in range(3):
             config = random_config(rng, rule, variant)
-            state = init_state(config, dim)
-            assert_steps_match_frozen(config, state, rng.normal(size=dim), random_grads(rng, (dim,)))
+            # the frozen lone form keeps 1-D slots and a float rate
+            z = lambda: np.zeros(dim)
+            lone = OptimizerState(t=0, m=z(), v=z(), prev_grad=z(), prev_angle=z(),
+                                  alpha_t=config.alpha)
+            assert_steps_match_frozen(config, init_state(config, dim), rng.normal(size=dim),
+                                      random_grads(rng, (dim,)), lone)
 
     @pytest.mark.parametrize("dim", [1, 2, 99])
     @pytest.mark.parametrize("width", ["one", "full"])
@@ -1004,3 +1045,30 @@ class TestFrozenStep:
         assert runs.live.size == len(configs) - 1
         assert_steps_match_frozen(runs.configs, runs.state, runs.params,
                                   random_grads(rng, runs.params.shape))
+
+
+class TestLoneRun:
+    """A lone run is the one-row stack: ``init_state`` and ``step`` on an
+    OptimizerConfig and a vector give the one-row stack's state, slot for slot."""
+
+    @pytest.mark.parametrize("rule, variant", FROZEN_ROWS)
+    def test_lone_calls_are_the_one_row_stack(self, rule, variant):
+        config = OptimizerConfig(rule=rule, angle_variant=variant, alpha=0.01, gc_enabled=True,
+                                 hypergrad_omega=0.01, weight_decay_lambda=0.1)
+        rng = make_rng(RULES.index(rule))
+        lone, stacked = init_state(config, 4), init_state(config.stack, 4)
+        params = rng.normal(size=4)
+        for grad in [None, *random_grads(rng, (4,), 6)]:
+            if grad is not None:
+                new = step(lone, config, params, grad)
+                want = step(stacked, config.stack, params[None], grad[None])
+                assert new.shape == (4,) and new.tobytes() == want.tobytes()
+                params = new
+            for slot, want_slot in vars(stacked).items():
+                got = getattr(lone, slot)
+                assert type(got) is type(want_slot)
+                if isinstance(want_slot, np.ndarray):
+                    assert got.shape == want_slot.shape == (1, 4)
+                    assert got.tobytes() == want_slot.tobytes()
+                else:
+                    assert got == want_slot
