@@ -238,8 +238,8 @@ class OptimizerState:
       applied, so the harness can record it and log its mean; meaningful on
       angular rows only (the other rows hold their own step scale).
 
-    Every slot but ``t`` is an (R, D) array, (1, D) for a lone run, and
-    ``alpha_t`` repeats each row's rate across it.
+    Every array slot is (R, D), (1, D) for a lone run, and ``alpha_t``
+    repeats each row's rate across it.
     """
 
     t: int
