@@ -22,6 +22,7 @@ import numpy as np
 from angular_optim import defaults
 from angular_optim.harness import (
     ROSENBROCK_DIST_THRESHOLD,
+    Chunks,
     ExperimentSpec,
     Trajectory,
     _csv,
@@ -253,7 +254,7 @@ def _rosenbrock(config: dict, out: Path) -> list[str]:
     return statuses
 
 
-def _mlp_to_csv(run: MlpRun) -> str:
+def _mlp_to_csv(run: MlpRun) -> Chunks:
     columns = ["epoch", "mean_batch_loss", "train_loss", "train_accuracy"]
     return _csv(columns, *([getattr(r, c) for r in run.records] for c in columns))
 

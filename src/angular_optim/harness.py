@@ -5,10 +5,16 @@ each from its own seeded start, are stacked as the rows of (R, D) arrays and
 advanced together: each iteration makes one gradient, one step and one loss
 call for all of them, and a run that aborts drops out of the stack through
 ``optimizers.Runs`` while the others go on.  Each row's trajectory is bit for
-bit the one its run gives alone.  The results are keyed by optimizer name in
-spec order.  CSV floats are written with shortest round-trip formatting, JSON
-is strict (a non-finite float is null), and files are written atomically
-(temp file, then rename).
+bit the one its run gives alone.  The stack steps in blocks of
+``BLOCK_ITERATIONS``: only one block of iterates and phi vectors is held at a
+time (the whole path only when the spec records parameters), so a run's
+memory does not grow with its length times its width.  The results are keyed
+by optimizer name in spec order.
+
+Every serializer returns its artifact as ``Chunks``, made piece by piece as
+it is written, so no artifact is held whole in memory.  CSV floats are
+written with shortest round-trip formatting, JSON is strict (a non-finite
+float is null), and files are written atomically (temp file, then rename).
 """
 
 from __future__ import annotations
@@ -16,7 +22,9 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +37,11 @@ from angular_optim.optimizers import ConfigStack, OptimizerConfig, Runs, nonfini
 # Rosenbrock runs instead use distance <= 0.1 to the known minimum.
 LOSS_THRESHOLD_1D = 1e-3
 ROSENBROCK_DIST_THRESHOLD = 0.1
+# Iterations per block of single_run's two (K, R, D) float64 buffers: at 128
+# a dim-1000 stack of three runs holds 6 MB of them.
+BLOCK_ITERATIONS = 128
+# Rows per chunk of a CSV artifact.
+CSV_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -123,55 +136,75 @@ def single_run(
     of one).  Never raises on divergence: a run whose gradient, parameters or
     loss turn non-finite stops, its status says why, and the other rows go on.
 
-    The loop records only the loss, the rate, the stepped params and (with
-    angular rows) the phi vectors; each run's step norms and phi means are
-    taken from them after the loop.  The params are always kept for that, and
-    ``record_params`` only decides whether the trajectories carry them.
+    The loop records the loss, the rate, the stepped params and (with angular
+    rows) the phi vectors.  It steps in blocks of K = BLOCK_ITERATIONS, and at
+    the end of each block takes the block's step norms and phi means from its
+    buffers before they are reused: a ``(K + 1, R, D)`` buffer of iterates
+    whose row 0 carries the previous block's last row, and a ``(K, R, D)``
+    buffer that holds the phi vectors and then the steps.  Both are row-wise
+    reductions, so no bit depends on where a block starts.  The whole path is
+    kept only with ``record_params``, and then the trajectories carry it.
     """
     runs = Runs(stack, np.array(theta0, dtype=np.float64).reshape(len(stack.configs), -1))
     n_runs, dim = runs.params.shape
     milestones = dict(lr_milestones)
-    loss, alpha = np.empty((2, iterations, n_runs))
-    # row 0 holds the starts, so consecutive rows give each step
-    thetas = np.empty((iterations + 1, n_runs, dim))
-    thetas[0] = runs.params
-    phi = None if runs.configs.angular is None else np.empty((iterations, n_runs, dim))
+    angular = runs.configs.angular is not None
+    loss, alpha, phi_mean, step_norm = np.empty((4, iterations, n_runs))
+    path = np.empty((iterations + 1, n_runs, dim)) if record_params else None
+    # row n holds the params after the block's n-th step
+    iterates = np.empty((min(BLOCK_ITERATIONS, iterations) + 1, n_runs, dim))
+    scratch = np.empty((len(iterates) - 1, n_runs, dim))
+    iterates[0] = runs.params
+    if record_params:
+        path[0] = runs.params
     # divergence is handled (abort status), so overflow on an exploding
     # trajectory must not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, iterations + 1):
-            if i in milestones:
-                runs.state.alpha_t = runs.state.alpha_t / milestones[i]
-            grad = objective.grad(runs.params)
-            new = runs.step(grad, nonfinite_rows(grad, f"non-finite gradient at iteration {i}"))
-            live = runs.live
-            if not live.size:
-                break
-            # while every run is live a plain slice writes the records
-            rows = slice(None) if live.size == n_runs else live
-            runs.params = thetas[i, rows] = new
-            loss[i - 1, rows] = row_loss = objective.eval(new)
-            alpha[i - 1, rows] = runs.state.alpha_t[:, 0]
-            if phi is not None:
-                phi[i - 1, rows] = runs.state.last_phi
-            if failed := nonfinite_rows(row_loss, f"non-finite loss at iteration {i}"):
-                runs.drop(failed, i)
-                if not runs.live.size:
+        for start in range(0, iterations, BLOCK_ITERATIONS):
+            n = 0  # the block's steps recorded so far
+            for i in range(start + 1, min(start + BLOCK_ITERATIONS, iterations) + 1):
+                if i in milestones:
+                    runs.state.alpha_t = runs.state.alpha_t / milestones[i]
+                grad = objective.grad(runs.params)
+                bad_grad = nonfinite_rows(grad, f"non-finite gradient at iteration {i}")
+                new = runs.step(grad, bad_grad)
+                live = runs.live
+                if not live.size:
                     break
+                # while every run is live a plain slice writes the records
+                rows = slice(None) if live.size == n_runs else live
+                n = i - start
+                runs.params = iterates[n, rows] = new
+                loss[i - 1, rows] = row_loss = objective.eval(new)
+                alpha[i - 1, rows] = runs.state.alpha_t[:, 0]
+                if angular:
+                    scratch[n - 1, rows] = runs.state.last_phi
+                if failed := nonfinite_rows(row_loss, f"non-finite loss at iteration {i}"):
+                    runs.drop(failed, i)
+                    if not runs.live.size:
+                        break
+            # a dropped run's columns hold stale values past its last step; no
+            # trajectory reads them
+            block = slice(start, start + n)
+            if record_params:
+                path[start + 1 : start + n + 1] = iterates[1 : n + 1]
+            if angular:  # np.mean's own sum-then-divide
+                phi_mean[block] = np.add.reduce(scratch[:n], axis=-1) / dim
+            steps = np.subtract(iterates[1 : n + 1], iterates[:n], out=scratch[:n])
+            step_norm[block] = np.sqrt(np.vecdot(steps, steps))
+            iterates[0] = iterates[n]
+            if not runs.live.size:
+                break
         runs.finish()
-        trajectories = []
-        for run, (n, status) in enumerate(zip(runs.steps.tolist(), runs.status)):
-            path = thetas[: n + 1, run]
-            d = np.diff(path, axis=0)
-            angular = stack.configs[run].rule == "angulargrad"
-            trajectories.append(Trajectory(
-                np.arange(1, n + 1, dtype=np.int64), loss[:n, run].copy(), alpha[:n, run].copy(),
-                # np.mean's own sum-then-divide
-                np.add.reduce(phi[:n, run], axis=-1) / dim if angular else np.ones(n),
-                np.sqrt(np.vecdot(d, d)),
-                thetas=path[1:].copy() if record_params else None,
-                final_params=runs.final[run], status=status,
-            ))
+    trajectories = []
+    for run, (n, status) in enumerate(zip(runs.steps.tolist(), runs.status)):
+        is_angular = stack.configs[run].rule == "angulargrad"
+        trajectories.append(Trajectory(
+            np.arange(1, n + 1, dtype=np.int64), loss[:n, run].copy(), alpha[:n, run].copy(),
+            phi_mean[:n, run].copy() if is_angular else np.ones(n), step_norm[:n, run].copy(),
+            thetas=path[1 : n + 1, run].copy() if record_params else None,
+            final_params=runs.final[run], status=status,
+        ))
     return trajectories
 
 
@@ -271,6 +304,29 @@ def aggregate(
 # Serialization
 
 
+class Chunks:
+    """An artifact's text as a list of chunks, each a str or a zero-argument
+    function that makes its str only when the text is iterated, so the whole
+    text is never held at once; ``"".join(chunks)`` is the text.
+
+    Each iteration makes the chunks again, two Chunks are equal when their
+    texts are, and ``len`` is the number of chunks, not of characters (the
+    benchmark's tracer records ``len`` of every serializer's result).
+    """
+
+    def __init__(self, parts: Iterable[str | Callable[[], str]]):
+        self._parts = list(parts)
+
+    def __iter__(self) -> Iterator[str]:
+        return (part if isinstance(part, str) else part() for part in self._parts)
+
+    def __len__(self) -> int:
+        return len(self._parts)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Chunks) and "".join(self) == "".join(other)
+
+
 def _cells(column) -> list[str]:
     """Each float of a column in shortest round-trip form, formatted from
     Python floats (not numpy scalars) and only once for a column whose every
@@ -282,13 +338,22 @@ def _cells(column) -> list[str]:
     return list(map(repr, column.tolist()))
 
 
-def _csv(header: list[str], t, *columns) -> str:
-    """Rows of an integer column then float columns (see ``_cells``)."""
-    cells = [map(str, np.asarray(t, dtype=np.int64).tolist()), *map(_cells, columns)]
-    return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
+def _csv(header: list[str], t, *columns) -> Chunks:
+    """The header line, then the rows of an integer column and float columns
+    (see ``_cells``, applied to each block's slice), CSV_BLOCK_ROWS to a chunk."""
+    t = np.asarray(t, dtype=np.int64)
+    columns = [np.asarray(column, dtype=np.float64) for column in columns]
+
+    def block(start: int) -> str:
+        rows = slice(start, start + CSV_BLOCK_ROWS)
+        cells = [map(str, t[rows].tolist()), *(_cells(column[rows]) for column in columns)]
+        return "\n".join(map(",".join, zip(*cells))) + "\n"
+
+    blocks = (partial(block, start) for start in range(0, t.size, CSV_BLOCK_ROWS))
+    return Chunks([",".join(header) + "\n", *blocks])
 
 
-def trajectory_to_csv(trajectory: Trajectory) -> str:
+def trajectory_to_csv(trajectory: Trajectory) -> Chunks:
     """Header t,loss,alpha,phi_mean,step_norm, then theta_0..theta_{d-1} if the
     trajectory has parameter snapshots."""
     cols = ["t", "loss", "alpha", "phi_mean", "step_norm"]
@@ -299,18 +364,20 @@ def trajectory_to_csv(trajectory: Trajectory) -> str:
     return _csv(cols, trajectory.t, *values)
 
 
-def regret_to_csv(record: RegretRecord) -> str:
+def regret_to_csv(record: RegretRecord) -> Chunks:
     return _csv(["t", "regret", "avg_regret"], record.t, record.cumulative, record.average)
 
 
-def grid_to_csv(xs: np.ndarray, ys: np.ndarray, Z: np.ndarray) -> str:
-    """x,y,f rows in row-major order (y outer, x inner)."""
+def grid_to_csv(xs: np.ndarray, ys: np.ndarray, Z: np.ndarray) -> Chunks:
+    """x,y,f rows in row-major order (y outer, x inner), one grid row to a chunk."""
     x_cells = [repr(x) for x in np.asarray(xs, dtype=np.float64).tolist()]
-    lines = ["x,y,f"]
-    for y, row in zip(np.asarray(ys, dtype=np.float64).tolist(), Z.tolist()):
+
+    def row(y: float, values: np.ndarray) -> str:
         y_cell = f",{y!r},"
-        lines += [x + y_cell + repr(f) for x, f in zip(x_cells, row)]
-    return "\n".join(lines) + "\n"
+        return "\n".join([x + y_cell + repr(f) for x, f in zip(x_cells, values.tolist())]) + "\n"
+
+    ys = np.asarray(ys, dtype=np.float64).tolist()
+    return Chunks(["x,y,f\n", *(partial(row, y, values) for y, values in zip(ys, Z))])
 
 
 def summary_to_json(summary: dict) -> str:
@@ -319,14 +386,17 @@ def summary_to_json(summary: dict) -> str:
     return json.dumps(strict, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write via a temp file in the target directory, then rename over."""
+def write_text_atomic(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write a str, or an iterable of str chunks (such as ``Chunks``) one at a
+    time, to a temp file in the target directory, then rename it over the
+    target.  If making or writing a chunk fails, the target keeps its old bytes
+    and the temp file is removed."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -12,6 +12,7 @@ choice is frozen: recorded artifacts depend on the exact stream.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -33,10 +34,14 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def mean_std(values) -> tuple[float, float]:
-    """Mean and sample (n-1) std of per-seed values, std 0.0 for one seed; a
-    diverged run's inf, huge or NaN value gives inf or NaN, not a warning."""
+    """Mean and sample (n-1) std of per-seed values; one seed's std is 0.0 if
+    its value is finite and NaN if not.  A diverged run's inf, huge or NaN
+    value gives inf or NaN, not a warning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.mean(values)), 0.0 if len(values) < 2 else float(np.std(values, ddof=1))
+        mean = float(np.mean(values))
+        if len(values) > 1:
+            return mean, float(np.std(values, ddof=1))
+    return mean, 0.0 if math.isfinite(mean) else math.nan
 
 
 def finite_diff_grad(

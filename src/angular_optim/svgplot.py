@@ -7,16 +7,21 @@ identically from a clean checkout.  Both renderers share one chart layout
 data series maps to exactly one <polyline> element (chrome like axes, ticks,
 legend swatches, and heatmap cells uses <line>, <rect>, and <text> only),
 which makes the output easy to assert against.  All coordinates are
-formatted with fixed precision so the bytes are deterministic.
+formatted with fixed precision so the bytes are deterministic.  A chart is
+returned as ``Chunks`` (its head, each heat-map row, its axes, each polyline
+and its legend), each made only when the chart is written.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from html import escape  # not xml.sax.saxutils, which imports urllib.request
 
 import numpy as np
+
+from angular_optim.harness import Chunks
 
 PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
@@ -80,10 +85,14 @@ def _line(xa, ya, xb, yb, color="#444444", width=1) -> str:
     )
 
 
+def _lines(elements) -> str:
+    return "".join(element + "\n" for element in elements)
+
+
 def _chart(series, x_range, y_range, log_x, log_y, title, xlabel, ylabel,
-           width, height, background=()) -> str:
-    """The one chart layout: title, background, axes with five ticks each,
-    one polyline per series and the legend, around the plot area
+           width, height, background=()) -> Chunks:
+    """The one chart layout: title, background chunks, axes with five ticks
+    each, one polyline per series and the legend, around the plot area
     [x0, x1] x [y0, y1] px.  Series hold axis values (log10 ones on a log
     axis); a point with a non-finite coordinate is dropped."""
     x0, y0 = _MARGIN_LEFT, _MARGIN_TOP
@@ -96,41 +105,43 @@ def _chart(series, x_range, y_range, log_x, log_y, title, xlabel, ylabel,
     def py(v):
         return y1 - (v - ylo) / (yhi - ylo) * (y1 - y0)
 
-    parts = [
+    head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" '
         f'height="{height:g}" viewBox="0 0 {width:g} {height:g}">',
         f'<rect x="0" y="0" width="{width:g}" height="{height:g}" fill="white"/>',
     ]
     if title:
-        parts.append(_text(x0, 20, title, size=14))
-    parts.extend(background)
-    parts += [_line(x0, y1, x1, y1), _line(x0, y0, x0, y1)]
+        head.append(_text(x0, 20, title, size=14))
+    axes = [_line(x0, y1, x1, y1), _line(x0, y0, x0, y1)]
     for tv in (xlo + (xhi - xlo) * i / 4 for i in range(5)):
-        parts += [_line(px(tv), y1, px(tv), y1 + 4),
-                  _text(px(tv), y1 + 18, _tick_label(tv, log_x), 10, "middle")]
+        axes += [_line(px(tv), y1, px(tv), y1 + 4),
+                 _text(px(tv), y1 + 18, _tick_label(tv, log_x), 10, "middle")]
     for tv in (ylo + (yhi - ylo) * i / 4 for i in range(5)):
-        parts += [_line(x0 - 4, py(tv), x0, py(tv)),
-                  _text(x0 - 8, py(tv) + 3, _tick_label(tv, log_y), 10, "end")]
+        axes += [_line(x0 - 4, py(tv), x0, py(tv)),
+                 _text(x0 - 8, py(tv) + 3, _tick_label(tv, log_y), 10, "end")]
     if xlabel:
-        parts.append(_text((x0 + x1) / 2, y1 + 36, xlabel, anchor="middle"))
+        axes.append(_text((x0 + x1) / 2, y1 + 36, xlabel, anchor="middle"))
     if ylabel:
-        parts.append(_text(14, (y0 + y1) / 2, ylabel, anchor="middle"))
-    for i, s in enumerate(series):
+        axes.append(_text(14, (y0 + y1) / 2, ylabel, anchor="middle"))
+
+    def polyline(i, s):
         n = min(np.size(s.xs), np.size(s.ys))
         tx, ty = np.asarray(s.xs, dtype=np.float64)[:n], np.asarray(s.ys, dtype=np.float64)[:n]
         finite = np.isfinite(tx) & np.isfinite(ty)
         xy = zip(px(tx[finite]).tolist(), py(ty[finite]).tolist())
         points = " ".join(map("%.2f,%.2f".__mod__, xy))
-        parts.append(
-            f'<polyline fill="none" stroke="{PALETTE[i % len(PALETTE)]}" '
-            f'stroke-width="1.5" points="{points}"/>'
-        )
+        return (f'<polyline fill="none" stroke="{PALETTE[i % len(PALETTE)]}" '
+                f'stroke-width="1.5" points="{points}"/>\n')
+
     lx = x1 + 16
+    legend = []
     for i, s in enumerate(series):
         ly = y0 + 14 + 18 * i
-        parts += [_line(lx, ly - 4, lx + 22, ly - 4, PALETTE[i % len(PALETTE)], 2),
-                  _text(lx + 28, ly, s.label, size=11)]
-    return "\n".join(parts + ["</svg>"]) + "\n"
+        legend += [_line(lx, ly - 4, lx + 22, ly - 4, PALETTE[i % len(PALETTE)], 2),
+                   _text(lx + 28, ly, s.label, size=11)]
+    polylines = [partial(polyline, i, s) for i, s in enumerate(series)]
+    legend.append("</svg>")
+    return Chunks([_lines(head), *background, _lines(axes), *polylines, _lines(legend)])
 
 
 def render_line_chart(
@@ -140,7 +151,7 @@ def render_line_chart(
     ylabel: str = "",
     log_x: bool = False,
     log_y: bool = False,
-) -> str:
+) -> Chunks:
     """One polyline per series on a 720x480 chart; log axes drop non-positive points."""
     series = [Series(s.label, _transform(s.xs, log_x), _transform(s.ys, log_y)) for s in series]
     x_range = _finite_range([s.xs for s in series])
@@ -156,11 +167,12 @@ def render_overlay(
     title: str = "",
     xlabel: str = "x",
     ylabel: str = "y",
-) -> str:
+) -> Chunks:
     """Grayscale value map of Z with one trajectory polyline per series, 720x560.
 
     Cell shade is the normalized log of (Z - min(Z) + tiny), darker = lower,
-    which renders valley structure without contour tracing.
+    which renders valley structure without contour tracing.  The heat map is
+    made one row of cells at a time.
     """
     width, height = 720.0, 560.0
     x0, y0 = _MARGIN_LEFT, _MARGIN_TOP
@@ -178,13 +190,15 @@ def render_overlay(
     cell_w = (x1 - x0) / nx
     cell_h = (y1 - y0) / ny
     # dark valleys, light ridges; rint rounds half to even
-    shades = np.rint(60 + 195 * ((shifted - lo) / span)).astype(int).tolist()
+    shades = np.rint(60 + 195 * ((shifted - lo) / span)).astype(int)
     grays = [f"#{s:02x}{s:02x}{s:02x}" for s in range(256)]
     cols = [f"{x0 + j * cell_w:.2f}" for j in range(nx)]
     size = f'width="{cell_w + 0.1:.2f}" height="{cell_h + 0.1:.2f}"'
-    cells = []
-    for i, row in enumerate(shades):
+
+    def cells(i):
         tail = f'" y="{y1 - (i + 1) * cell_h:.2f}" {size} fill="'
-        cells.extend(f'<rect x="{x}{tail}{grays[s]}"/>' for x, s in zip(cols, row))
+        row = zip(cols, shades[i].tolist())
+        return "".join([f'<rect x="{x}{tail}{grays[s]}"/>\n' for x, s in row])
+
     return _chart(series, (xlo, xhi), (ylo, yhi), False, False, title, xlabel, ylabel,
-                  width, height, cells)
+                  width, height, [partial(cells, i) for i in range(ny)])

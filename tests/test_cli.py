@@ -1003,7 +1003,7 @@ PINNED_DEFAULT_ARTIFACTS = {
         "toy_f1_sgd_big_s0.csv":
             "c3a3e06f644369ad5dbdd1f18177a14da7e7292bb53e2c0f3673415d63fae73b",
         "toy_f1_summary.json":
-            "302150e5638854abb9ff88ccc2c2470cbe47b169f2f2e0606cd4044afb5f7581",
+            "4236d168cb5551174e501c633bcc565d948fef1106e77807abb68b82a9c144b0",
         "toy_f1_theta.svg":
             "aabe8756eed8ff98d647f0c51b5d7966bb5fe0da31b8bdbc37db5394394f033d",
         "toy_f3_adam_s0.csv":
@@ -1019,7 +1019,7 @@ PINNED_DEFAULT_ARTIFACTS = {
         "toy_f3_sgd_big_s0.csv":
             "067f9b37882a6fbdbc1f9c482d738f034341574ce822e0fb58677ca4526f5db4",
         "toy_f3_summary.json":
-            "b0bf7183eb9de545cdcef0a653e4fb93bca242ecf9e896a5f11885c6f4ffbdd4",
+            "fd7775e083d1ed41b2054939539d5961669f4c8053b939beced77f48b3527943",
         "toy_f3_theta.svg":
             "ccf9c08c83deba0137767176e0de468a4e2efd34c1fa0c3547213e0c961edfe6",
     },

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from angular_optim.defaults import DEFAULT_REGRET
 from angular_optim.harness import (
+    BLOCK_ITERATIONS,
+    CSV_BLOCK_ROWS,
     LOSS_THRESHOLD_1D,
     ExperimentSpec,
     Trajectory,
@@ -182,7 +186,69 @@ class TestSingleRun:
             obj, OptimizerConfig(rule="sgd", alpha=1e200), [1e200], 10, record_params=True
         )
         assert traj.thetas is not None and traj.thetas.shape == (0, 1)
-        assert trajectory_to_csv(traj).splitlines()[0].endswith(",theta_0")
+        assert "".join(trajectory_to_csv(traj)).splitlines()[0].endswith(",theta_0")
+
+
+class TestBlocks:
+    """single_run holds one block of iterates and phi vectors at a time."""
+
+    def test_peak_memory_is_one_block_not_the_run(self):
+        # The regret protocol's three optimizers at dim 1000 for 2000
+        # iterations: the whole path and phi vectors would be 2 x 2000 x 3 x
+        # 1000 float64s (96 MB).
+        spec = ExperimentSpec(
+            task="quadratic",
+            optimizers=tuple(
+                (name, OptimizerConfig(**fields))
+                for name, fields in DEFAULT_REGRET["optimizers"].items()
+            ),
+            iterations=2000,
+            seeds=(0,),
+            theta0={"rule": "uniform", "low": -1.0, "high": 1.0, "dim": 1000},
+            dim=1000,
+        )
+        tracemalloc.start()
+        try:
+            runs = run_experiment(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [len(trajs[0]) for trajs in runs.values()] == [2000] * 3
+        assert peak < 20e6
+
+    @pytest.mark.parametrize("record_params", [False, True])
+    def test_row_aborting_mid_block_matches_its_lone_run(self, record_params):
+        # sgd at alpha 2.132 on |x|^2 scales x by -3.264 a step, so its loss
+        # overflows near iteration 300: inside a block, not at its edge
+        obj = get_objective("quadratic", dim=3)
+        configs = [
+            OptimizerConfig(rule="adam", alpha=0.1),
+            OptimizerConfig(rule="sgd", alpha=2.132),
+            OptimizerConfig(rule="angulargrad", alpha=0.1),
+        ]
+        starts = make_rng(0).uniform(-1.0, 1.0, size=(3, 3))
+        iterations = 3 * BLOCK_ITERATIONS + 50
+        stacked = single_run(obj, ConfigStack(configs), starts, iterations,
+                             record_params=record_params)
+        aborted = stacked[1]
+        assert aborted.status.startswith("aborted: non-finite loss")
+        assert BLOCK_ITERATIONS < len(aborted) < iterations
+        assert len(aborted) % BLOCK_ITERATIONS not in (0, 1)
+        assert [len(stacked[0]), len(stacked[2])] == [iterations] * 2
+        for config, start, got in zip(configs, starts, stacked):
+            want = run_alone(obj, config, start, iterations, record_params=record_params)
+            assert got.status == want.status
+            for field in ("t", "loss", "alpha", "phi_mean", "step_norm", "final_params"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+            if record_params:
+                assert got.thetas.tobytes() == want.thetas.tobytes()
+                # the block-wise norms are the whole path's, bit for bit
+                steps = np.diff(np.vstack([start, got.thetas]), axis=0)
+                with np.errstate(over="ignore"):  # the diverging row's last steps
+                    norms = np.sqrt(np.vecdot(steps, steps))
+                assert got.step_norm.tobytes() == norms.tobytes()
+            else:
+                assert got.thetas is None
 
 
 class TestRunExperiment:
@@ -206,7 +272,7 @@ class TestRunExperiment:
     def test_repeat_runs_identical(self):
         a = run_experiment(self.spec())
         b = run_experiment(self.spec())
-        assert trajectory_to_csv(a["adam"][0]) == trajectory_to_csv(b["adam"][0])
+        assert "".join(trajectory_to_csv(a["adam"][0])) == "".join(trajectory_to_csv(b["adam"][0]))
 
 
 # Rates from well-behaved to divergent, so that some rows abort mid-run.
@@ -403,7 +469,7 @@ class TestSerialization:
     def test_trajectory_csv_shape(self):
         obj = get_objective("quadratic", dim=1)
         traj = run_alone(obj, OptimizerConfig(rule="sgd", alpha=0.25), [1.0], 4)
-        text = trajectory_to_csv(traj)
+        text = "".join(trajectory_to_csv(traj))
         lines = text.splitlines()
         assert lines[0] == "t,loss,alpha,phi_mean,step_norm"
         assert len(lines) == 5
@@ -414,14 +480,14 @@ class TestSerialization:
         traj = run_alone(
             obj, OptimizerConfig(rule="sgd", alpha=0.25), [1.0], 2, record_params=True
         )
-        lines = trajectory_to_csv(traj).splitlines()
+        lines = "".join(trajectory_to_csv(traj)).splitlines()
         assert lines[0] == "t,loss,alpha,phi_mean,step_norm,theta_0"
         assert lines[1].endswith(",0.5")
 
     def test_csv_floats_round_trip(self):
         obj = get_objective("f2")
         traj = run_alone(obj, OptimizerConfig(rule="adam", alpha=0.1), [-1.0], 50)
-        lines = trajectory_to_csv(traj).splitlines()[1:]
+        lines = "".join(trajectory_to_csv(traj)).splitlines()[1:]
         for i, line in enumerate(lines):
             cells = line.split(",")
             assert float(cells[1]) == traj.loss[i]
@@ -437,14 +503,34 @@ class TestSerialization:
             np.array([1e-308, 2.5, 332946.9625815]),
             np.arange(12.0).reshape(3, 4).T[1],  # a strided view
         ]
-        text = _csv(["t", "a", "b", "c", "d", "e"], [1, 2, 3], *columns)
+        text = "".join(_csv(["t", "a", "b", "c", "d", "e"], [1, 2, 3], *columns))
         want = [f"{t},{','.join(repr(float(c[t - 1])) for c in columns)}" for t in (1, 2, 3)]
         assert text == "\n".join(["t,a,b,c,d,e", *want]) + "\n"
         assert want[1] == "2,0.1,-0.0,-0.0,2.5,5.0"
 
+    @pytest.mark.parametrize("n", [0, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
+    def test_trajectory_csv_across_chunk_boundaries(self, n):
+        k = np.arange(n)
+        first = k < CSV_BLOCK_ROWS
+        traj = Trajectory(
+            t=k + 1,
+            loss=k * 0.1,
+            alpha=np.where(first, 0.1, k * 1e-3),  # constant in the first block only
+            phi_mean=np.where(k % 3 == 0, -0.0, 0.0),  # both zeros, by their bits
+            step_norm=np.where(first, -0.0, 0.0),  # each block constant, signs differ
+            thetas=np.stack([k / 7.0, np.full(n, 1.5)], axis=1),
+            final_params=np.zeros(2),
+        )
+        columns = [traj.loss, traj.alpha, traj.phi_mean, traj.step_norm, *traj.thetas.T]
+        rows = [",".join([str(i + 1), *(repr(float(c[i])) for c in columns)]) for i in range(n)]
+        header = "t,loss,alpha,phi_mean,step_norm,theta_0,theta_1"
+        chunks = trajectory_to_csv(traj)
+        assert "".join(chunks) == "\n".join([header, *rows]) + "\n"
+        assert len(chunks) == 1 + -(-n // CSV_BLOCK_ROWS)
+
     def test_regret_csv(self):
         rec = compute_regret(make_traj([3.0, 2.0, 1.0]), get_objective("f3"))
-        lines = regret_to_csv(rec).splitlines()
+        lines = "".join(regret_to_csv(rec)).splitlines()
         assert lines[0] == "t,regret,avg_regret"
         assert lines[1] == "1,3.0,3.0"
         assert lines[3] == "3,6.0,2.0"
@@ -453,7 +539,7 @@ class TestSerialization:
         xs = np.array([0.0, 1.0])
         ys = np.array([10.0, 20.0])
         Z = np.array([[1.0, 2.0], [3.0, 4.0]])
-        lines = grid_to_csv(xs, ys, Z).splitlines()
+        lines = "".join(grid_to_csv(xs, ys, Z)).splitlines()
         assert lines[0] == "x,y,f"
         assert lines[1] == "0.0,10.0,1.0"
         assert lines[2] == "1.0,10.0,2.0"  # x varies fastest
@@ -474,6 +560,24 @@ class TestSerialization:
         assert target.read_text() == "replaced\n"
         leftovers = [p for p in target.parent.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
+
+    def test_write_text_atomic_streams_chunks(self, tmp_path):
+        target = tmp_path / "out.csv"
+        write_text_atomic(target, iter(["a,b\n", "1,2\n"]))
+        assert target.read_text() == "a,b\n1,2\n"
+
+    def test_failing_chunk_leaves_old_bytes_and_no_temp_file(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_text("old\n")
+
+        def chunks():
+            yield "new\n"
+            raise RuntimeError("chunk failed")
+
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            write_text_atomic(target, chunks())
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 class TestDocumentedGaps:

@@ -31,6 +31,13 @@ class TestMean:
         assert mean_std([1.0, np.inf])[0] == np.inf
         assert all(map(np.isnan, mean_std([1.0, np.nan])))
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_singleton_diverged_value_has_no_spread(self, value):
+        # a lone diverged seed measured no spread, so its std is NaN, not 0.0
+        mean, std = mean_std([value])
+        assert np.array_equal([mean], [value], equal_nan=True)
+        assert np.isnan(std)
+
 
 class TestFiniteDiff:
     def test_quadratic_slope(self):
@@ -105,7 +112,7 @@ class TestAnalyticVsFiniteDiff:
 class TestFormatting:
     @pytest.mark.parametrize("x", [0.1, -0.0, 1e-308, 3.141592653589793, 332946.9625815])
     def test_round_trip(self, x):
-        cell = _csv(["t", "x"], [1], [x]).splitlines()[1].split(",")[1]
+        cell = "".join(_csv(["t", "x"], [1], [x])).splitlines()[1].split(",")[1]
         assert float(cell).hex() == x.hex()
 
     def test_first_nonfinite(self):

@@ -28,34 +28,35 @@ def sample_series(n=3):
 
 class TestLineChart:
     def test_valid_xml(self):
-        root = parse(render_line_chart(sample_series(), title="t", xlabel="x", ylabel="y"))
+        chart = render_line_chart(sample_series(), title="t", xlabel="x", ylabel="y")
+        root = parse("".join(chart))
         assert root.tag == f"{NS}svg"
 
     @pytest.mark.parametrize("n", [0, 1, 3, 12])
     def test_one_polyline_per_series(self, n):
-        root = parse(render_line_chart(sample_series(n)))
+        root = parse("".join(render_line_chart(sample_series(n))))
         assert len(polylines(root)) == n
 
     def test_empty_series_still_gets_polyline(self):
         s = Series("empty", np.array([]), np.array([]))
-        root = parse(render_line_chart([s]))
+        root = parse("".join(render_line_chart([s])))
         assert len(polylines(root)) == 1
         assert polylines(root)[0].get("points") == ""
 
     def test_log_scale_drops_nonpositive(self):
         s = Series("mixed", np.arange(1.0, 5.0), np.array([-1.0, 0.0, 10.0, 100.0]))
-        linear = polylines(parse(render_line_chart([s])))[0]
-        logged = polylines(parse(render_line_chart([s], log_y=True)))[0]
+        linear = polylines(parse("".join(render_line_chart([s]))))[0]
+        logged = polylines(parse("".join(render_line_chart([s], log_y=True))))[0]
         assert len(linear.get("points").split()) == 4
         assert len(logged.get("points").split()) == 2
 
     def test_nan_points_dropped(self):
         s = Series("gappy", np.arange(1.0, 5.0), np.array([1.0, np.nan, 3.0, 4.0]))
-        root = parse(render_line_chart([s]))
+        root = parse("".join(render_line_chart([s])))
         assert len(polylines(root)[0].get("points").split()) == 3
 
     def test_palette_assignment_and_cycling(self):
-        root = parse(render_line_chart(sample_series(12)))
+        root = parse("".join(render_line_chart(sample_series(12))))
         strokes = [p.get("stroke") for p in polylines(root)]
         assert strokes[0] == PALETTE[0]
         assert strokes[10] == PALETTE[0]  # wraps after 10 colors
@@ -64,33 +65,34 @@ class TestLineChart:
     def test_label_escaping(self):
         label = 'loss <1e-3> & "final"'
         s = Series(label, np.array([1.0, 2.0]), np.array([1.0, 2.0]))
-        text = render_line_chart([s])
+        text = "".join(render_line_chart([s]))
         root = parse(text)  # would raise if the label broke the XML
         texts = [t.text for t in root.findall(f".//{NS}text")]
         assert label in texts
 
     def test_deterministic_bytes(self):
-        a = render_line_chart(sample_series(), title="same")
-        b = render_line_chart(sample_series(), title="same")
+        a = "".join(render_line_chart(sample_series(), title="same"))
+        b = "".join(render_line_chart(sample_series(), title="same"))
         assert a == b
 
     def test_axes_use_line_elements(self):
-        root = parse(render_line_chart(sample_series(1)))
+        root = parse("".join(render_line_chart(sample_series(1))))
         assert len(root.findall(f".//{NS}line")) > 2  # axes plus ticks
 
     def test_title_and_labels_present(self):
-        root = parse(render_line_chart(sample_series(1), title="T", xlabel="X", ylabel="Y"))
+        chart = render_line_chart(sample_series(1), title="T", xlabel="X", ylabel="Y")
+        root = parse("".join(chart))
         texts = [t.text for t in root.findall(f".//{NS}text")]
         for want in ("T", "X", "Y", "series_0"):
             assert want in texts
 
     def test_constant_series_renders(self):
         s = Series("flat", np.arange(1.0, 4.0), np.full(3, 2.5))
-        root = parse(render_line_chart([s]))
+        root = parse("".join(render_line_chart([s])))
         assert len(polylines(root)[0].get("points").split()) == 3
 
     def test_trailing_newline(self):
-        assert render_line_chart(sample_series(1)).endswith("</svg>\n")
+        assert "".join(render_line_chart(sample_series(1))).endswith("</svg>\n")
 
 
 class TestOverlay:
@@ -103,12 +105,12 @@ class TestOverlay:
     def test_valid_xml_and_polyline_count(self):
         xs, ys, Z = self.grid()
         series = sample_series(2)
-        root = parse(render_overlay(xs, ys, Z, series))
+        root = parse("".join(render_overlay(xs, ys, Z, series)))
         assert len(polylines(root)) == 2
 
     def test_heat_cells_are_rects(self):
         xs, ys, Z = self.grid(4, 3)
-        root = parse(render_overlay(xs, ys, Z, []))
+        root = parse("".join(render_overlay(xs, ys, Z, [])))
         rects = root.findall(f".//{NS}rect")
         assert len(rects) == 4 * 3 + 1  # cells plus the white background
 
@@ -127,14 +129,14 @@ class TestOverlay:
 
     def test_deterministic_bytes(self):
         xs, ys, Z = self.grid()
-        a = render_overlay(xs, ys, Z, sample_series(1))
-        b = render_overlay(xs, ys, Z, sample_series(1))
+        a = "".join(render_overlay(xs, ys, Z, sample_series(1)))
+        b = "".join(render_overlay(xs, ys, Z, sample_series(1)))
         assert a == b
 
     def test_constant_surface_renders(self):
         xs = np.linspace(0.0, 1.0, 3)
         ys = np.linspace(0.0, 1.0, 3)
-        root = parse(render_overlay(xs, ys, np.ones((3, 3)), []))
+        root = parse("".join(render_overlay(xs, ys, np.ones((3, 3)), [])))
         assert len(root.findall(f".//{NS}rect")) == 10
 
 
@@ -142,26 +144,26 @@ def _pinned_case(case: str) -> str:
     if case == "log-xy-nonfinite":
         xs = np.array([-1.0, 0.0, 1.0, 10.0, np.nan, 100.0, np.inf, 1000.0])
         ys = np.array([5.0, 1.0, -2.0, 0.0, 3.0, np.inf, 7.0, 1e-3])
-        return render_line_chart(
+        return "".join(render_line_chart(
             [Series("mixed", xs, ys), Series("tail", xs[::-1], np.abs(ys))],
             title="log", xlabel="x", ylabel="y", log_x=True, log_y=True,
-        )
+        ))
     if case == "palette-wrap-escaped":
         series = [
             Series(f"s{i} <a> & <b>", np.arange(4.0), np.arange(4.0) * (i - 5))
             for i in range(12)
         ]
-        return render_line_chart(series, title="t & <u>", xlabel="<x>", ylabel="y&")
+        return "".join(render_line_chart(series, title="t & <u>", xlabel="<x>", ylabel="y&"))
     if case == "no-labels":
-        return render_line_chart(sample_series(2), title="", xlabel="", ylabel="")
+        return "".join(render_line_chart(sample_series(2), title="", xlabel="", ylabel=""))
     if case == "constant-series":
-        return render_line_chart([Series("flat", np.arange(1.0, 4.0), np.full(3, 2.5))])
+        return "".join(render_line_chart([Series("flat", np.arange(1.0, 4.0), np.full(3, 2.5))]))
     if case == "overlay-constant-empty-path":
         xs = np.linspace(-2.0, 2.0, 5)
         ys = np.linspace(-1.0, 3.0, 3)
         path = Series("path", np.array([-1.0, 0.0, 1.5]), np.array([0.0, 1.0, 2.5]))
         empty = Series("empty", np.array([]), np.array([]))
-        return render_overlay(xs, ys, np.full((3, 5), 4.0), [path, empty], title="flat")
+        return "".join(render_overlay(xs, ys, np.full((3, 5), 4.0), [path, empty], title="flat"))
     raise KeyError(case)
 
 
