@@ -508,7 +508,9 @@ class TestSerialization:
         assert text == "\n".join(["t,a,b,c,d,e", *want]) + "\n"
         assert want[1] == "2,0.1,-0.0,-0.0,2.5,5.0"
 
-    @pytest.mark.parametrize("n", [0, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize(
+        "n", [0, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 2]
+    )
     def test_trajectory_csv_across_chunk_boundaries(self, n):
         k = np.arange(n)
         first = k < CSV_BLOCK_ROWS
