@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from angular_optim.objectives import (
     F2_BRANCH_GAP,
@@ -15,6 +18,7 @@ from angular_optim.objectives import (
     f3_deriv,
     get_objective,
     quadratic,
+    quadratic_objective,
     quadratic_grad,
     rosenbrock,
     rosenbrock_grad,
@@ -175,3 +179,104 @@ class TestRegistry:
             (lo, hi) = obj.domain[0]
             for (loc,), _ in obj.known_minima:
                 assert lo < loc < hi or loc == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Frozen oracles: the Rosenbrock and quadratic evaluations and gradients as
+# they stood as separate functions.  Each objective's value and gradient must
+# keep their bits.
+
+
+def frozen_rosenbrock(x, a=1.0, b=100.0):
+    head, tail = x[..., :-1], x[..., 1:]
+    return np.add.reduce(b * (tail - head**2) ** 2 + (a - head) ** 2, axis=-1)
+
+
+def frozen_rosenbrock_grad(x, a=1.0, b=100.0):
+    head = x[..., :-1]
+    valley = x[..., 1:] - head**2
+    g = np.zeros(x.shape)
+    g[..., :-1] += -4.0 * b * head * valley - 2.0 * (a - head)
+    g[..., 1:] += 2.0 * b * valley
+    return g
+
+
+def frozen_quadratic(x, center):
+    d = x - center
+    return np.vecdot(d, d)
+
+
+def frozen_quadratic_grad(x, center):
+    return 2.0 * (x - center)
+
+
+def value_and_grad(objective, x):
+    return objective.eval(x), objective.grad(x)
+
+
+def same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# moderate values, values whose squares overflow, and non-finite ones
+ENTRIES = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.floats(-1e300, 1e300),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+
+
+def stacks(dims, elements=ENTRIES):
+    """Arrays of up to two leading axes (none: a lone vector) over a last axis
+    of a width drawn from ``dims``."""
+    shapes = st.tuples(st.lists(st.integers(1, 4), max_size=2), dims)
+    return shapes.flatmap(lambda s: hnp.arrays(np.float64, (*s[0], s[1]), elements=elements))
+
+
+class TestValueAndGrad:
+    """Each objective's value and gradient at a vector or a stack are the
+    frozen ones, bit for bit, overflow and NaN included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=stacks(st.integers(2, 6)))
+    def test_rosenbrock_matches_frozen(self, x):
+        with np.errstate(all="ignore"):
+            f, g = value_and_grad(get_objective("rosenbrock", dim=x.shape[-1]), x)
+            assert same_bits(f, frozen_rosenbrock(x))
+            assert same_bits(g, frozen_rosenbrock_grad(x))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), x=stacks(st.integers(1, 6)))
+    def test_quadratic_matches_frozen(self, data, x):
+        center = data.draw(hnp.arrays(np.float64, x.shape[-1:], elements=st.floats(-5.0, 5.0)))
+        with np.errstate(all="ignore"):
+            f, g = value_and_grad(quadratic_objective(center), x)
+            assert same_bits(f, frozen_quadratic(x, center))
+            assert same_bits(g, frozen_quadratic_grad(x, center))
+
+    @pytest.mark.parametrize("name, fn, deriv", [
+        ("f1", f1, f1_deriv), ("f2", f2, f2_deriv), ("f3", f3, f3_deriv),
+    ])
+    @settings(max_examples=100, deadline=None)
+    @given(x=stacks(st.just(1), st.one_of(st.floats(-3.0, 3.0), st.floats(-1e300, 1e300),
+                                         st.just(math.nan))))
+    def test_scalar_objectives_match_their_functions(self, name, fn, deriv, x):
+        def each(fn, values):  # Python's ** raises on overflow, which reads as inf
+            out = []
+            for v in values.ravel().tolist():
+                try:
+                    out.append(fn(v))
+                except OverflowError:
+                    out.append(math.inf)
+            return np.array(out).reshape(values.shape)
+
+        f, g = value_and_grad(get_objective(name), x)
+        assert same_bits(f, each(fn, x[..., 0]))
+        assert same_bits(g, each(deriv, x))
+
+    def test_an_overflowing_value_keeps_its_finite_gradient(self):
+        # f1(1e200) overflows, f1'(1e200) = 2e200 does not
+        f, g = value_and_grad(get_objective("f1"), np.array([[1e200], [0.0]]))
+        assert np.array_equal(f, [math.inf, 0.09])
+        assert np.array_equal(g, [[2e200], [0.6]])
