@@ -174,7 +174,7 @@ def _run(
     return spec, run_experiment(spec)
 
 
-def _write_runs(out: Path, prefix: str, seeds, runs: dict, to_csv=trajectory_to_csv) -> list[str]:
+def _write_runs(out: Path, prefix: str, seeds, runs: dict, to_csv) -> list[str]:
     """Write ``to_csv(run)`` to <prefix>_<name>_s<seed>.csv for every run.
 
     ``runs`` maps each optimizer name to one result per seed, each with a
@@ -201,7 +201,7 @@ def _toy(config: dict, out: Path, log_scale: bool) -> list[str]:
     statuses = []
     for task in config["tasks"]:
         spec, runs = _run(config, task, record_params=True)
-        statuses += _write_runs(out, f"toy_{task}", spec.seeds, runs)
+        statuses += _write_runs(out, f"toy_{task}", spec.seeds, runs, trajectory_to_csv)
         firsts = {name: trajs[0] for name, trajs in runs.items()}
         write_text_atomic(
             out / f"toy_{task}_summary.json",
@@ -233,7 +233,7 @@ def _rosenbrock(config: dict, out: Path) -> list[str]:
     xs, ys, Z = grid_eval(objective, grid_cfg["x_range"], grid_cfg["y_range"], resolution)
     spec, runs = _run(config, "rosenbrock", record_params=True)
     target = np.array(objective.known_minima[0][0])
-    statuses = _write_runs(out, "rosenbrock", spec.seeds, runs)
+    statuses = _write_runs(out, "rosenbrock", spec.seeds, runs, trajectory_to_csv)
 
     def dist_threshold(traj):
         # a diverged run's thetas may square to inf, which never meets it
@@ -364,10 +364,11 @@ def cmd_gradcheck(args) -> int:
                    for dim in (2, 5, 10)]
     objectives.append(("quadratic", get_objective("quadratic", dim=10)))
     for label, objective in objectives:
+        f = lambda x: objective.value_and_grad(x)[0]
         errors = []
         for _ in range(100):
             x = sample(objective)
-            errors.append(relative_error(objective.grad(x), finite_diff_grad(objective.eval, x)))
+            errors.append(relative_error(objective.value_and_grad(x)[1], finite_diff_grad(f, x)))
         check(label, np.max(errors), 1e-5)
 
     mlp_spec = MlpSpec(layer_sizes=(4, 8, 8, 3))

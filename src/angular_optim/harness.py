@@ -2,7 +2,7 @@
 
 A run is a pure function of its ExperimentSpec.  Its (optimizer, seed) runs,
 each from its own seeded start, are stacked as the rows of (R, D) arrays and
-advanced together: each iteration makes one gradient, one step and one loss
+advanced together: each iteration makes one step and one value-and-gradient
 call for all of them, and a run that aborts drops out of the stack through
 ``optimizers.Runs`` while the others go on.  Each row's trajectory is bit for
 bit the one its run gives alone.  The stack steps in blocks of
@@ -136,6 +136,10 @@ def single_run(
     of one).  Never raises on divergence: a run whose gradient, parameters or
     loss turn non-finite stops, its status says why, and the other rows go on.
 
+    One ``value_and_grad`` call at the starts gives the first gradient, and each
+    iteration's call at its stepped params gives the rows' losses and the next
+    gradient, which is checked at the top of the iteration that steps with it.
+
     The loop records the loss, the rate, the stepped params and (with angular
     rows) the phi vectors.  It steps in blocks of K = BLOCK_ITERATIONS, and at
     the end of each block takes the block's step norms and phi means from its
@@ -160,12 +164,12 @@ def single_run(
     # divergence is handled (abort status), so overflow on an exploding
     # trajectory must not warn
     with np.errstate(over="ignore", invalid="ignore"):
+        _, grad = objective.value_and_grad(runs.params)
         for start in range(0, iterations, BLOCK_ITERATIONS):
             n = 0  # the block's steps recorded so far
             for i in range(start + 1, min(start + BLOCK_ITERATIONS, iterations) + 1):
                 if i in milestones:
                     runs.state.alpha_t = runs.state.alpha_t / milestones[i]
-                grad = objective.grad(runs.params)
                 bad_grad = nonfinite_rows(grad, f"non-finite gradient at iteration {i}")
                 new = runs.step(grad, bad_grad)
                 live = runs.live
@@ -175,12 +179,13 @@ def single_run(
                 rows = slice(None) if live.size == n_runs else live
                 n = i - start
                 runs.params = iterates[n, rows] = new
-                loss[i - 1, rows] = row_loss = objective.eval(new)
+                row_loss, grad = objective.value_and_grad(new)
+                loss[i - 1, rows] = row_loss
                 alpha[i - 1, rows] = runs.state.alpha_t[:, 0]
                 if angular:
                     scratch[n - 1, rows] = runs.state.last_phi
                 if failed := nonfinite_rows(row_loss, f"non-finite loss at iteration {i}"):
-                    runs.drop(failed, i)
+                    grad = grad[runs.drop(failed, i)]
                     if not runs.live.size:
                         break
             # a dropped run's columns hold stale values past its last step; no
@@ -229,7 +234,7 @@ def compute_regret(trajectory: Trajectory, objective: Objective) -> RegretRecord
     """R(T) = sum_t [f(theta_t) - f(theta*)] from the trajectory's losses, with
     theta* the objective's first known minimum."""
     loc, _ = objective.known_minima[0]
-    f_star = objective.eval(np.array(loc, dtype=np.float64))
+    f_star = objective.value_and_grad(np.array(loc, dtype=np.float64))[0]
     excess = trajectory.loss - f_star
     with np.errstate(over="ignore"):  # huge finite losses sum to inf, not a warning
         cumulative = np.cumsum(excess)
@@ -252,7 +257,7 @@ def grid_eval(objective: Objective, x_range, y_range, resolution: int):
     ys = np.linspace(float(y_range[0]), float(y_range[1]), resolution)
     X, Y = np.meshgrid(xs, ys)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is rejected below
-        Z = objective.eval(np.stack([X, Y], axis=-1)).reshape(resolution, resolution)
+        Z = objective.value_and_grad(np.stack([X, Y], axis=-1))[0]
     if not np.isfinite(Z).all():
         raise ValueError("grid values must be finite; narrow its ranges")
     return xs, ys, Z
@@ -276,7 +281,8 @@ def aggregate(
     ``threshold_fn`` maps a trajectory to the per-iteration series compared
     against its threshold, returning (series, threshold); the default uses
     loss against LOSS_THRESHOLD_1D.  Mean/std are over final losses across
-    seeds, sample (n-1) normalization, 0.0 for a single seed.
+    seeds, sample (n-1) normalization; a single seed's std is 0.0 when its
+    final loss is finite and NaN (null in the JSON) when it is not.
     """
     if threshold_fn is None:
         threshold_fn = lambda traj: (traj.loss, LOSS_THRESHOLD_1D)

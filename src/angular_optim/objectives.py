@@ -1,12 +1,12 @@
 """Analytic test objectives: three 1-D piecewise functions, Rosenbrock, quadratic.
 
-Each objective carries its evaluation, an analytic gradient, a documented
-per-coordinate domain, known minima, and the list of non-smooth boundary
-points.  Evaluation and gradient work over the last axis, so one call takes
-a parameter vector or an (R, D) stack of them.  Branch conditions are
-applied exactly as written in the piecewise definitions below ("x <= 0"
-takes the left branch at 0), and at a boundary the gradient of the branch
-selected by that convention is returned.
+Each objective carries one function that gives its value and analytic
+gradient together, a documented per-coordinate domain, known minima, and the
+list of non-smooth boundary points.  The function works over the last axis,
+so one call takes a parameter vector or an (R, D) stack of them.  Branch
+conditions are applied exactly as written in the piecewise definitions below
+("x <= 0" takes the left branch at 0), and at a boundary the gradient of the
+branch selected by that convention is returned.
 
 Continuity at the branch boundaries was checked numerically:
 
@@ -36,37 +36,24 @@ class Objective:
     """A differentiable-almost-everywhere test problem.
 
     ``known_minima`` holds (location, value) pairs with values frozen from
-    direct float64 evaluation, so eval(location) == value to within 1e-12.
-    ``eval`` maps a vector to a float and an (R, D) stack to R values;
-    ``grad`` returns an array of the input's shape.
+    direct float64 evaluation, so the value at each location is within 1e-12
+    of its frozen one.  ``value_and_grad`` maps a vector, or a stack of them
+    over any leading axes, to (f, g): f has the leading shape, g the input's.
     """
 
     name: str
     dim: int
-    eval_fn: Callable[[Vector], float]
-    grad_fn: Callable[[Vector], Vector]
+    fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     domain: tuple[tuple[float, float], ...]
     known_minima: tuple[tuple[tuple[float, ...], float], ...] = ()
     nonsmooth_points: tuple[float, ...] = ()
 
-    def _checked(self, x) -> np.ndarray:
+    def value_and_grad(self, x: Vector) -> tuple[np.ndarray, np.ndarray]:
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1:] != (self.dim,):
             got = x.shape[-1] if x.ndim else "a scalar"
             raise ValueError(f"{self.name} expects dim {self.dim}, got {got}")
-        return x
-
-    def eval(self, x: Vector) -> float | np.ndarray:
-        x = self._checked(x)
-        f = self.eval_fn(x)
-        return float(f) if x.ndim == 1 else f
-
-    def grad(self, x: Vector) -> Vector:
-        x = self._checked(x)
-        g = np.asarray(self.grad_fn(x), dtype=np.float64)
-        if g.shape != x.shape:
-            raise AssertionError("gradient dim mismatch")
-        return g
+        return self.fn(x)
 
 
 # ---------------------------------------------------------------------------
@@ -138,45 +125,31 @@ def f3_deriv(x: float) -> float:
 # N-dimensional objectives
 
 
-def rosenbrock(x: Vector, a: float = 1.0, b: float = 100.0) -> float:
-    """sum_i b (x_{i+1} - x_i^2)^2 + (a - x_i)^2 over i = 0 .. N-2."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] < 2:
-        raise ValueError("rosenbrock needs dim >= 2")
-    head, tail = x[..., :-1], x[..., 1:]
-    return np.add.reduce(b * (tail - head**2) ** 2 + (a - head) ** 2, axis=-1)
-
-
-def rosenbrock_grad(x: Vector, a: float = 1.0, b: float = 100.0) -> Vector:
+def rosenbrock(x: Vector, a: float = 1.0, b: float = 100.0) -> tuple[np.ndarray, np.ndarray]:
+    """(f, g) of f = sum_i b (x_{i+1} - x_i^2)^2 + (a - x_i)^2 over i = 0 .. N-2."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] < 2:
         raise ValueError("rosenbrock needs dim >= 2")
     head = x[..., :-1]
     valley = x[..., 1:] - head**2
+    f = np.add.reduce(b * valley**2 + (a - head) ** 2, axis=-1)
     g = np.zeros(x.shape)
     # d/dx_i of the i-th term: -4b x_i (x_{i+1} - x_i^2) - 2 (a - x_i)
     g[..., :-1] += -4.0 * b * head * valley - 2.0 * (a - head)
     # d/dx_{i+1} of the i-th term: 2b (x_{i+1} - x_i^2)
     g[..., 1:] += 2.0 * b * valley
-    return g
+    return f, g
 
 
-def _centered(x: Vector, center: Vector) -> np.ndarray:
+def quadratic(x: Vector, center: Vector) -> tuple[np.ndarray, np.ndarray]:
+    """(f, g) of the squared distance f = ||x - center||^2 (per row: vecdot
+    matches a lone np.dot)."""
     x = np.asarray(x, dtype=np.float64)
     center = np.asarray(center, dtype=np.float64)
     if x.shape[-1:] != center.shape:
         raise ValueError("dim mismatch between x and center")
-    return x - center
-
-
-def quadratic(x: Vector, center: Vector) -> float:
-    """Squared distance ||x - center||^2 (per row: vecdot matches a lone np.dot)."""
-    d = _centered(x, center)
-    return np.vecdot(d, d)
-
-
-def quadratic_grad(x: Vector, center: Vector) -> Vector:
-    return 2.0 * _centered(x, center)
+    d = x - center
+    return np.vecdot(d, d), 2.0 * d
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +172,9 @@ def _scalar_objective(name, fn, deriv, domain, minima, nonsmooth) -> Objective:
     return Objective(
         name=name,
         dim=1,
-        eval_fn=lambda x: _per_row(fn, x),
-        grad_fn=lambda x: _per_row(deriv, x)[..., None],
+        # two passes, not one fused one: a value that overflows keeps its
+        # finite derivative (f1(1e200) is inf, f1'(1e200) is 2e200)
+        fn=lambda x: (_per_row(fn, x), _per_row(deriv, x)[..., None]),
         domain=(domain,),
         known_minima=minima,
         nonsmooth_points=nonsmooth,
@@ -231,8 +205,7 @@ def rosenbrock_objective(dim: int = 2, a: float = 1.0, b: float = 100.0) -> Obje
     return Objective(
         name=f"rosenbrock{dim}" if dim != 2 else "rosenbrock",
         dim=dim,
-        eval_fn=lambda x: rosenbrock(x, a, b),
-        grad_fn=lambda x: rosenbrock_grad(x, a, b),
+        fn=lambda x: rosenbrock(x, a, b),
         domain=tuple((-2.048, 2.048) for _ in range(dim)),
         known_minima=((tuple(a for _ in range(dim)), 0.0),),
         nonsmooth_points=(),
@@ -244,8 +217,7 @@ def quadratic_objective(center: Vector) -> Objective:
     return Objective(
         name="quadratic",
         dim=center.size,
-        eval_fn=lambda x: quadratic(x, center),
-        grad_fn=lambda x: quadratic_grad(x, center),
+        fn=lambda x: quadratic(x, center),
         domain=tuple((-5.0, 5.0) for _ in range(center.size)),
         known_minima=((tuple(center.tolist()), 0.0),),
         nonsmooth_points=(),

@@ -60,8 +60,8 @@ def _finite_range(arrays) -> tuple[float, float]:
             hi = max(hi, float(finite.max()))
     if lo > hi:  # nothing plottable; pick an arbitrary fixed window
         return 0.0, 1.0
-    if lo == hi:
-        return lo - 0.5, hi + 0.5
+    if lo == hi:  # from 2^52 up lo +- 0.5 is inexact (from 2^53 it is lo): pad an ulp
+        return lo - max(0.5, math.ulp(lo)), hi + max(0.5, math.ulp(hi))
     return lo, hi
 
 

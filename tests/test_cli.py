@@ -144,6 +144,23 @@ class TestToy:
         assert (out / "toy_f1_sgd_big_s0.csv").exists()
         assert (out / "toy_f1_loss.svg").exists()
 
+    def test_huge_constant_theta_charts_without_a_traceback(self, tmp_path):
+        # sgd steps 1e200 to 8e199, where f1 overflows: one theta, 8e199,
+        # whose range a pad of 0.5 cannot widen
+        cfg = toy_config(tmp_path, theta0=[1e200],
+                         optimizers={"sgd": {"rule": "sgd", "alpha": 0.1}})
+        out = tmp_path / "a"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-m", "angular_optim.cli", "toy", "--config", cfg, "--out", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 1
+        assert done.stderr == "warning: aborted: non-finite loss at iteration 1\n"
+        chart = ET.fromstring((out / "toy_f1_theta.svg").read_text())
+        (line,) = chart.findall(".//{http://www.w3.org/2000/svg}polyline")
+        assert line.get("points") == "312.00,233.00"  # the centre of the plot area
+
     def test_diverged_summary_is_strict_json(self, tmp_path):
         cfg = toy_config(tmp_path, iterations=300, optimizers={
             "sgd_big": {"rule": "sgd", "alpha": 50.0},
@@ -555,9 +572,9 @@ class TestGradcheck:
 
     # a wrong gradient and a NaN one each fail their check
     @pytest.mark.parametrize("module, name, wrong, label, verdict", [
-        (objectives, "rosenbrock_grad", lambda grad: lambda *a: grad(*a) * 1.001,
+        (objectives, "rosenbrock", lambda fn: lambda *a: (fn(*a)[0], fn(*a)[1] * 1.001),
          "rosenbrock dim 2", "FAIL (tol 1e-05)"),
-        (objectives, "rosenbrock_grad", lambda grad: lambda *a: grad(*a) * np.nan,
+        (objectives, "rosenbrock", lambda fn: lambda *a: (fn(*a)[0], fn(*a)[1] * np.nan),
          "rosenbrock dim 2", "nan FAIL (tol 1e-05)"),
         (models, "_act_deriv", lambda deriv: lambda *a: deriv(*a) * np.nan,
          "mlp [4, 8, 8, 3]", "nan FAIL (tol 0.0001)"),
@@ -711,6 +728,20 @@ PINNED_EXIT_CODES = {"mlp-composition": 1, "rosenbrock-abort": 1, "toy-abort": 1
 # operation order (its pairwise and left-to-right sums, masked loops and
 # matmul), so another numpy may move them without any change here.
 PINNED_NUMPY = "2.4.6"
+# The SIMD targets numpy dispatched to when they were taken.  numpy's float64
+# exp, log, tan and arctan give other last bits on another target: on the
+# X86_V3 (AVX2) path the mlp and rosenbrock-abort digests move.
+PINNED_DISPATCH = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def running_dispatch() -> tuple[str, ...]:
+    """The dispatch targets this numpy was built for that this CPU enables."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        return ()
+    return tuple(target for target in __cpu_dispatch__ if __cpu_features__.get(target))
+
 
 # sha256 of every artifact, keyed by "<command>" for the defaults or by the
 # PINNED_CONFIGS case for a config run.
@@ -1049,4 +1080,5 @@ class TestDeterminism:
             p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()
         }
         assert digests == PINNED_DEFAULT_ARTIFACTS[case], (
-            f"digests pinned on numpy {PINNED_NUMPY}, running numpy {np.__version__}")
+            f"digests pinned on numpy {PINNED_NUMPY} dispatching to {' '.join(PINNED_DISPATCH)}, "
+            f"running numpy {np.__version__} dispatching to {' '.join(running_dispatch())}")

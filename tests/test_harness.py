@@ -1,5 +1,6 @@
 """Experiment runner, regret, aggregation, oscillation, and CSV/JSON output."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -113,6 +114,19 @@ class TestSingleRun:
         assert np.array_equal(traj.step_norm, [0.5, 0.25, 0.125, 0.0625])
         assert traj.final_params[0] == 0.0625
         assert traj.status == "ok"
+
+    @pytest.mark.parametrize("iterations", [1, 5, BLOCK_ITERATIONS + 3])
+    def test_one_objective_call_per_iteration(self, iterations):
+        # one call at the starts gives the first gradient; each step's call
+        # gives its losses and the next step's gradient
+        obj = get_objective("rosenbrock")
+        calls = []
+        counted = dataclasses.replace(obj, fn=lambda x: calls.append(x.shape) or obj.fn(x))
+        stack = ConfigStack([OptimizerConfig(rule="adam", alpha=1e-3),
+                             OptimizerConfig(rule="angulargrad", alpha=1e-3)])
+        trajectories = single_run(counted, stack, np.zeros((2, 2)), iterations)
+        assert [(t.status, len(t)) for t in trajectories] == [("ok", iterations)] * 2
+        assert calls == [(2, 2)] * (iterations + 1)
 
     def test_phi_mean_recorded_for_angular(self):
         obj = get_objective("quadratic", dim=1)

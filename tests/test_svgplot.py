@@ -91,6 +91,17 @@ class TestLineChart:
         root = parse("".join(render_line_chart([s])))
         assert len(polylines(root)[0].get("points").split()) == 3
 
+    # from 2^53 up, value +- 0.5 rounds back to the value: a pad of 0.5 would
+    # leave the range no width
+    @pytest.mark.parametrize("value", [2.0**52, 2.0**53, -(2.0**53), 8e199])
+    def test_huge_constant_series_renders(self, value):
+        s = Series("flat", np.arange(1.0, 4.0), np.full(3, value))
+        root = parse("".join(render_line_chart([s])))
+        points = polylines(root)[0].get("points").split()
+        assert len(points) == 3
+        assert all(np.isfinite(float(v)) for p in points for v in p.split(","))
+        assert len({p.split(",")[1] for p in points}) == 1
+
     def test_trailing_newline(self):
         assert "".join(render_line_chart(sample_series(1))).endswith("</svg>\n")
 
