@@ -736,10 +736,8 @@ PINNED_DISPATCH = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
 
 def running_dispatch() -> tuple[str, ...]:
     """The dispatch targets this numpy was built for that this CPU enables."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    except ImportError:
-        return ()
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
     return tuple(target for target in __cpu_dispatch__ if __cpu_features__.get(target))
 
 
