@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 run divergence, 2 config error, 3 check failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -53,12 +54,10 @@ class ConfigError(Exception):
 # Config plumbing
 
 
-def _int(value, name: str) -> int:
-    """A config number that must be an integer: a JSON integer passes, and a
-    float or a bool is a ConfigError rather than a silent truncation."""
-    if type(value) is not int:
-        raise ConfigError(f"{name} must be an integer, not {value!r}")
-    return value
+# a config value's JSON type, named by its default's (a float's also takes an int)
+_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+               list: "a list", dict: "an object"}
+_OPTIMIZER_FIELDS = {f.name: f.default for f in dataclasses.fields(OptimizerConfig)}
 
 
 def _finite(text: str) -> float:
@@ -84,19 +83,29 @@ def _load_config(command: str, path: str | None) -> dict:
         raise ConfigError("config root must be a JSON object")
 
     def check(value, default, key):
-        """A list where the default is a list, an object where it is an object;
-        "grid" and "blobs" take only their default keys, optimizer names are the
-        user's own, and theta0 may be a vector or an init rule."""
-        if isinstance(default, list) and not isinstance(value, list):
-            raise ConfigError(f"{key} must be a list, not {value!r}")
-        if isinstance(default, dict) and not isinstance(value, dict):
-            raise ConfigError(f"{key} must be an object, not {value!r}")
-        for sub in value if isinstance(default, dict) and key != "optimizers" else ():
+        """Each value must have the JSON type of its default (a bool is not a
+        number), each list item that of the default's first item, and a list or
+        the optimizers must not be empty where the default is not.  An object
+        takes only its default's keys, except that optimizer names are the
+        user's own, each entry taking OptimizerConfig's fields ({} is all
+        defaults), and theta0 is a vector or an init rule like regret's."""
+        if type(value) is not type(default) and (type(default), type(value)) != (float, int):
+            raise ConfigError(f"{key} must be {_JSON_TYPES[type(default)]}, not {value!r}")
+        if default and not value and (type(value) is list or key == "optimizers"):
+            raise ConfigError(f"{key} must not be empty")
+        for i, item in enumerate(value if type(value) is list and default else ()):
+            check(item, default[0], f"{key}[{i}]")
+        for sub, item in value.items() if type(value) is dict else ():
             path = f"{key}.{sub}" if key else sub
-            if sub not in default:
+            if key == "optimizers":
+                check(item, _OPTIMIZER_FIELDS, path)
+            elif sub not in default:
                 raise ConfigError(f"unknown config key {path!r} for command {command!r}")
-            if sub != "theta0":
-                check(value[sub], default[sub], path)
+            elif sub == "theta0":
+                kind = defaults.DEFAULT_REGRET if type(item) is dict else defaults.DEFAULT_TOY
+                check(item, kind["theta0"], path)
+            else:
+                check(item, default[sub], path)
 
     check(user, config, "")
     config.update(user)
@@ -111,7 +120,7 @@ def _apply_overrides(config: dict, args) -> dict:
             raise ConfigError(f"bad --seeds value {args.seeds!r}")
         if not config["seeds"]:
             raise ConfigError("empty --seeds list")
-    seeds = config["seeds"] = [_int(seed, "seed") for seed in config["seeds"]]
+    seeds = config["seeds"]
     for i, seed in enumerate(seeds):  # a repeat would overwrite a CSV
         if seed in seeds[:i]:
             raise ConfigError(f"seed {seed!r} is listed twice")
@@ -139,11 +148,9 @@ def _apply_overrides(config: dict, args) -> dict:
 def _build_optimizers(config: dict) -> tuple[tuple[str, OptimizerConfig], ...]:
     out = []
     for name, fields in config["optimizers"].items():
-        if not isinstance(fields, dict):
-            raise ConfigError(f"optimizer {name!r} must map to an object")
         try:
             out.append((name, OptimizerConfig(**fields)))
-        except (TypeError, ValueError) as err:
+        except ValueError as err:
             raise ConfigError(f"optimizer {name!r}: {err}")
     return tuple(out)
 
@@ -153,23 +160,20 @@ def _run(
 ) -> tuple[ExperimentSpec, dict[str, list[Trajectory]]]:
     """Build the ExperimentSpec a protocol config describes for ``task`` and run
     it; the protocol, not its config, says whether the runs record parameters."""
-    dim, theta0 = config.get("dim"), config["theta0"]
-    if isinstance(theta0, dict) and "dim" in theta0:
-        _int(theta0["dim"], "theta0.dim")
-    try:
-        milestones = tuple((_int(it, "lr_milestones iteration"), float(div))
-                           for it, div in config["lr_milestones"])
-    except (TypeError, ValueError):
-        raise ConfigError(f"bad lr_milestones {config['lr_milestones']!r}")
+    milestones = config["lr_milestones"]
+    for pair in milestones:  # the config check has no default item to type these by
+        if not (type(pair) is list and len(pair) == 2 and type(pair[0]) is int
+                and type(pair[1]) in (int, float)):
+            raise ConfigError(f"lr_milestones items must be [integer, number] pairs, not {pair!r}")
     spec = ExperimentSpec(
         task=task,
         optimizers=_build_optimizers(config),
-        iterations=_int(config["iterations"], "iterations"),
+        iterations=config["iterations"],
         seeds=tuple(config["seeds"]),
-        theta0=theta0,
+        theta0=config["theta0"],
         record_params=record_params,
-        lr_milestones=milestones,
-        dim=None if dim is None else _int(dim, "dim"),
+        lr_milestones=tuple((it, float(div)) for it, div in milestones),
+        dim=config.get("dim"),
     )
     return spec, run_experiment(spec)
 
@@ -194,8 +198,6 @@ def _write_runs(out: Path, prefix: str, seeds, runs: dict, to_csv) -> list[str]:
 
 
 def _toy(config: dict, out: Path, log_scale: bool) -> list[str]:
-    if not config["tasks"]:
-        raise ConfigError("need at least one task")
     if wide := [task for task in config["tasks"] if get_objective(task).dim != 1]:
         raise ConfigError(f"toy tasks must be 1-D, not {', '.join(wide)}")
     statuses = []
@@ -226,11 +228,9 @@ def _toy(config: dict, out: Path, log_scale: bool) -> list[str]:
 
 
 def _rosenbrock(config: dict, out: Path) -> list[str]:
-    objective = get_objective("rosenbrock")
-    grid_cfg = config["grid"]
-    resolution = _int(grid_cfg["resolution"], "grid.resolution")
+    objective, grid = get_objective("rosenbrock"), config["grid"]
     # a bad grid exits before any run
-    xs, ys, Z = grid_eval(objective, grid_cfg["x_range"], grid_cfg["y_range"], resolution)
+    xs, ys, Z = grid_eval(objective, grid["x_range"], grid["y_range"], grid["resolution"])
     spec, runs = _run(config, "rosenbrock", record_params=True)
     target = np.array(objective.known_minima[0][0])
     statuses = _write_runs(out, "rosenbrock", spec.seeds, runs, trajectory_to_csv)
@@ -260,20 +260,16 @@ def _mlp_to_csv(run: MlpRun) -> Chunks:
 
 
 def _mlp(config: dict, out: Path) -> list[str]:
-    layers = tuple(_int(n, "layer_sizes") for n in config["layer_sizes"])
-    mlp_spec = MlpSpec(layers, config["activation"], config["loss"])
+    mlp_spec = MlpSpec(tuple(config["layer_sizes"]), config["activation"], config["loss"])
     blobs = config["blobs"]
-    shape = (_int(blobs["n_per_class"], "blobs.n_per_class"), _int(blobs["classes"], "blobs.classes"),
-             float(blobs["separation"]))
+    shape = (blobs["n_per_class"], blobs["classes"], float(blobs["separation"]))
     seeds = config["seeds"]
     optimizers = _build_optimizers(config)
-    if not optimizers or not seeds:
-        raise ConfigError("need at least one optimizer and one seed")
     rngs = [make_rng(seed) for seed in seeds]
     data = [make_blobs(rng, *shape) for rng in rngs]
     trained = iter(train_mlp(
         mlp_spec, data, ConfigStack(c for _, c in optimizers for _ in seeds),
-        _int(config["epochs"], "epochs"), _int(config["batch_size"], "batch_size"), rngs,
+        config["epochs"], config["batch_size"], rngs,
     ))
     runs = {name: [next(trained) for _ in seeds] for name, _ in optimizers}
     statuses = _write_runs(out, "mlp", seeds, runs, _mlp_to_csv)

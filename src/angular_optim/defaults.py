@@ -77,7 +77,7 @@ DEFAULT_REGRET = {
     "dim": 10,
     "iterations": 4000,
     "seeds": [0],
-    "theta0": {"rule": "uniform", "low": -1.0, "high": 1.0, "dim": 10},
+    "theta0": {"rule": "uniform", "low": -1.0, "high": 1.0},
     "lr_milestones": [],
     "optimizers": {
         "adam": {"rule": "adam", "alpha": 0.1, "beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8},

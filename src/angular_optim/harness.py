@@ -49,7 +49,7 @@ class ExperimentSpec:
     """Declarative description of one experiment.
 
     ``theta0`` is either an explicit start vector or an init-rule mapping
-    {"rule": "uniform", "low": a, "high": b, "dim": n} drawn per seed.
+    {"rule": "uniform", "low": a, "high": b} drawn per seed at the objective's dim.
     ``lr_milestones`` lists (iteration, divisor) pairs; at each named
     iteration (>= 1; one past the budget never acts) the live learning rate is
     divided once, before that step, by a finite divisor > 0.
@@ -117,10 +117,8 @@ def resolve_theta0(theta0, dim: int, rng: np.random.Generator) -> Vector:
     if isinstance(theta0, dict):
         if theta0.get("rule") != "uniform":
             raise ValueError(f"unknown init rule {theta0!r}")
-        n = int(theta0.get("dim", dim))
-        return rng.uniform(float(theta0["low"]), float(theta0["high"]), size=n)
-    arr = np.array(theta0, dtype=np.float64, copy=True).reshape(-1)
-    return arr
+        return rng.uniform(float(theta0["low"]), float(theta0["high"]), size=dim)
+    return np.array(theta0, dtype=np.float64, copy=True).reshape(-1)
 
 
 def single_run(

@@ -125,19 +125,19 @@ def f3_deriv(x: float) -> float:
 # N-dimensional objectives
 
 
-def rosenbrock(x: Vector, a: float = 1.0, b: float = 100.0) -> tuple[np.ndarray, np.ndarray]:
-    """(f, g) of f = sum_i b (x_{i+1} - x_i^2)^2 + (a - x_i)^2 over i = 0 .. N-2."""
+def rosenbrock(x: Vector) -> tuple[np.ndarray, np.ndarray]:
+    """(f, g) of f = sum_i 100 (x_{i+1} - x_i^2)^2 + (1 - x_i)^2 over i = 0 .. N-2."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] < 2:
         raise ValueError("rosenbrock needs dim >= 2")
     head = x[..., :-1]
     valley = x[..., 1:] - head**2
-    f = np.add.reduce(b * valley**2 + (a - head) ** 2, axis=-1)
+    f = np.add.reduce(100.0 * valley**2 + (1.0 - head) ** 2, axis=-1)
     g = np.zeros(x.shape)
-    # d/dx_i of the i-th term: -4b x_i (x_{i+1} - x_i^2) - 2 (a - x_i)
-    g[..., :-1] += -4.0 * b * head * valley - 2.0 * (a - head)
-    # d/dx_{i+1} of the i-th term: 2b (x_{i+1} - x_i^2)
-    g[..., 1:] += 2.0 * b * valley
+    # d/dx_i of the i-th term: -400 x_i (x_{i+1} - x_i^2) - 2 (1 - x_i)
+    g[..., :-1] += -400.0 * head * valley - 2.0 * (1.0 - head)
+    # d/dx_{i+1} of the i-th term: 200 (x_{i+1} - x_i^2)
+    g[..., 1:] += 200.0 * valley
     return f, g
 
 
@@ -199,15 +199,15 @@ _SCALAR_OBJECTIVES = {
 }
 
 
-def rosenbrock_objective(dim: int = 2, a: float = 1.0, b: float = 100.0) -> Objective:
+def rosenbrock_objective(dim: int = 2) -> Objective:
     if dim < 2:
         raise ValueError("rosenbrock needs dim >= 2")
     return Objective(
         name=f"rosenbrock{dim}" if dim != 2 else "rosenbrock",
         dim=dim,
-        fn=lambda x: rosenbrock(x, a, b),
+        fn=rosenbrock,
         domain=tuple((-2.048, 2.048) for _ in range(dim)),
-        known_minima=((tuple(a for _ in range(dim)), 0.0),),
+        known_minima=(((1.0,) * dim, 0.0),),
         nonsmooth_points=(),
     )
 

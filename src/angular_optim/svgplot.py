@@ -15,6 +15,7 @@ and its legend), each made only when the chart is written.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 from html import escape  # not xml.sax.saxutils, which imports urllib.request
@@ -61,7 +62,8 @@ def _finite_range(arrays) -> tuple[float, float]:
     if lo > hi:  # nothing plottable; pick an arbitrary fixed window
         return 0.0, 1.0
     if lo == hi:  # from 2^52 up lo +- 0.5 is inexact (from 2^53 it is lo): pad an ulp
-        return lo - max(0.5, math.ulp(lo)), hi + max(0.5, math.ulp(hi))
+        pad, top = max(0.5, math.ulp(lo)), sys.float_info.max  # and stay finite
+        return max(lo - pad, -top), min(hi + pad, top)
     return lo, hi
 
 
@@ -94,10 +96,13 @@ def _chart(series, x_range, y_range, log_x, log_y, title, xlabel, ylabel,
     """The one chart layout: title, background chunks, axes with five ticks
     each, one polyline per series and the legend, around the plot area
     [x0, x1] x [y0, y1] px.  Series hold axis values (log10 ones on a log
-    axis); a point with a non-finite coordinate is dropped."""
+    axis); a point with a non-finite coordinate is dropped.  An axis so wide
+    that 4x its range (the top tick's sum) overflows maps its values at 1/8
+    scale, and labels its ticks at full scale."""
     x0, y0 = _MARGIN_LEFT, _MARGIN_TOP
     x1, y1 = width - _MARGIN_RIGHT, height - _MARGIN_BOTTOM
-    (xlo, xhi), (ylo, yhi) = x_range, y_range
+    sx, sy = (1.0 if math.isfinite(4.0 * (hi - lo)) else 0.125 for lo, hi in (x_range, y_range))
+    (xlo, xhi), (ylo, yhi) = (sx * v for v in x_range), (sy * v for v in y_range)
 
     def px(v):  # floats and arrays alike, so ticks and points round the same
         return x0 + (v - xlo) / (xhi - xlo) * (x1 - x0)
@@ -115,10 +120,10 @@ def _chart(series, x_range, y_range, log_x, log_y, title, xlabel, ylabel,
     axes = [_line(x0, y1, x1, y1), _line(x0, y0, x0, y1)]
     for tv in (xlo + (xhi - xlo) * i / 4 for i in range(5)):
         axes += [_line(px(tv), y1, px(tv), y1 + 4),
-                 _text(px(tv), y1 + 18, _tick_label(tv, log_x), 10, "middle")]
+                 _text(px(tv), y1 + 18, _tick_label(tv / sx, log_x), 10, "middle")]
     for tv in (ylo + (yhi - ylo) * i / 4 for i in range(5)):
         axes += [_line(x0 - 4, py(tv), x0, py(tv)),
-                 _text(x0 - 8, py(tv) + 3, _tick_label(tv, log_y), 10, "end")]
+                 _text(x0 - 8, py(tv) + 3, _tick_label(tv / sy, log_y), 10, "end")]
     if xlabel:
         axes.append(_text((x0 + x1) / 2, y1 + 36, xlabel, anchor="middle"))
     if ylabel:
@@ -128,7 +133,7 @@ def _chart(series, x_range, y_range, log_x, log_y, title, xlabel, ylabel,
         n = min(np.size(s.xs), np.size(s.ys))
         tx, ty = np.asarray(s.xs, dtype=np.float64)[:n], np.asarray(s.ys, dtype=np.float64)[:n]
         finite = np.isfinite(tx) & np.isfinite(ty)
-        xy = zip(px(tx[finite]).tolist(), py(ty[finite]).tolist())
+        xy = zip(px(sx * tx[finite]).tolist(), py(sy * ty[finite]).tolist())
         points = " ".join(map("%.2f,%.2f".__mod__, xy))
         return (f'<polyline fill="none" stroke="{PALETTE[i % len(PALETTE)]}" '
                 f'stroke-width="1.5" points="{points}"/>\n')

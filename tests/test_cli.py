@@ -269,7 +269,7 @@ class TestRosenbrock:
 
     def test_uniform_theta0(self, tmp_path):
         cfg = self.rosen_config(
-            tmp_path, theta0={"rule": "uniform", "low": -1.5, "high": 1.5, "dim": 2}
+            tmp_path, theta0={"rule": "uniform", "low": -1.5, "high": 1.5}
         )
         out = tmp_path / "a"
         assert run("rosenbrock", "--config", cfg, "--out", str(out),
@@ -350,7 +350,7 @@ class TestMlp:
         cfg = tmp_path / "empty.json"
         cfg.write_text(json.dumps(empty))
         assert run("mlp", "--config", str(cfg), "--out", str(tmp_path / "a")) == 2
-        assert "need at least one optimizer and one seed" in capsys.readouterr().err
+        assert f"{next(iter(empty))} must not be empty" in capsys.readouterr().err
 
     def test_more_classes_than_outputs_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "wide.json"
@@ -503,26 +503,38 @@ def test_retired_config_key_exits_2(tmp_path, capsys, command, key, value):
     assert not out.exists()
 
 
-# a number that must be an integer, any non-finite number (json reads NaN,
-# Infinity and 1e400 as floats) and a value that is not the list or object its
-# default is exit 2 before anything is written or printed
+def test_empty_optimizer_entry_runs_with_all_defaults(tmp_path):
+    """An optimizer given as {} is OptimizerConfig's defaults, which are Adam's."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"iterations": 5,
+                                "optimizers": {"plain": {}, "adam": {"rule": "adam"}}}))
+    out = tmp_path / "a"
+    assert run("regret", "--config", str(path), "--out", str(out)) == 0
+    assert (out / "regret_plain_s0.csv").read_text() == (out / "regret_adam_s0.csv").read_text()
+
+
+# a value without the JSON type of its default (a float or a bool for an
+# integer, a bool or a string for a number, a string for a bool), an empty list
+# whose default is not, a key its default lacks and any non-finite number (json
+# reads NaN, Infinity and 1e400 as floats) exit 2 before anything is written or
+# printed
 @pytest.mark.parametrize("command, text, message", [
-    ("mlp", '{"seeds": [0, 0.5]}', "seed must be an integer, not 0.5"),
-    ("toy", '{"seeds": [0.5]}', "seed must be an integer, not 0.5"),
+    ("mlp", '{"seeds": [0, 0.5]}', "seeds[1] must be an integer, not 0.5"),
+    ("toy", '{"seeds": [0.5]}', "seeds[0] must be an integer, not 0.5"),
     ("regret", '{"iterations": 2.5}', "iterations must be an integer, not 2.5"),
     ("toy", '{"iterations": true}', "iterations must be an integer, not True"),
     ("mlp", '{"epochs": 2.0}', "epochs must be an integer, not 2.0"),
     ("mlp", '{"batch_size": 16.5}', "batch_size must be an integer, not 16.5"),
-    ("mlp", '{"layer_sizes": [2, 4.0, 3]}', "layer_sizes must be an integer, not 4.0"),
+    ("mlp", '{"layer_sizes": [2, 4.0, 3]}', "layer_sizes[1] must be an integer, not 4.0"),
     ("mlp", '{"blobs": {"classes": 3.0, "n_per_class": 20, "separation": 4.0}}',
      "blobs.classes must be an integer, not 3.0"),
     ("rosenbrock", '{"grid": {"x_range": [-2, 2], "y_range": [-1, 3], "resolution": 5.5}}',
      "grid.resolution must be an integer, not 5.5"),
     ("regret", '{"dim": 3.0}', "dim must be an integer, not 3.0"),
     ("regret", '{"theta0": {"rule": "uniform", "low": -1.0, "high": 1.0, "dim": 10.0}}',
-     "theta0.dim must be an integer, not 10.0"),
+     "unknown config key 'theta0.dim'"),
     ("regret", '{"lr_milestones": [[1.5, 2.0]]}',
-     "lr_milestones iteration must be an integer, not 1.5"),
+     "lr_milestones items must be [integer, number] pairs, not [1.5, 2.0]"),
     ("regret", '{"optimizers": {"adam": {"rule": "adam", "epsilon": Infinity}}}',
      "non-finite number Infinity in config"),
     ("toy", '{"theta0": [NaN]}', "non-finite number NaN in config"),
@@ -539,10 +551,27 @@ def test_retired_config_key_exits_2(tmp_path, capsys, command, key, value):
     ("mlp", '{"blobs": 5}', "blobs must be an object"),
     ("rosenbrock", '{"grid": {"x_range": 5, "y_range": [-1, 3], "resolution": 5}}',
      "grid.x_range must be a list"),
-    ("toy", '{"tasks": []}', "need at least one task"),
-    ("regret", '{"task": ["f1"]}', "unknown objective ['f1']"),
-    ("regret", '{"task": {"a": 1}}', "unknown objective {'a': 1}"),
-    ("toy", '{"tasks": [["f1"]]}', "unknown objective ['f1']"),
+    ("toy", '{"tasks": []}', "tasks must not be empty"),
+    ("regret", '{"task": ["f1"]}', "task must be a string, not ['f1']"),
+    ("regret", '{"task": {"a": 1}}', "task must be a string, not {'a': 1}"),
+    ("toy", '{"tasks": [["f1"]]}', "tasks[0] must be a string, not ['f1']"),
+    ("toy", '{"optimizers": {"adam": {"rule": "adam", "alpha": true}}}',
+     "optimizers.adam.alpha must be a number, not True"),
+    ("mlp", '{"blobs": {"classes": 3, "n_per_class": 20, "separation": true}}',
+     "blobs.separation must be a number, not True"),
+    ("mlp", '{"blobs": {"classes": 3, "n_per_class": 20, "separation": "4"}}',
+     "blobs.separation must be a number, not '4'"),
+    ("toy", '{"theta0": [true]}', "theta0[0] must be a number, not True"),
+    ("regret", '{"lr_milestones": [[10, true]]}',
+     "lr_milestones items must be [integer, number] pairs, not [10, True]"),
+    ("toy", '{"optimizers": {"gc": {"rule": "adam", "gc_enabled": "false"}}}',
+     "optimizers.gc.gc_enabled must be a boolean, not 'false'"),
+    ("toy", '{"optimizers": {"ag": {"rule": "angulargrad", "lambda1": "0.5"}}}',
+     "optimizers.ag.lambda1 must be a number, not '0.5'"),
+    ("regret", '{"theta0": {"rule": "uniform", "low": -1.0, "high": 1.0, "typo": 3}}',
+     "unknown config key 'theta0.typo'"),
+    ("regret", '{"theta0": {"rule": "uniform", "low": -1.0, "high": 1.0, "dim": 10}}',
+     "unknown config key 'theta0.dim'"),
 ], ids=[
     "mlp-seed", "toy-seed", "regret-iterations", "toy-iterations-bool", "mlp-epochs",
     "mlp-batch_size", "mlp-layer_sizes", "mlp-blobs.classes", "rosenbrock-grid.resolution",
@@ -551,6 +580,9 @@ def test_retired_config_key_exits_2(tmp_path, capsys, command, key, value):
     "toy-tasks-string", "mlp-layer_sizes-number", "toy-optimizers-number", "mlp-optimizers-list",
     "rosenbrock-grid-number", "mlp-blobs-number", "rosenbrock-grid.x_range-number",
     "toy-tasks-empty", "regret-task-list", "regret-task-object", "toy-task-list",
+    "toy-alpha-bool", "mlp-separation-bool", "mlp-separation-string", "toy-theta0-bool",
+    "regret-milestone-divisor-bool", "toy-gc_enabled-string", "toy-lambda1-string",
+    "regret-theta0.typo", "regret-theta0.dim-retired",
 ])
 def test_bad_config_number_exits_2(tmp_path, capsys, command, text, message):
     path = tmp_path / "cfg.json"
@@ -559,6 +591,7 @@ def test_bad_config_number_exits_2(tmp_path, capsys, command, text, message):
     assert run(command, "--config", str(path), "--out", str(out)) == 2
     captured = capsys.readouterr()
     assert message in captured.err
+    assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not out.exists()
 
@@ -639,7 +672,7 @@ def test_import_loads_no_network_xml_or_email_modules():
 PINNED_CONFIGS = {
     "regret-composition": {
         "task": "rosenbrock", "dim": 5, "seeds": [0, 1], "iterations": 3000,
-        "theta0": {"rule": "uniform", "low": -1.5, "high": 1.5, "dim": 5},
+        "theta0": {"rule": "uniform", "low": -1.5, "high": 1.5},
         "optimizers": {
             "radam": {"rule": "radam", "alpha": 0.001},
             "sgdm": {"rule": "sgdm", "alpha": 0.0001, "momentum_gamma": 0.9},

@@ -87,7 +87,7 @@ class TestResolveTheta0:
         assert np.array_equal(out, [-1.0, 2.0])
 
     def test_uniform_rule(self):
-        rule = {"rule": "uniform", "low": -1.0, "high": 1.0, "dim": 10}
+        rule = {"rule": "uniform", "low": -1.0, "high": 1.0}
         a = resolve_theta0(rule, 10, make_rng(3))
         b = resolve_theta0(rule, 10, make_rng(3))
         assert a.shape == (10,)
@@ -218,7 +218,7 @@ class TestBlocks:
             ),
             iterations=2000,
             seeds=(0,),
-            theta0={"rule": "uniform", "low": -1.0, "high": 1.0, "dim": 1000},
+            theta0={"rule": "uniform", "low": -1.0, "high": 1.0},
             dim=1000,
         )
         tracemalloc.start()
@@ -336,7 +336,7 @@ class TestStackedRuns:
             ),
             iterations=iterations,
             seeds=tuple(seeds),
-            theta0={"rule": "uniform", "low": -2.0, "high": 2.0, "dim": objective.dim},
+            theta0={"rule": "uniform", "low": -2.0, "high": 2.0},
             record_params=record_params,
             lr_milestones=tuple(milestones),
             dim=dim,

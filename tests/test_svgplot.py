@@ -102,6 +102,24 @@ class TestLineChart:
         assert all(np.isfinite(float(v)) for p in points for v in p.split(","))
         assert len({p.split(",")[1] for p in points}) == 1
 
+    # a range whose width (or four times it, in the tick sums) overflows, and a
+    # constant at the largest float, whose ulp pad reaches inf, write only
+    # finite coordinates and ticks, and warn nothing
+    @pytest.mark.parametrize("ys, points, ticks", [
+        ([-1e308, 1e308], "64.00,432.00 560.00,34.00",
+         ["-1e+308", "-5e+307", "0", "5e+307", "1e+308"]),
+        ([-1.7976931348623157e308, 1.7976931348623157e308], "64.00,432.00 560.00,34.00",
+         ["-1.79769e+308", "-8.98847e+307", "0", "8.98847e+307", "1.79769e+308"]),
+        ([1.7976931348623157e308] * 2, "64.00,34.00 560.00,34.00", ["1.79769e+308"] * 5),
+        ([-1.7976931348623157e308] * 2, "64.00,432.00 560.00,432.00", ["-1.79769e+308"] * 5),
+    ], ids=["wide", "widest", "constant-max", "constant-min"])
+    def test_range_at_the_float_limits_writes_finite_numbers(self, ys, points, ticks):
+        text = "".join(render_line_chart([Series("s", np.array([1.0, 2.0]), np.array(ys))]))
+        assert "nan" not in text and "inf" not in text
+        root = parse(text)
+        assert polylines(root)[0].get("points") == points
+        assert [t.text for t in root.iter(f"{NS}text")][5:10] == ticks
+
     def test_trailing_newline(self):
         assert "".join(render_line_chart(sample_series(1))).endswith("</svg>\n")
 
