@@ -37,9 +37,7 @@ from angular_optim.harness import (
     trajectory_to_csv,
     write_text_atomic,
 )
-from angular_optim.models import (
-    MlpParams, MlpRun, MlpSpec, init_params, loss_and_grad, make_blobs, train_mlp,
-)
+from angular_optim.models import MlpRun, MlpSpec, init_params, loss_and_grad, make_blobs, train_mlp
 from angular_optim.numerics import finite_diff_grad, make_rng, mean_std, relative_error
 from angular_optim.objectives import get_objective
 from angular_optim.optimizers import ConfigStack, OptimizerConfig
@@ -88,7 +86,9 @@ def _load_config(command: str, path: str | None) -> dict:
         the optimizers must not be empty where the default is not.  An object
         takes only its default's keys, except that optimizer names are the
         user's own, each entry taking OptimizerConfig's fields ({} is all
-        defaults), and theta0 is a vector or an init rule like regret's."""
+        defaults), and theta0 is a vector or an init rule like regret's.  The
+        root and the optimizer entries take any subset of their keys; grid,
+        blobs and an init rule replace their defaults whole, so need every key."""
         if type(value) is not type(default) and (type(default), type(value)) != (float, int):
             raise ConfigError(f"{key} must be {_JSON_TYPES[type(default)]}, not {value!r}")
         if default and not value and (type(value) is list or key == "optimizers"):
@@ -106,6 +106,10 @@ def _load_config(command: str, path: str | None) -> dict:
                 check(item, kind["theta0"], path)
             else:
                 check(item, default[sub], path)
+        whole = type(value) is dict and key.partition(".")[0] not in ("", "optimizers")
+        for sub in default if whole else ():
+            if sub not in value:
+                raise ConfigError(f"missing config key {f'{key}.{sub}'!r} for command {command!r}")
 
     check(user, config, "")
     config.update(user)
@@ -255,8 +259,9 @@ def _rosenbrock(config: dict, out: Path) -> list[str]:
 
 
 def _mlp_to_csv(run: MlpRun) -> Chunks:
-    columns = ["epoch", "mean_batch_loss", "train_loss", "train_accuracy"]
-    return _csv(columns, *([getattr(r, c) for r in run.records] for c in columns))
+    return _csv(["epoch", "mean_batch_loss", "train_loss", "train_accuracy"],
+                np.arange(1, run.train_loss.size + 1), run.mean_batch_loss, run.train_loss,
+                run.train_accuracy)
 
 
 def _mlp(config: dict, out: Path) -> list[str]:
@@ -278,7 +283,7 @@ def _mlp(config: dict, out: Path) -> list[str]:
         entry = summary[name] = {"status": [r.status for r in results]}
         for metric in ("loss", "accuracy"):
             # one entry per seed, NaN (null in the JSON) where the run aborted
-            finals = [getattr(r.records[-1], f"train_{metric}") if r.status == "ok" else math.nan
+            finals = [getattr(r, f"train_{metric}")[-1] if r.status == "ok" else math.nan
                       for r in results]
             entry[f"final_train_{metric}"] = finals
             entry[f"mean_final_{metric}"], entry[f"std_final_{metric}"] = mean_std(finals)
@@ -372,10 +377,7 @@ def cmd_gradcheck(args) -> int:
     X = rng.normal(size=(8, 4))
     y = np.arange(8) % 3  # every class present, contiguous from 0
     _, analytic = loss_and_grad(params, mlp_spec, X, y)
-    fd = finite_diff_grad(
-        lambda flat: loss_and_grad(MlpParams(flat, params.layout), mlp_spec, X, y)[0],
-        params.flat,
-    )
+    fd = finite_diff_grad(lambda flat: loss_and_grad(flat, mlp_spec, X, y)[0], params)
     check(f"mlp {list(mlp_spec.layer_sizes)}", relative_error(analytic, fd), 1e-4)
 
     return 3 if failures else 0

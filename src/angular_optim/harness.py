@@ -78,6 +78,9 @@ class ExperimentSpec:
             raise ValueError("lr_milestones divisors must be finite and > 0")
         if not all(it >= 1 for it, _ in self.lr_milestones):
             raise ValueError("lr_milestones iterations must be >= 1")
+        at = [it for it, _ in self.lr_milestones]  # single_run keeps one divisor each
+        if twice := [it for i, it in enumerate(at) if it in at[:i]]:
+            raise ValueError(f"lr_milestones iteration {twice[0]} is listed twice")
 
 
 @dataclass

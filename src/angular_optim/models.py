@@ -1,17 +1,19 @@
 """A minimal dense network with manual reverse-mode gradients, plus datasets.
 
 The network is the many-parameter, stochastic-minibatch counterpart to the
-analytic objectives: parameters live in one flat vector so the optimizers
-drive it through the exact same stepping contract.  Only dense layers are
-provided; the update rules under test act per coordinate, so dense layers
-exercise them fully.
+analytic objectives: parameters live in one plain (P,) vector so the
+optimizers drive it through the exact same stepping contract, and the spec's
+``layout`` (``layout_for``, built once per spec) carves it into layers.  Only
+dense layers are provided; the update rules under test act per coordinate,
+so dense layers exercise them fully.
 
 The run axis: R runs train as one stack, an (R, P) array whose weights are
 (R, fan_out, fan_in) views, through stacked matmuls and per-row reductions
 over the last axes.  A run whose loss or step turns non-finite drops out of
 the stack through ``optimizers.Runs``.  Training and ``evaluate`` take only
 stacks (a lone run is a one-row stack), and each row is bit for bit its run
-trained alone.
+trained alone.  The per-epoch records are (R, epochs) arrays, and each run
+keeps its row's first columns, one per epoch it finished.
 Each minibatch gathers every row's samples from one (S * n, F) table of all
 seeds' data, and each epoch ends with one evaluation per seed of that seed's
 live rows, a (k, P) stack on its (n, F) data.  The forward and backward
@@ -28,6 +30,7 @@ column folds; sums fold below 8 columns only, where numpy's own sum folds too.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +58,11 @@ class MlpSpec:
         if self.loss not in LOSSES:
             raise ValueError(f"loss must be one of {LOSSES}")
 
+    @cached_property
+    def layout(self) -> tuple[LayerSlot, ...]:
+        """This spec's layout_for, built once."""
+        return layout_for(self)
+
 
 @dataclass(frozen=True)
 class LayerSlot:
@@ -64,24 +72,6 @@ class LayerSlot:
     w_shape: tuple[int, int]  # (fan_out, fan_in)
     b_start: int
     b_end: int
-
-
-@dataclass
-class MlpParams:
-    """Flat parameter vector, or an (R, P) stack of them, plus the layout
-    that carves it into layers (views with the stack's leading axis)."""
-
-    flat: Vector
-    layout: tuple[LayerSlot, ...]
-
-    def weights(self, i: int) -> np.ndarray:
-        slot = self.layout[i]
-        block = self.flat[..., slot.w_start : slot.b_start]
-        return block.reshape(*block.shape[:-1], *slot.w_shape)
-
-    def biases(self, i: int) -> np.ndarray:
-        slot = self.layout[i]
-        return self.flat[..., slot.b_start : slot.b_end]
 
 
 def layout_for(spec: MlpSpec) -> tuple[LayerSlot, ...]:
@@ -97,19 +87,25 @@ def layout_for(spec: MlpSpec) -> tuple[LayerSlot, ...]:
     return tuple(slots)
 
 
+def layer_weights(params: np.ndarray, slot: LayerSlot) -> np.ndarray:
+    """The (..., fan_out, fan_in) weight view of a (P,) vector or an (R, P)
+    stack; the biases are the slice ``params[..., slot.b_start : slot.b_end]``."""
+    block = params[..., slot.w_start : slot.b_start]
+    return block.reshape(*block.shape[:-1], *slot.w_shape)
+
+
 def n_params(spec: MlpSpec) -> int:
-    return layout_for(spec)[-1].b_end
+    return spec.layout[-1].b_end
 
 
-def init_params(spec: MlpSpec, rng: np.random.Generator) -> MlpParams:
+def init_params(spec: MlpSpec, rng: np.random.Generator) -> Vector:
     """Uniform weights in +-sqrt(6/(fan_in+fan_out)); biases exactly zero."""
-    layout = layout_for(spec)
     flat = np.zeros(n_params(spec), dtype=np.float64)
-    for slot in layout:
+    for slot in spec.layout:
         fan_out, fan_in = slot.w_shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         flat[slot.w_start : slot.b_start] = rng.uniform(-limit, limit, size=fan_in * fan_out)
-    return MlpParams(flat=flat, layout=layout)
+    return flat
 
 
 # ---------------------------------------------------------------------------
@@ -165,13 +161,13 @@ def make_blobs(
 # Forward / backward
 
 
-def _forward(params: MlpParams, spec: MlpSpec, X: np.ndarray) -> list[np.ndarray]:
+def _forward(params: np.ndarray, spec: MlpSpec, X: np.ndarray) -> list[np.ndarray]:
     """Activations per layer, the input first and the linear output last."""
     acts = [X]
-    last = len(params.layout) - 1
-    for i in range(len(params.layout)):
-        z = np.matmul(acts[-1], params.weights(i).swapaxes(-1, -2))
-        z += params.biases(i)[..., None, :]
+    last = len(spec.layout) - 1
+    for i, slot in enumerate(spec.layout):
+        z = np.matmul(acts[-1], layer_weights(params, slot).swapaxes(-1, -2))
+        z += params[..., None, slot.b_start : slot.b_end]
         if i < last:
             if spec.activation == "tanh":
                 np.tanh(z, out=z)
@@ -240,7 +236,7 @@ def _loss(spec: MlpSpec, out: np.ndarray, y: np.ndarray, grad: bool = True):
 
 
 def loss_and_grad(
-    params: MlpParams, spec: MlpSpec, X: np.ndarray, y: np.ndarray
+    params: np.ndarray, spec: MlpSpec, X: np.ndarray, y: np.ndarray
 ) -> tuple[float, Vector]:
     """Mean batch loss and its gradient w.r.t. the flat parameter vector.
 
@@ -251,15 +247,15 @@ def loss_and_grad(
     y = np.asarray(y, dtype=np.int64)
     if X.shape[-2] == 0:
         raise ValueError("batch must be non-empty")
-    lone = params.flat.ndim == 1
+    lone = params.ndim == 1
     if lone:  # train_mlp checks its labels once per dataset
         _check_labels(y, spec.layer_sizes[-1])
     acts = _forward(params, spec, X)
     loss, delta = _loss(spec, acts[-1], y)
 
-    grad = np.empty_like(params.flat)
-    for i in range(len(params.layout) - 1, -1, -1):
-        slot = params.layout[i]
+    grad = np.empty_like(params)
+    for i in range(len(spec.layout) - 1, -1, -1):
+        slot = spec.layout[i]
         gw = np.matmul(delta.swapaxes(-1, -2), acts[i])
         grad[..., slot.w_start : slot.b_start] = gw.reshape(*gw.shape[:-2], -1)
         if lone or delta.shape[-1] < 2:
@@ -271,12 +267,12 @@ def loss_and_grad(
             np.add.reduce(np.ascontiguousarray(delta.swapaxes(0, 1)), axis=0,
                           out=grad[..., slot.b_start : slot.b_end])
         if i > 0:
-            delta = np.matmul(delta, params.weights(i))
+            delta = np.matmul(delta, layer_weights(params, slot))
             delta *= _act_deriv(spec, acts[i])
     return (float(loss) if lone else loss), grad
 
 
-def evaluate(params: MlpParams, spec: MlpSpec, X: np.ndarray, y: np.ndarray):
+def evaluate(params: np.ndarray, spec: MlpSpec, X: np.ndarray, y: np.ndarray):
     """Loss and argmax accuracy on all of (X, y), with no gradient, of each row
     of (k, P) params on the same data, as arrays of k."""
     n = X.shape[0]
@@ -294,19 +290,15 @@ def evaluate(params: MlpParams, spec: MlpSpec, X: np.ndarray, y: np.ndarray):
 
 
 @dataclass
-class EpochRecord:
-    epoch: int
-    mean_batch_loss: float
-    train_loss: float
-    train_accuracy: float
-
-
-@dataclass
 class MlpRun:
-    """One row of a trained stack (params where it ended or aborted)."""
+    """One row of a trained stack: its params where it ended or aborted, and
+    for each epoch it finished its mean minibatch loss, then its full-train
+    loss and accuracy at the epoch's end."""
 
-    params: MlpParams
-    records: list[EpochRecord]
+    params: Vector
+    mean_batch_loss: np.ndarray
+    train_loss: np.ndarray
+    train_accuracy: np.ndarray
     status: str = "ok"
 
 
@@ -314,9 +306,8 @@ def train_mlp(spec: MlpSpec, datasets, stack, epochs: int, batch_size: int, rngs
     """Minibatch training with a seeded shuffle per epoch of a stack of runs.
 
     Takes a Dataset and a Generator per seed and a ConfigStack of (optimizer,
-    seed) rows, row r on seed r % S, and returns an MlpRun per row: one record
-    per epoch it reached the end of (mean minibatch loss, then full-train loss
-    and accuracy at the epoch's end) and status "ok", or why the row aborted.
+    seed) rows, row r on seed r % S, and returns an MlpRun per row: its records
+    of each epoch it reached the end of and status "ok", or why the row aborted.
     Each seed's generator draws the init, then a shuffle per epoch, for all
     its rows; each minibatch makes one loss_and_grad and one step call, and a
     row whose loss or step turns non-finite drops out.  A loss status names
@@ -336,10 +327,11 @@ def train_mlp(spec: MlpSpec, datasets, stack, epochs: int, batch_size: int, rngs
     n = inputs.shape[1]
     # every seed's samples in one (S * n, F) table: seed s's sample i is row s * n + i
     flat_inputs, flat_labels = inputs.reshape(-1, inputs.shape[-1]), labels.reshape(-1)
-    layout = layout_for(spec)
     seed_of = np.arange(n_runs) % seeds
-    runs = Runs(stack, np.array([init_params(spec, g).flat for g in rngs])[seed_of])
-    records = [[] for _ in range(n_runs)]
+    runs = Runs(stack, np.array([init_params(spec, g) for g in rngs])[seed_of])
+    mean_batch_loss, train_loss, train_accuracy = np.empty((3, n_runs, epochs))
+    finished = np.zeros(n_runs, dtype=np.int64)  # each run's epochs with records
+    n_batches = -(-n // batch_size)
     diverged = lambda epoch, step: f"non-finite loss at epoch {epoch}, step {step}"
 
     # divergence is handled (the row drops out), so overflow on an exploding
@@ -347,11 +339,10 @@ def train_mlp(spec: MlpSpec, datasets, stack, epochs: int, batch_size: int, rngs
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(1, epochs + 1):
             orders = np.array([g.permutation(n) for g in rngs]) + (np.arange(seeds) * n)[:, None]
-            batch_losses = np.empty((n_runs, -(-n // batch_size)))
+            batch_losses = np.empty((n_runs, n_batches))
             for j, lo in enumerate(range(0, n, batch_size)):
                 at = orders[seed_of[runs.live], lo : lo + batch_size]
-                loss, grad = loss_and_grad(MlpParams(runs.params, layout), spec,
-                                           np.take(flat_inputs, at, axis=0),
+                loss, grad = loss_and_grad(runs.params, spec, np.take(flat_inputs, at, axis=0),
                                            np.take(flat_labels, at))
                 batch_losses[runs.live, j] = loss
                 # a row's non-finite loss stops it before its step
@@ -359,24 +350,22 @@ def train_mlp(spec: MlpSpec, datasets, stack, epochs: int, batch_size: int, rngs
                 runs.params = runs.step(grad, failed)
                 if not runs.live.size:
                     break
+            live, col = runs.live, epoch - 1
+            mean_batch_loss[live, col] = np.add.reduce(batch_losses[live], axis=1) / n_batches
             # one evaluate per seed on its k live rows: each temporary holds k x n
             # x widest-layer floats, 0.69 MB at the default against 0.12 MB row by row
-            losses = np.empty(runs.live.size)
             for s in range(seeds):
-                rows = np.flatnonzero(seed_of[runs.live] == s)
-                if not rows.size:
-                    continue
-                loss, acc = evaluate(MlpParams(runs.params[rows], layout), spec,
-                                     inputs[s], labels[s])
-                losses[rows] = loss
-                for run, row_loss, row_acc in zip(runs.live[rows].tolist(), loss.tolist(),
-                                                  acc.tolist()):
-                    mean = float(np.add.reduce(batch_losses[run]) / batch_losses.shape[1])
-                    records[run].append(EpochRecord(epoch, mean, row_loss, row_acc))
-            if failed := nonfinite_rows(losses, diverged(epoch, runs.state.t)):
+                rows = np.flatnonzero(seed_of[live] == s)
+                if rows.size:
+                    train_loss[live[rows], col], train_accuracy[live[rows], col] = evaluate(
+                        runs.params[rows], spec, inputs[s], labels[s])
+            finished[live] = epoch
+            if failed := nonfinite_rows(train_loss[live, col], diverged(epoch, runs.state.t)):
                 runs.drop(failed, runs.state.t)
             if not runs.live.size:
                 break
     runs.finish()
-    return [MlpRun(MlpParams(final, layout), records[run], status)
-            for run, (final, status) in enumerate(zip(runs.final, runs.status))]
+    return [MlpRun(final, mean_batch_loss[run, :done], train_loss[run, :done],
+                   train_accuracy[run, :done], status)
+            for run, (final, done, status) in enumerate(zip(runs.final, finished.tolist(),
+                                                              runs.status))]

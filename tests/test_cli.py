@@ -572,6 +572,17 @@ def test_empty_optimizer_entry_runs_with_all_defaults(tmp_path):
      "unknown config key 'theta0.typo'"),
     ("regret", '{"theta0": {"rule": "uniform", "low": -1.0, "high": 1.0, "dim": 10}}',
      "unknown config key 'theta0.dim'"),
+    ("toy", '{"iterations": 6, "lr_milestones": [[5, 2.0], [5, 3.0]], '
+            '"optimizers": {"sgd": {"rule": "sgd", "alpha": 0.1}}}',
+     "lr_milestones iteration 5 is listed twice"),
+    ("rosenbrock", '{"grid": {"x_range": [-2, 2], "y_range": [-1, 3]}}',
+     "missing config key 'grid.resolution' for command 'rosenbrock'"),
+    ("mlp", '{"blobs": {"classes": 3, "n_per_class": 20}}',
+     "missing config key 'blobs.separation' for command 'mlp'"),
+    ("regret", '{"theta0": {"rule": "uniform", "high": 1.0}}',
+     "missing config key 'theta0.low' for command 'regret'"),
+    ("toy", '{"theta0": {"rule": "uniform", "low": -1.0}}',
+     "missing config key 'theta0.high' for command 'toy'"),
 ], ids=[
     "mlp-seed", "toy-seed", "regret-iterations", "toy-iterations-bool", "mlp-epochs",
     "mlp-batch_size", "mlp-layer_sizes", "mlp-blobs.classes", "rosenbrock-grid.resolution",
@@ -582,7 +593,9 @@ def test_empty_optimizer_entry_runs_with_all_defaults(tmp_path):
     "toy-tasks-empty", "regret-task-list", "regret-task-object", "toy-task-list",
     "toy-alpha-bool", "mlp-separation-bool", "mlp-separation-string", "toy-theta0-bool",
     "regret-milestone-divisor-bool", "toy-gc_enabled-string", "toy-lambda1-string",
-    "regret-theta0.typo", "regret-theta0.dim-retired",
+    "regret-theta0.typo", "regret-theta0.dim-retired", "toy-milestone-repeated",
+    "rosenbrock-grid-missing-resolution", "mlp-blobs-missing-separation",
+    "regret-theta0-missing-low", "toy-theta0-missing-high",
 ])
 def test_bad_config_number_exits_2(tmp_path, capsys, command, text, message):
     path = tmp_path / "cfg.json"
@@ -1087,6 +1100,103 @@ PINNED_DEFAULT_ARTIFACTS = {
     },
 }
 
+# The digests that move on the X86_V3 (AVX2) path, where numpy's float64 exp,
+# log, tan and arctan give other last bits; every other artifact keeps its
+# PINNED_DEFAULT_ARTIFACTS digest there.  mlp's softmax takes exp and log, and
+# rosenbrock-abort's tan rows take tan and arctan.
+X86_V3_DISABLED = "X86_V4 AVX512_ICL AVX512_SPR"
+PINNED_X86_V3_ARTIFACTS = {
+    "mlp": {
+        "mlp_adabelief_s0.csv":
+            "ff88bd480707d97ae688ce9bf6309321d5ba7cc721f26e891bed5f28e587cbd6",
+        "mlp_adabelief_s1.csv":
+            "c04fd6369f9659f675f2a59d3f5096b4d2e53d8f356a3937a301121e7d805440",
+        "mlp_adabelief_s2.csv":
+            "b62a86048585ee0425847b2a6d37182f49c4893dd2ff85997a5b831deed8e8df",
+        "mlp_adabelief_s3.csv":
+            "8309bdb452b16c6a163a69d59e1d20bf641a26ab98cda42d35268206a0d9932e",
+        "mlp_adabelief_s4.csv":
+            "71b1190e9c64494449f0741dbc4f1e36b3bf7facf1e707713d7f600aee6669df",
+        "mlp_adam_s0.csv":
+            "a08ef69400e0c01164b0e53f3c77b828e6561210bda842c5963474fd86226586",
+        "mlp_adam_s1.csv":
+            "c1c478b7b7a89f68701eba2f292f481eebca1f55eae1b649df465e55bd6eebd4",
+        "mlp_adam_s2.csv":
+            "9149fed6c38a9cb9ae8cc24c78188b7ae2107fa337685435422da94fe31f5b66",
+        "mlp_adam_s3.csv":
+            "934b851a000ddc97ead760faf49a3f9317efe7368d1c3568d78b3a7e0b3115e4",
+        "mlp_adam_s4.csv":
+            "bbfa58d503eb62af797864f82288013d87554201361642bda7472eb24e0e6e6c",
+        "mlp_adamw_s0.csv":
+            "a08ef69400e0c01164b0e53f3c77b828e6561210bda842c5963474fd86226586",
+        "mlp_adamw_s1.csv":
+            "c1c478b7b7a89f68701eba2f292f481eebca1f55eae1b649df465e55bd6eebd4",
+        "mlp_adamw_s2.csv":
+            "9149fed6c38a9cb9ae8cc24c78188b7ae2107fa337685435422da94fe31f5b66",
+        "mlp_adamw_s3.csv":
+            "934b851a000ddc97ead760faf49a3f9317efe7368d1c3568d78b3a7e0b3115e4",
+        "mlp_adamw_s4.csv":
+            "bbfa58d503eb62af797864f82288013d87554201361642bda7472eb24e0e6e6c",
+        "mlp_angulargrad_cos_s0.csv":
+            "ff2f595a85e673a129262553b1bd3da9a2b0ccb3780e2bffb94cba882b920973",
+        "mlp_angulargrad_cos_s1.csv":
+            "f7da8a6853dc4bc69aab4d2d8f8d8c9ea1715e12f17fd6fe5a72218fb248c9fd",
+        "mlp_angulargrad_cos_s2.csv":
+            "cb70784fd41afc73a2ce197619bf9148b14acc082009ec7de06cd0938e5bac77",
+        "mlp_angulargrad_cos_s3.csv":
+            "0129efbb51b380b16aedde3fda075fe2ee7051ed937891d6214b2aa8bf15f40f",
+        "mlp_angulargrad_cos_s4.csv":
+            "2ea563f731663aa7b9f7c645769fc154eae04ef25997dd20c97c033ca47ce5f9",
+        "mlp_angulargrad_tan_s0.csv":
+            "52641c0347c171b57fc026f49c3b5c6d0cdcec9602243f889158036eaa5014e6",
+        "mlp_angulargrad_tan_s1.csv":
+            "400d56bd8fa14e03752dbfff20486e6b6dbb52fbaec4616945e7ab43666d727b",
+        "mlp_angulargrad_tan_s2.csv":
+            "eb272ef6394a7df08c46684054244539ca785c9667fcc62b52a102cbbda1380b",
+        "mlp_angulargrad_tan_s3.csv":
+            "ebdd5013b7cff92c94838eb60011dc1bf181fe6f0d457ea5877dfc7ad2467935",
+        "mlp_angulargrad_tan_s4.csv":
+            "1a98f0d9b8fb482a869253c16a151aaec6d1de7ff764cc44f1d2013f4eb0e3c0",
+        "mlp_diffgrad_s0.csv":
+            "d1733023cae9dea3c29c0087901a6d57c4cc9187a18d3aeb692a9727ec584331",
+        "mlp_diffgrad_s1.csv":
+            "2f727fbe6526df5fd5b630e1b324900e286f7870683e23f391c08a40f0e6d202",
+        "mlp_diffgrad_s2.csv":
+            "d00f7d0a08408351bfe4bebf8c1dbde38f7b9c8a9266cb7a4d4369ba61b3fbd3",
+        "mlp_diffgrad_s3.csv":
+            "73bc181f95a3a3cbba00117310121bf426921530af5ecd484975f39ba6e0cd13",
+        "mlp_diffgrad_s4.csv":
+            "439f35c92575db0e6187bbe5e1e80007edb601daba7af060b84eb36fed8d2fe1",
+        "mlp_summary.json":
+            "0d56357919d4e3575585e4682a31d9a06f16d29bf1fd39020b0be15402d03cbb",
+    },
+    "rosenbrock-abort": {
+        "rosenbrock_angulargrad_tan_hgd_s0.csv":
+            "19f4a7cbd4f1325b40f0591bf3a38defe9bda2aeb56e1715d93a9d547d08bdb9",
+        "rosenbrock_angulargrad_tan_hgd_s1.csv":
+            "19f4a7cbd4f1325b40f0591bf3a38defe9bda2aeb56e1715d93a9d547d08bdb9",
+        "rosenbrock_overlay.svg":
+            "00f0dd5430bfc1ffa0f149b98328e34dec0185c1844fcb10ba68cfd8585990da",
+        "rosenbrock_summary.json":
+            "5850697c20e7900441b843b900280197802759184ee16f7fb92c6be134199127",
+    },
+}
+
+
+def pinned_argv(tmp_path, case) -> list[str]:
+    """The command line of a PINNED_DEFAULT_ARTIFACTS case, writing into
+    tmp_path/<case> (and its config, if any, beside it)."""
+    argv = [case.partition("-")[0], "--out", str(tmp_path / case)]
+    if case in PINNED_CONFIGS:
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(PINNED_CONFIGS[case]))
+        argv += ["--config", str(path)]
+    return argv
+
+
+def digests(out) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
 
 class TestDeterminism:
     def test_repeat_runs_byte_identical(self, tmp_path):
@@ -1100,16 +1210,34 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("case", sorted(PINNED_DEFAULT_ARTIFACTS))
     def test_default_artifacts_match_pinned_digests(self, tmp_path, case):
-        out = tmp_path / case
-        argv = [case.partition("-")[0], "--out", str(out)]
-        if case in PINNED_CONFIGS:
-            path = tmp_path / f"{case}.json"
-            path.write_text(json.dumps(PINNED_CONFIGS[case]))
-            argv += ["--config", str(path)]
-        assert run(*argv) == PINNED_EXIT_CODES.get(case, 0)
-        digests = {
-            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()
-        }
-        assert digests == PINNED_DEFAULT_ARTIFACTS[case], (
+        assert run(*pinned_argv(tmp_path, case)) == PINNED_EXIT_CODES.get(case, 0)
+        assert digests(tmp_path / case) == PINNED_DEFAULT_ARTIFACTS[case], (
             f"digests pinned on numpy {PINNED_NUMPY} dispatching to {' '.join(PINNED_DISPATCH)}, "
             f"running numpy {np.__version__} dispatching to {' '.join(running_dispatch())}")
+
+    @pytest.mark.skipif(running_dispatch() != PINNED_DISPATCH,
+                        reason="the X86_V3 path is checked from the pinned targets")
+    def test_x86_v3_path_matches_its_pinned_digests(self, tmp_path):
+        """Every pinned case, run in one interpreter that numpy starts on the
+        X86_V3 (AVX2) path (NPY_DISABLE_CPU_FEATURES acts on that process only),
+        gives its digests there: PINNED_X86_V3_ARTIFACTS over the default pins."""
+        cases = {case: pinned_argv(tmp_path, case) for case in sorted(PINNED_DEFAULT_ARTIFACTS)}
+        code = (
+            "import json, pathlib, sys\n"
+            "from angular_optim.cli import main\n"
+            "from test_cli import digests, running_dispatch\n"
+            "cases = json.loads(sys.argv[1])\n"
+            "codes = {case: main(argv) for case, argv in cases.items()}\n"
+            "print(json.dumps([running_dispatch(), codes,\n"
+            "                  {case: digests(pathlib.Path(argv[2])) for case, argv in cases.items()}]))\n"
+        )
+        path = os.pathsep.join([os.path.dirname(__file__), *sys.path])
+        env = dict(os.environ, PYTHONPATH=path, NPY_DISABLE_CPU_FEATURES=X86_V3_DISABLED)
+        done = subprocess.run([sys.executable, "-c", code, json.dumps(cases)], env=env,
+                              capture_output=True, text=True, check=True)
+        dispatch, codes, got = json.loads(done.stdout)
+        assert dispatch == ["X86_V3"]
+        assert codes == {case: PINNED_EXIT_CODES.get(case, 0) for case in cases}
+        for case in cases:
+            want = {**PINNED_DEFAULT_ARTIFACTS[case], **PINNED_X86_V3_ARTIFACTS.get(case, {})}
+            assert got[case] == want, case

@@ -14,12 +14,11 @@ from angular_optim.models import (
     ACTIVATIONS,
     LOSSES,
     Dataset,
-    EpochRecord,
-    MlpParams,
     MlpRun,
     MlpSpec,
     evaluate,
     init_params,
+    layer_weights,
     layout_for,
     loss_and_grad,
     make_blobs,
@@ -38,15 +37,23 @@ from angular_optim.optimizers import (
 )
 
 
-def zero_params(spec: MlpSpec) -> MlpParams:
-    return MlpParams(
-        flat=np.zeros(n_params(spec), dtype=np.float64), layout=layout_for(spec)
-    )
+def zero_params(spec: MlpSpec) -> np.ndarray:
+    return np.zeros(n_params(spec), dtype=np.float64)
+
+
+def biases(params, slot):
+    return params[..., slot.b_start : slot.b_end]
+
+
+def record_hex(run: MlpRun) -> list[list[str]]:
+    """A run's per-epoch records, each float as its exact hex."""
+    return [list(map(float.hex, records.tolist()))
+            for records in (run.mean_batch_loss, run.train_loss, run.train_accuracy)]
 
 
 def evaluate_alone(params, spec, X, y):
     """evaluate on the one-row stack of ``params``: its loss and accuracy."""
-    losses, accuracies = evaluate(MlpParams(params.flat[None], params.layout), spec, X, y)
+    losses, accuracies = evaluate(params[None], spec, X, y)
     return float(losses[0]), accuracies[0]
 
 
@@ -83,22 +90,29 @@ class TestSpecAndLayout:
         assert layout[1].w_shape == (2, 4)
         assert layout[1].b_start == 20
         assert layout[1].b_end == 22
+        # the spec builds its layout once
+        assert spec.layout == layout and spec.layout is spec.layout
 
     def test_views_share_storage(self):
         spec = MlpSpec(layer_sizes=(2, 3, 2))
         params = zero_params(spec)
-        params.weights(0)[1, 0] = 7.0
-        assert params.flat[2] == 7.0
+        layer_weights(params, spec.layout[0])[1, 0] = 7.0
+        assert params[2] == 7.0
+        stack = np.zeros((2, n_params(spec)))
+        layer_weights(stack, spec.layout[1])[1, 1, 2] = 5.0
+        assert layer_weights(stack, spec.layout[1]).shape == (2, 2, 3)
+        assert stack[1, spec.layout[1].w_start + 5] == 5.0
 
     def test_init_params(self):
         spec = MlpSpec(layer_sizes=(2, 4, 3))
         params = init_params(spec, make_rng(0))
-        for i, (fan_in, fan_out) in enumerate([(2, 4), (4, 3)]):
+        assert params.shape == (n_params(spec),)
+        for slot, (fan_in, fan_out) in zip(spec.layout, [(2, 4), (4, 3)]):
             limit = math.sqrt(6.0 / (fan_in + fan_out))
-            assert np.all(np.abs(params.weights(i)) <= limit)
-            assert np.array_equal(params.biases(i), np.zeros(fan_out))
+            assert np.all(np.abs(layer_weights(params, slot)) <= limit)
+            assert np.array_equal(biases(params, slot), np.zeros(fan_out))
         again = init_params(spec, make_rng(0))
-        assert np.array_equal(params.flat, again.flat)
+        assert np.array_equal(params, again)
 
 
 class TestLosses:
@@ -119,8 +133,8 @@ class TestLosses:
     def test_softmax_shift_invariance(self):
         spec = MlpSpec(layer_sizes=(2, 4, 3))
         base = init_params(spec, make_rng(1))
-        shifted = MlpParams(flat=base.flat.copy(), layout=base.layout)
-        shifted.biases(1)[:] += 5.0
+        shifted = base.copy()
+        biases(shifted, spec.layout[1])[:] += 5.0
         X = make_rng(2).normal(size=(6, 2))
         y = np.array([0, 1, 2, 0, 1, 2])
         l0, _ = loss_and_grad(base, spec, X, y)
@@ -148,10 +162,10 @@ class TestLosses:
         spec = MlpSpec(layer_sizes=(1, 1, 1), activation="relu", loss="mse")
         params = zero_params(spec)
         _, grad = loss_and_grad(params, spec, np.array([[1.0]]), np.array([0]))
-        slot0 = params.layout[0]
+        slot0 = spec.layout[0]
         assert np.array_equal(grad[slot0.w_start : slot0.b_end], np.zeros(2))
         # output bias still learns: d/db of (out - 1)^2 at out = 0 is -2
-        assert grad[params.layout[1].b_start] == -2.0
+        assert grad[spec.layout[1].b_start] == -2.0
 
 
 def frozen_loss(spec, out, y):
@@ -221,9 +235,10 @@ def frozen_forward(params, spec, X):
     """models._forward as it was before its temporaries went in place: the
     bitwise reference for the in-place one."""
     acts = [X]
-    last = len(params.layout) - 1
-    for i in range(len(params.layout)):
-        z = np.matmul(acts[-1], params.weights(i).swapaxes(-1, -2)) + params.biases(i)[..., None, :]
+    last = len(spec.layout) - 1
+    for i, slot in enumerate(spec.layout):
+        z = (np.matmul(acts[-1], layer_weights(params, slot).swapaxes(-1, -2))
+             + biases(params, slot)[..., None, :])
         if i < last:
             z = np.tanh(z) if spec.activation == "tanh" else np.maximum(z, 0.0)
         acts.append(z)
@@ -241,15 +256,15 @@ def frozen_loss_and_grad(params, spec, X, y):
     in-place temporaries, scored by frozen_loss."""
     acts = frozen_forward(params, spec, X)
     loss, delta = frozen_loss(spec, acts[-1], y)
-    grad = np.empty_like(params.flat)
-    for i in range(len(params.layout) - 1, -1, -1):
-        slot = params.layout[i]
+    grad = np.empty_like(params)
+    for i in range(len(spec.layout) - 1, -1, -1):
+        slot = spec.layout[i]
         gw = np.matmul(delta.swapaxes(-1, -2), acts[i])
         grad[..., slot.w_start : slot.b_start] = gw.reshape(*gw.shape[:-2], -1)
         grad[..., slot.b_start : slot.b_end] = delta.sum(axis=-2)
         if i > 0:
-            delta = np.matmul(delta, params.weights(i)) * frozen_act_deriv(spec, acts[i])
-    return (float(loss) if params.flat.ndim == 1 else loss), grad
+            delta = np.matmul(delta, layer_weights(params, slot)) * frozen_act_deriv(spec, acts[i])
+    return (float(loss) if params.ndim == 1 else loss), grad
 
 
 def frozen_evaluate(params, spec, X, y):
@@ -264,7 +279,7 @@ def random_network(layer_sizes, activation, loss, rows, batch, seed=0):
     spec = MlpSpec(layer_sizes, activation, loss)
     rng = make_rng(seed)
     lead = () if rows is None else (rows,)
-    params = MlpParams(rng.normal(size=(*lead, n_params(spec))), layout_for(spec))
+    params = rng.normal(size=(*lead, n_params(spec)))
     X = rng.normal(size=(*lead, batch, layer_sizes[0]))
     y = rng.integers(0, layer_sizes[-1], size=(*lead, batch))
     return spec, params, X, y
@@ -301,16 +316,17 @@ class TestFrozenForwardBackward:
     @pytest.mark.parametrize("loss", LOSSES)
     def test_stacked_evaluate_matches_lone_calls(self, hidden, loss):
         spec, params, X, y = random_network((2, hidden, 3), "tanh", loss, 4, 40, seed=5)
-        params.flat[1] = 0.0  # every logit ties: argmax takes class 0
+        params[1] = 0.0  # every logit ties: argmax takes class 0
         # classes 1 and 2 tie on every sample of row 2
-        params.weights(1)[2, 2], params.biases(1)[2, 2] = params.weights(1)[2, 1], params.biases(1)[2, 1]
+        weights, bias = layer_weights(params, spec.layout[1]), biases(params, spec.layout[1])
+        weights[2, 2], bias[2, 2] = weights[2, 1], bias[2, 1]
         X, y = X[0], y[0]  # one seed's data
         for rows in (slice(0, 1), slice(None)):
-            stacked = MlpParams(params.flat[rows], params.layout)
+            stacked = params[rows]
             losses, accuracies = evaluate(stacked, spec, X, y)
-            assert losses.shape == accuracies.shape == (len(stacked.flat),)
-            for row, flat in enumerate(stacked.flat):
-                want = frozen_evaluate(MlpParams(flat, params.layout), spec, X, y)
+            assert losses.shape == accuracies.shape == (len(stacked),)
+            for row, flat in enumerate(stacked):
+                want = frozen_evaluate(flat, spec, X, y)
                 assert [float.hex(losses[row]), float.hex(accuracies[row])] == list(map(float.hex, want))
         assert accuracies[1] == np.count_nonzero(y == 0) / y.size
 
@@ -335,12 +351,7 @@ class TestGradCheck:
         X = make_rng(1).normal(size=(8, 4))
         y = np.arange(8) % 3
         _, analytic = loss_and_grad(params, spec, X, y)
-
-        def line(flat):
-            p = MlpParams(flat=flat, layout=params.layout)
-            return loss_and_grad(p, spec, X, y)[0]
-
-        fd = finite_diff_grad(line, params.flat, h=1e-6)
+        fd = finite_diff_grad(lambda flat: loss_and_grad(flat, spec, X, y)[0], params, h=1e-6)
         assert relative_error(analytic, fd) <= 1e-4
 
     def test_relu_against_finite_differences(self):
@@ -351,12 +362,7 @@ class TestGradCheck:
         X = make_rng(3).normal(size=(6, 3)) + 0.5
         y = np.array([0, 1, 0, 1, 0, 1])
         _, analytic = loss_and_grad(params, spec, X, y)
-
-        def line(flat):
-            p = MlpParams(flat=flat, layout=params.layout)
-            return loss_and_grad(p, spec, X, y)[0]
-
-        fd = finite_diff_grad(line, params.flat, h=1e-6)
+        fd = finite_diff_grad(lambda flat: loss_and_grad(flat, spec, X, y)[0], params, h=1e-6)
         assert relative_error(analytic, fd) <= 1e-4
 
 
@@ -435,31 +441,30 @@ class TestTraining:
         lr = 0.01 if rule in ("sgd", "sgdm") else 1e-3
         config = OptimizerConfig(rule=rule, alpha=lr)
         run = train_alone(spec, blobs, config, epochs=5, batch_size=16, rng=make_rng(0))
-        params, records = run.params, run.records
-        assert len(records) == 5
-        assert [r.epoch for r in records] == [1, 2, 3, 4, 5]
-        assert records[-1].train_loss < records[0].train_loss
-        assert all(np.isfinite(r.train_loss) for r in records)
-        assert params.flat.size == n_params(spec)
+        # one record per epoch, epochs 1..5 in order
+        assert run.mean_batch_loss.shape == run.train_loss.shape == run.train_accuracy.shape == (5,)
+        assert run.train_loss[-1] < run.train_loss[0]
+        assert np.isfinite(run.train_loss).all()
+        assert run.params.shape == (n_params(spec),)
 
     def test_training_deterministic(self, blobs):
         spec = MlpSpec(layer_sizes=(2, 8, 3))
         config = OptimizerConfig(rule="angulargrad", alpha=1e-3)
         one = train_alone(spec, blobs, config, epochs=3, batch_size=16, rng=make_rng(4))
         two = train_alone(spec, blobs, config, epochs=3, batch_size=16, rng=make_rng(4))
-        assert np.array_equal(one.params.flat, two.params.flat)
-        assert [r.train_loss for r in one.records] == [r.train_loss for r in two.records]
+        assert np.array_equal(one.params, two.params)
+        assert one.train_loss.tolist() == two.train_loss.tolist()
         three = train_alone(spec, blobs, config, epochs=3, batch_size=16, rng=make_rng(5))
-        assert not np.array_equal(one.params.flat, three.params.flat)
+        assert not np.array_equal(one.params, three.params)
 
     def test_record_fields(self, blobs):
         spec = MlpSpec(layer_sizes=(2, 8, 3))
         config = OptimizerConfig(rule="adam", alpha=1e-3)
         run = train_alone(spec, blobs, config, epochs=2, batch_size=32, rng=make_rng(0))
-        rec = run.records[0]
-        assert isinstance(rec, EpochRecord)
-        assert 0.0 <= rec.train_accuracy <= 1.0
-        assert rec.mean_batch_loss > 0.0
+        records = (run.mean_batch_loss, run.train_loss, run.train_accuracy)
+        assert all(r.dtype == np.float64 and r.shape == (2,) for r in records)
+        assert 0.0 <= run.train_accuracy[0] <= 1.0
+        assert run.mean_batch_loss[0] > 0.0
 
     def test_bad_arguments(self, blobs):
         spec = MlpSpec(layer_sizes=(2, 8, 3))
@@ -483,12 +488,15 @@ class TestAbortedRow:
             return train_mlp(spec, data, ConfigStack([config] * 2), epochs, 32, rngs)
 
         finished, aborted = train(50)
-        assert finished.status == "ok" and len(finished.records) == 50
+        assert finished.status == "ok"
+        assert all(len(records) == 50 for records in record_hex(finished))
         assert aborted.status == "aborted: non-finite loss at epoch 45, step 1283"
-        # the epochs it finished are those of the same run stopped before epoch 45
+        # it keeps exactly the 44 epochs it finished, those of the same run
+        # stopped before epoch 45
         stopped = train(44)[1]
         assert stopped.status == "ok"
-        assert aborted.records == stopped.records
+        assert all(len(records) == 44 for records in record_hex(aborted))
+        assert record_hex(aborted) == record_hex(stopped)
 
 
 class Diverged(RuntimeError):
@@ -511,7 +519,7 @@ def reference_training(spec, data, config, epochs, batch_size, rng) -> MlpRun:
     NonFiniteStepError) stops with the records of the epochs it reached the
     end of and why it stopped."""
     params = init_params(spec, rng)
-    state = init_state(config, params.flat.size)
+    state = init_state(config, params.size)
     records = []
     n = data.labels.size
     try:
@@ -525,18 +533,21 @@ def reference_training(spec, data, config, epochs, batch_size, rng) -> MlpRun:
                     where = f"epoch {epoch}, step {state.t + 1}"
                     loss, grad = finite_loss_and_grad(params, spec, X, y, where)
                     losses.append(loss)
-                    params.flat = step(state, config, params.flat, grad)
+                    params = step(state, config, params, grad)
                     if config.hypergrad_omega > 0 and state.alpha_t[0, 0] <= 0:
                         raise Diverged(f"non-positive learning rate at iteration {state.t}")
                 full_loss, _ = loss_and_grad(params, spec, data.features, data.labels)
                 out = models._forward(params, spec, data.features)[-1]
                 acc = float(np.mean(np.argmax(out, axis=1) == data.labels))
-            records.append(EpochRecord(epoch, float(np.mean(losses)), full_loss, acc))
+            records.append((float(np.mean(losses)), full_loss, acc))
             if not np.isfinite(full_loss):
                 raise Diverged(f"non-finite loss at epoch {epoch}, step {state.t}")
     except (Diverged, NonFiniteStepError) as err:
-        return MlpRun(None, records, f"aborted: {err}")
-    return MlpRun(params, records)
+        params, status = None, f"aborted: {err}"
+    else:
+        status = "ok"
+    # one (mean batch loss, train loss, accuracy) row per epoch, as three columns
+    return MlpRun(params, *np.array(records).reshape(-1, 3).T, status)
 
 
 _MLP_CONFIGS = st.fixed_dictionaries({
@@ -579,10 +590,6 @@ class TestStackedTraining:
         def blobs(rng):
             return make_blobs(rng, n_per_class, classes, 4.0)
 
-        def bits(records):
-            floats = [(r.mean_batch_loss, r.train_loss, r.train_accuracy) for r in records]
-            return [(r.epoch, *map(float.hex, f)) for r, f in zip(records, floats)]
-
         def alone(config, seed, train):
             rng = make_rng(seed)
             return train(spec, blobs(rng), config, epochs, batch_size, rng)
@@ -595,7 +602,7 @@ class TestStackedTraining:
                 for train in (train_alone, reference_training):
                     lone = alone(config, seed, train)
                     assert run.status == lone.status
-                    assert bits(run.records) == bits(lone.records)
+                    assert record_hex(run) == record_hex(lone)
                     if lone.status == "ok":
-                        assert run.params.flat.tobytes() == lone.params.flat.tobytes()
+                        assert run.params.tobytes() == lone.params.tobytes()
         assert next(runs, None) is None
