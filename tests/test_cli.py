@@ -1228,13 +1228,13 @@ class TestDeterminism:
             "from test_cli import digests, running_dispatch\n"
             "cases = json.loads(sys.argv[1])\n"
             "codes = {case: main(argv) for case, argv in cases.items()}\n"
-            "print(json.dumps([running_dispatch(), codes,\n"
-            "                  {case: digests(pathlib.Path(argv[2])) for case, argv in cases.items()}]))\n"
+            "got = {case: digests(pathlib.Path(argv[2])) for case, argv in cases.items()}\n"
+            "print(json.dumps([running_dispatch(), codes, got]))\n"
         )
         path = os.pathsep.join([os.path.dirname(__file__), *sys.path])
         env = dict(os.environ, PYTHONPATH=path, NPY_DISABLE_CPU_FEATURES=X86_V3_DISABLED)
-        done = subprocess.run([sys.executable, "-c", code, json.dumps(cases)], env=env,
-                              capture_output=True, text=True, check=True)
+        argv = [sys.executable, "-W", "error", "-c", code, json.dumps(cases)]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
         dispatch, codes, got = json.loads(done.stdout)
         assert dispatch == ["X86_V3"]
         assert codes == {case: PINNED_EXIT_CODES.get(case, 0) for case in cases}

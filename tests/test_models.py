@@ -441,8 +441,9 @@ class TestTraining:
         lr = 0.01 if rule in ("sgd", "sgdm") else 1e-3
         config = OptimizerConfig(rule=rule, alpha=lr)
         run = train_alone(spec, blobs, config, epochs=5, batch_size=16, rng=make_rng(0))
-        # one record per epoch, epochs 1..5 in order
-        assert run.mean_batch_loss.shape == run.train_loss.shape == run.train_accuracy.shape == (5,)
+        # one record per epoch
+        records = (run.mean_batch_loss, run.train_loss, run.train_accuracy)
+        assert [r.shape for r in records] == [(5,)] * 3
         assert run.train_loss[-1] < run.train_loss[0]
         assert np.isfinite(run.train_loss).all()
         assert run.params.shape == (n_params(spec),)
