@@ -116,11 +116,14 @@ class RegretRecord:
     status: str = "ok"  # the status of the trajectory the record was computed from
 
 
-def resolve_theta0(theta0, dim: int, rng: np.random.Generator) -> Vector:
+def resolve_theta0(theta0, dim: int, seed: int) -> Vector:
+    """Seed ``seed``'s start: a uniform rule's ``dim`` draws from make_rng(seed),
+    or a fresh copy of an explicit vector, the same for every seed.  Only a
+    rule builds a generator, so an explicit start never loads numpy.random."""
     if isinstance(theta0, dict):
         if theta0.get("rule") != "uniform":
             raise ValueError(f"unknown init rule {theta0!r}")
-        return rng.uniform(float(theta0["low"]), float(theta0["high"]), size=dim)
+        return make_rng(seed).uniform(float(theta0["low"]), float(theta0["high"]), size=dim)
     return np.array(theta0, dtype=np.float64, copy=True).reshape(-1)
 
 
@@ -218,7 +221,7 @@ def run_experiment(spec: ExperimentSpec) -> dict[str, list[Trajectory]]:
     """All (optimizer, seed) runs of a spec, stepped as one stack, keyed in
     optimizer then seed order."""
     objective = get_objective(spec.task, dim=spec.dim)
-    starts = [resolve_theta0(spec.theta0, objective.dim, make_rng(s)) for s in spec.seeds]
+    starts = [resolve_theta0(spec.theta0, objective.dim, s) for s in spec.seeds]
     stack = ConfigStack(config for _, config in spec.optimizers for _ in spec.seeds)
     trajectories = iter(single_run(
         objective, stack, np.array(starts * len(spec.optimizers)),

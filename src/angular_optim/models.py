@@ -127,10 +127,10 @@ class Dataset:
         if self.features.shape[0] != self.labels.shape[0]:
             raise ValueError("feature rows and labels must match in count")
         if self.labels.size:
-            classes = np.unique(self.labels)
-            if classes[0] != 0 or not np.array_equal(
-                classes, np.arange(classes.size)
-            ):
+            # sorted, they start at 0 and step by at most 1: np.unique would
+            # import numpy.ma, and a bincount allocates up to the largest label
+            ranked = np.sort(self.labels, axis=None)
+            if ranked[0] != 0 or (np.diff(ranked) > 1).any():
                 raise ValueError("classes must be contiguous from 0")
 
 
@@ -324,9 +324,12 @@ def train_mlp(spec: MlpSpec, datasets, stack, epochs: int, batch_size: int, rngs
     inputs = np.stack([d.features for d in datasets])
     labels = np.stack([d.labels for d in datasets])
     _check_labels(labels, spec.layer_sizes[-1])
-    n = inputs.shape[1]
+    n, width = inputs.shape[1:]
+    if width != spec.layer_sizes[0]:
+        raise ValueError(f"layer_sizes[0] is {spec.layer_sizes[0]}, but the data have "
+                         f"{width} features per sample")
     # every seed's samples in one (S * n, F) table: seed s's sample i is row s * n + i
-    flat_inputs, flat_labels = inputs.reshape(-1, inputs.shape[-1]), labels.reshape(-1)
+    flat_inputs, flat_labels = inputs.reshape(-1, width), labels.reshape(-1)
     seed_of = np.arange(n_runs) % seeds
     runs = Runs(stack, np.array([init_params(spec, g) for g in rngs])[seed_of])
     mean_batch_loss, train_loss, train_accuracy = np.empty((3, n_runs, epochs))

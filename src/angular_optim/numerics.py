@@ -7,7 +7,10 @@ where float32 rounding would dominate.
 
 The random generator is PCG64 (numpy's default bit generator), wrapped by
 ``make_rng`` so every call site names its seed explicitly.  The algorithm
-choice is frozen: recorded artifacts depend on the exact stream.
+choice is frozen: recorded artifacts depend on the exact stream.  A generator
+is built only where a draw is made: the first one imports numpy.random (and
+with it secrets and hashlib, about 6 MB resident), which a run from an
+explicit start never needs.
 """
 
 from __future__ import annotations

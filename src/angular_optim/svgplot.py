@@ -18,7 +18,6 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import partial
-from html import escape  # not xml.sax.saxutils, which imports urllib.request
 
 import numpy as np
 
@@ -74,9 +73,11 @@ def _tick_label(value: float, log: bool) -> str:
 
 
 def _text(x, y, s, size=12, anchor="start") -> str:
+    # html.escape(s, quote=False), without importing html and html.entities
+    s = s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     return (
         f'<text x="{x:.2f}" y="{y:.2f}" font-size="{size}" font-family="sans-serif" '
-        f'text-anchor="{anchor}" fill="#222222">{escape(s, quote=False)}</text>'
+        f'text-anchor="{anchor}" fill="#222222">{s}</text>'
     )
 
 

@@ -583,6 +583,8 @@ def test_empty_optimizer_entry_runs_with_all_defaults(tmp_path):
      "missing config key 'theta0.low' for command 'regret'"),
     ("toy", '{"theta0": {"rule": "uniform", "low": -1.0}}',
      "missing config key 'theta0.high' for command 'toy'"),
+    ("mlp", '{"layer_sizes": [3, 8, 3], "seeds": [0], "epochs": 1}',
+     "layer_sizes[0] is 3, but the data have 2 features per sample"),
 ], ids=[
     "mlp-seed", "toy-seed", "regret-iterations", "toy-iterations-bool", "mlp-epochs",
     "mlp-batch_size", "mlp-layer_sizes", "mlp-blobs.classes", "rosenbrock-grid.resolution",
@@ -595,7 +597,7 @@ def test_empty_optimizer_entry_runs_with_all_defaults(tmp_path):
     "regret-milestone-divisor-bool", "toy-gc_enabled-string", "toy-lambda1-string",
     "regret-theta0.typo", "regret-theta0.dim-retired", "toy-milestone-repeated",
     "rosenbrock-grid-missing-resolution", "mlp-blobs-missing-separation",
-    "regret-theta0-missing-low", "toy-theta0-missing-high",
+    "regret-theta0-missing-low", "toy-theta0-missing-high", "mlp-layer_sizes-input-width",
 ])
 def test_bad_config_number_exits_2(tmp_path, capsys, command, text, message):
     path = tmp_path / "cfg.json"
@@ -668,6 +670,33 @@ def test_import_loads_no_network_xml_or_email_modules():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+def test_protocols_load_only_what_they_run(tmp_path):
+    """In one fresh interpreter: importing the CLI loads no html; the default
+    toy and rosenbrock and a rosenbrock from a config theta0 draw nothing, so
+    load neither numpy.random nor hashlib; and the default mlp, whose label
+    check needs no np.unique, loads no numpy.ma.  Each check sees every module
+    the steps before it loaded."""
+    cfg = tmp_path / "theta0.json"
+    cfg.write_text('{"theta0": [-1.5, 2.5]}')
+    drawless = ["numpy.random", "hashlib"]
+    steps = [([], ["html"]), (["toy"], drawless), (["rosenbrock"], drawless),
+             (["rosenbrock", "--config", str(cfg)], drawless), (["mlp"], ["numpy.ma"])]
+    code = (
+        "import json, sys\n"
+        "import angular_optim.cli\n"
+        "found = []\n"
+        "for argv, unwanted in json.loads(sys.argv[1]):\n"
+        "    if argv:\n"
+        "        assert angular_optim.cli.main(argv + ['--out', sys.argv[2]]) == 0\n"
+        "    found.append([m for m in unwanted if m in sys.modules])\n"
+        "print(json.dumps(found))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    argv = [sys.executable, "-W", "error", "-c", code, json.dumps(steps), str(tmp_path / "a")]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == [[] for _ in steps]
 
 
 # sha256 of every file the default protocols write, so any change to the

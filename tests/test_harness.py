@@ -83,22 +83,33 @@ class TestSpecValidation:
 
 class TestResolveTheta0:
     def test_explicit_vector(self):
-        out = resolve_theta0([-1.0, 2.0], 2, make_rng(0))
+        out = resolve_theta0([-1.0, 2.0], 2, 0)
         assert np.array_equal(out, [-1.0, 2.0])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**31])
+    def test_explicit_vector_is_a_fresh_copy_whatever_the_seed(self, seed):
+        start = np.array([-1.0, 2.0])
+        out = resolve_theta0(start, 2, seed)
+        assert out.tobytes() == start.tobytes() and out.dtype == np.float64
+        assert not np.shares_memory(out, start)
+        out[0] = 5.0
+        assert start.tolist() == [-1.0, 2.0]
+        assert resolve_theta0(start, 2, seed).tolist() == [-1.0, 2.0]
 
     def test_uniform_rule(self):
         rule = {"rule": "uniform", "low": -1.0, "high": 1.0}
-        a = resolve_theta0(rule, 10, make_rng(3))
-        b = resolve_theta0(rule, 10, make_rng(3))
+        a = resolve_theta0(rule, 10, 3)
+        b = resolve_theta0(rule, 10, 3)
         assert a.shape == (10,)
         assert np.all((a >= -1.0) & (a <= 1.0))
         assert np.array_equal(a, b)
-        c = resolve_theta0(rule, 10, make_rng(4))
+        assert a.tobytes() == make_rng(3).uniform(-1.0, 1.0, size=10).tobytes()
+        c = resolve_theta0(rule, 10, 4)
         assert not np.array_equal(a, c)
 
     def test_unknown_rule(self):
         with pytest.raises(ValueError):
-            resolve_theta0({"rule": "normal"}, 2, make_rng(0))
+            resolve_theta0({"rule": "normal"}, 2, 0)
 
 
 class TestSingleRun:
@@ -343,7 +354,7 @@ class TestStackedRuns:
         )
 
         def alone(config, seed):
-            theta0 = resolve_theta0(spec.theta0, objective.dim, make_rng(seed))
+            theta0 = resolve_theta0(spec.theta0, objective.dim, seed)
             return run_alone(
                 objective, config, theta0, iterations, spec.lr_milestones, record_params
             )

@@ -1,6 +1,7 @@
 """Network layout, hand-checked losses, finite-difference gradients, datasets."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -399,6 +400,25 @@ class TestDatasets:
         with pytest.raises(ValueError):
             Dataset(features=np.zeros((2, 2)), labels=np.array([0, 2]))
 
+    @pytest.mark.parametrize("labels", [[0, -1], [0, 2], [10**12, 0]],
+                             ids=["negative", "gap", "huge"])
+    def test_labels_not_contiguous_from_0(self, labels):
+        # the rule holds without memory that grows with the largest label
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^classes must be contiguous from 0$"):
+                Dataset(features=np.zeros((2, 2)), labels=np.array(labels))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("labels", [[0, 0], [], [2, 0, 1, 1]],
+                             ids=["one-class", "empty", "unsorted"])
+    def test_labels_contiguous_from_0(self, labels):
+        data = Dataset(features=np.zeros((len(labels), 2)), labels=np.array(labels, dtype=int))
+        assert data.labels.tolist() == labels
+
 
 class TestPredictAndAccuracy:
     def test_zero_network_predicts_class_zero(self):
@@ -474,6 +494,10 @@ class TestTraining:
             train_alone(spec, blobs, config, epochs=0, batch_size=16, rng=make_rng(0))
         with pytest.raises(ValueError):
             train_alone(spec, blobs, config, epochs=1, batch_size=0, rng=make_rng(0))
+        # the input layer must match the data's features, as the output layer its labels
+        with pytest.raises(ValueError, match=r"^layer_sizes\[0\] is 3, but the data have 2 "):
+            train_alone(MlpSpec((3, 8, 3)), blobs, config, epochs=1, batch_size=16,
+                        rng=make_rng(0))
 
 
 class TestAbortedRow:
