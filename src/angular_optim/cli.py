@@ -4,7 +4,9 @@ Subcommands: toy, rosenbrock, mlp, regret, gradcheck, plot.  Each one is
 deterministic given its config and seeds.  The four protocols (toy,
 rosenbrock, mlp, regret) take a JSON config file with the same field names as
 the built-in defaults; command-line flags override file values (flags > file
-> defaults).  gradcheck runs one fixed check set and takes only a seed.
+> defaults).  A protocol writes nothing itself: it returns its artifacts, and
+run_protocol writes them under --out after every run has finished.
+gradcheck runs one fixed check set and takes only a seed.
 
 Exit codes: 0 success, 1 run divergence, 2 config error, 3 check failure.
 """
@@ -140,11 +142,13 @@ def _apply_overrides(config: dict, args) -> dict:
         if not wanted:
             raise ConfigError("empty --optimizers list")
         known = config.get("optimizers", {})
-        for name in wanted:
+        for i, name in enumerate(wanted):
             if name not in known:
                 raise ConfigError(
                     f"unknown optimizer {name!r}; known: {', '.join(sorted(known))}"
                 )
+            if name in wanted[:i]:  # it would run once
+                raise ConfigError(f"optimizer {name!r} is listed twice")
         config["optimizers"] = {name: known[name] for name in wanted}
     return config
 
@@ -182,62 +186,55 @@ def _run(
     return spec, run_experiment(spec)
 
 
-def _write_runs(out: Path, prefix: str, seeds, runs: dict, to_csv) -> list[str]:
-    """Write ``to_csv(run)`` to <prefix>_<name>_s<seed>.csv for every run.
-
-    ``runs`` maps each optimizer name to one result per seed, each with a
-    ``status``; the statuses are returned in (optimizer, seed) order.
-    """
-    statuses = []
+def _run_files(prefix: str, seeds, runs: dict, to_csv) -> tuple[dict, list[str]]:
+    """Each run's <prefix>_<name>_s<seed>.csv artifact, ``to_csv(run)``, and the
+    run statuses in (optimizer, seed) order; ``runs`` maps each optimizer name
+    to one result per seed, each with a ``status``."""
+    files, statuses = {}, []
     for name, results in runs.items():
         for seed, result in zip(seeds, results):
-            write_text_atomic(out / f"{prefix}_{name}_s{seed}.csv", to_csv(result))
+            files[f"{prefix}_{name}_s{seed}.csv"] = to_csv(result)
             statuses.append(result.status)
-    return statuses
+    return files, statuses
 
 
 # ---------------------------------------------------------------------------
-# Protocols: each takes the resolved config and the output directory (toy
-# also the --log-scale flag), and returns its run statuses
+# Protocols: each takes the resolved config (toy also the --log-scale flag)
+# and writes nothing: it returns its artifacts, file name to text (a str or
+# Chunks) in write order, and its run statuses in (optimizer, seed) order
 
 
-def _toy(config: dict, out: Path, log_scale: bool) -> list[str]:
+def _toy(config: dict, log_scale: bool) -> tuple[dict, list[str]]:
     if wide := [task for task in config["tasks"] if get_objective(task).dim != 1]:
         raise ConfigError(f"toy tasks must be 1-D, not {', '.join(wide)}")
-    statuses = []
+    files, statuses = {}, []
     for task in config["tasks"]:
         spec, runs = _run(config, task, record_params=True)
-        statuses += _write_runs(out, f"toy_{task}", spec.seeds, runs, trajectory_to_csv)
+        csvs, task_statuses = _run_files(f"toy_{task}", spec.seeds, runs, trajectory_to_csv)
+        statuses += task_statuses
         firsts = {name: trajs[0] for name, trajs in runs.items()}
-        write_text_atomic(
-            out / f"toy_{task}_summary.json",
-            summary_to_json(aggregate(runs, spec.iterations)),
-        )
-        write_text_atomic(
-            out / f"toy_{task}_loss.svg",
-            render_line_chart(
+        files |= csvs | {
+            f"toy_{task}_summary.json": summary_to_json(aggregate(runs, spec.iterations)),
+            f"toy_{task}_loss.svg": render_line_chart(
                 [Series(name, first.t, first.loss) for name, first in firsts.items()],
                 title=f"{task}: loss vs iteration",
                 xlabel="iteration", ylabel="loss", log_y=log_scale,
             ),
-        )
-        write_text_atomic(
-            out / f"toy_{task}_theta.svg",
-            render_line_chart(
+            f"toy_{task}_theta.svg": render_line_chart(
                 [Series(name, first.t, first.thetas[:, 0]) for name, first in firsts.items()],
                 title=f"{task}: theta vs iteration", xlabel="iteration", ylabel="theta",
             ),
-        )
-    return statuses
+        }
+    return files, statuses
 
 
-def _rosenbrock(config: dict, out: Path) -> list[str]:
+def _rosenbrock(config: dict) -> tuple[dict, list[str]]:
     objective, grid = get_objective("rosenbrock"), config["grid"]
     # a bad grid exits before any run
     xs, ys, Z = grid_eval(objective, grid["x_range"], grid["y_range"], grid["resolution"])
     spec, runs = _run(config, "rosenbrock", record_params=True)
     target = np.array(objective.known_minima[0][0])
-    statuses = _write_runs(out, "rosenbrock", spec.seeds, runs, trajectory_to_csv)
+    files, statuses = _run_files("rosenbrock", spec.seeds, runs, trajectory_to_csv)
 
     def dist_threshold(traj):
         # a diverged run's thetas may square to inf, which never meets it
@@ -245,17 +242,13 @@ def _rosenbrock(config: dict, out: Path) -> list[str]:
             dist = np.sqrt(np.sum((traj.thetas - target) ** 2, axis=1))
         return dist, ROSENBROCK_DIST_THRESHOLD
 
-    write_text_atomic(
-        out / "rosenbrock_summary.json",
-        summary_to_json(aggregate(runs, spec.iterations, threshold_fn=dist_threshold)),
-    )
-    write_text_atomic(out / "rosenbrock_grid.csv", grid_to_csv(xs, ys, Z))
+    files["rosenbrock_summary.json"] = summary_to_json(
+        aggregate(runs, spec.iterations, threshold_fn=dist_threshold))
+    files["rosenbrock_grid.csv"] = grid_to_csv(xs, ys, Z)
     paths = [Series(name, *trajs[0].thetas.T) for name, trajs in runs.items()]
-    write_text_atomic(
-        out / "rosenbrock_overlay.svg",
-        render_overlay(xs, ys, Z, paths, title="Rosenbrock trajectories"),
-    )
-    return statuses
+    files["rosenbrock_overlay.svg"] = render_overlay(
+        xs, ys, Z, paths, title="Rosenbrock trajectories")
+    return files, statuses
 
 
 def _mlp_to_csv(run: MlpRun) -> Chunks:
@@ -264,7 +257,7 @@ def _mlp_to_csv(run: MlpRun) -> Chunks:
                 run.train_accuracy)
 
 
-def _mlp(config: dict, out: Path) -> list[str]:
+def _mlp(config: dict) -> tuple[dict, list[str]]:
     mlp_spec = MlpSpec(tuple(config["layer_sizes"]), config["activation"], config["loss"])
     blobs = config["blobs"]
     shape = (blobs["n_per_class"], blobs["classes"], float(blobs["separation"]))
@@ -277,7 +270,7 @@ def _mlp(config: dict, out: Path) -> list[str]:
         config["epochs"], config["batch_size"], rngs,
     ))
     runs = {name: [next(trained) for _ in seeds] for name, _ in optimizers}
-    statuses = _write_runs(out, "mlp", seeds, runs, _mlp_to_csv)
+    files, statuses = _run_files("mlp", seeds, runs, _mlp_to_csv)
     summary = {}
     for name, results in runs.items():
         entry = summary[name] = {"status": [r.status for r in results]}
@@ -287,25 +280,21 @@ def _mlp(config: dict, out: Path) -> list[str]:
                       for r in results]
             entry[f"final_train_{metric}"] = finals
             entry[f"mean_final_{metric}"], entry[f"std_final_{metric}"] = mean_std(finals)
-    write_text_atomic(out / "mlp_summary.json", summary_to_json(summary))
-    return statuses
+    files["mlp_summary.json"] = summary_to_json(summary)
+    return files, statuses
 
 
-def _regret(config: dict, out: Path) -> list[str]:
+def _regret(config: dict) -> tuple[dict, list[str]]:
     spec, runs = _run(config, config["task"], record_params=False)
     objective = get_objective(config["task"], dim=spec.dim)
     records = {
         name: [compute_regret(traj, objective) for traj in trajs]
         for name, trajs in runs.items()
     }
-    statuses = _write_runs(out, "regret", spec.seeds, records, regret_to_csv)
-    write_text_atomic(
-        out / "regret_avg.svg",
-        render_line_chart(
-            [Series(name, recs[0].t, recs[0].average) for name, recs in records.items()],
-            title="average regret vs t", xlabel="t", ylabel="R(t)/t",
-            log_x=True, log_y=True,
-        ),
+    files, statuses = _run_files("regret", spec.seeds, records, regret_to_csv)
+    files["regret_avg.svg"] = render_line_chart(
+        [Series(name, recs[0].t, recs[0].average) for name, recs in records.items()],
+        title="average regret vs t", xlabel="t", ylabel="R(t)/t", log_x=True, log_y=True,
     )
     summary = {
         name: {
@@ -316,8 +305,19 @@ def _regret(config: dict, out: Path) -> list[str]:
         }
         for name, recs in records.items()
     }
-    write_text_atomic(out / "regret_summary.json", summary_to_json(summary))
-    return statuses
+    files["regret_summary.json"] = summary_to_json(summary)
+    return files, statuses
+
+
+def _write(out: str, files: dict) -> None:
+    """Write each artifact to its file under ``out``, in order.  A write that
+    fails is a config error naming the path; the files before it stay."""
+    for name, text in files.items():
+        path = Path(out) / name
+        try:
+            write_text_atomic(path, text)
+        except OSError as err:
+            raise ConfigError(f"cannot write {path}: {err}")
 
 
 PROTOCOLS = {"toy": _toy, "rosenbrock": _rosenbrock, "mlp": _mlp, "regret": _regret}
@@ -325,10 +325,12 @@ PROTOCOLS = {"toy": _toy, "rosenbrock": _rosenbrock, "mlp": _mlp, "regret": _reg
 
 def run_protocol(args) -> int:
     """Run the protocol named by the subcommand: load its config, apply the
-    flags, run, and exit 1 if any run diverged (0 with --allow-divergence)."""
+    flags, run, write the artifacts once every run has finished, and exit 1 if
+    any run diverged (0 with --allow-divergence)."""
     config = _apply_overrides(_load_config(args.command, args.config), args)
     flags = {"log_scale": args.log_scale} if "log_scale" in args else {}
-    statuses = PROTOCOLS[args.command](config, Path(args.out), **flags)
+    files, statuses = PROTOCOLS[args.command](config, **flags)
+    _write(args.out, files)
     bad = [s for s in statuses if s != "ok"]
     for s in bad:
         print(f"warning: {s}", file=sys.stderr)
@@ -384,7 +386,6 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    out = Path(args.out)
     series = []
     for path in args.files:
         p = Path(path)
@@ -405,13 +406,9 @@ def cmd_plot(args) -> int:
                 ts.append(float(cells[ti]))
                 losses.append(float(cells[li]))
         series.append(Series(p.stem, np.array(ts), np.array(losses)))
-    write_text_atomic(
-        out / "plot.svg",
-        render_line_chart(
-            series, title="trajectories", xlabel="t", ylabel="loss",
-            log_y=args.log_scale,
-        ),
-    )
+    _write(args.out, {"plot.svg": render_line_chart(
+        series, title="trajectories", xlabel="t", ylabel="loss", log_y=args.log_scale,
+    )})
     return 0
 
 

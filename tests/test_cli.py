@@ -11,7 +11,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from angular_optim import models, objectives
+from angular_optim import cli, models, objectives
 from angular_optim.cli import main
 
 
@@ -126,6 +126,13 @@ class TestToy:
         cfg = toy_config(tmp_path, seeds=[3, 3])
         assert run("toy", "--config", cfg, "--out", str(out)) == 2
         assert "seed 3 is listed twice" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_duplicated_optimizer_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "a"
+        assert run("toy", "--config", toy_config(tmp_path), "--out", str(out),
+                   "--optimizers", "adam,sgdm,adam") == 2
+        assert "optimizer 'adam' is listed twice" in capsys.readouterr().err
         assert not out.exists()
 
     def test_overflow_aborts_only_that_run(self, tmp_path):
@@ -655,6 +662,35 @@ class TestPlot:
         assert run("plot", str(tmp_path / name), "--out", str(out)) == 2
         assert str(tmp_path / name) in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["toy", "rosenbrock", "mlp", "regret"])
+def test_failure_while_making_artifacts_writes_nothing(tmp_path, capsys, monkeypatch, command):
+    """A protocol makes every artifact before the first is written, so one
+    that fails on its summary, after its runs, leaves no CSV behind."""
+    def broken(summary):
+        raise ValueError("no summary")
+
+    monkeypatch.setattr(cli, "summary_to_json", broken)
+    out = tmp_path / "a"
+    assert run(command, "--out", str(out), "--iters", "2", "--seeds", "0",
+               "--optimizers", "adam") == 2
+    assert "no summary" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["toy", "plot"])
+def test_unwritable_out_exits_2(tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    trajectory = tmp_path / "run.csv"
+    trajectory.write_text("t,loss\n1,2.0\n2,1.0\n")
+    out = blocker / "sub"
+    argv = [str(trajectory)] if command == "plot" else ["--optimizers", "adam", "--iters", "2"]
+    assert run(command, *argv, "--out", str(out)) == 2
+    first = "plot.svg" if command == "plot" else "toy_f1_adam_s0.csv"
+    assert f"cannot write {out / first}: " in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [blocker, trajectory]
 
 
 def test_import_loads_no_network_xml_or_email_modules():
