@@ -68,13 +68,21 @@ def _finite(text: str) -> float:
     return value
 
 
+def _unique_keys(pairs: list) -> dict:
+    """json's object builder, rejecting a key one object names twice."""
+    if twice := [key for i, (key, _) in enumerate(pairs) if key in dict(pairs[:i])]:
+        raise ConfigError(f"config key {twice[0]!r} is listed twice")
+    return dict(pairs)
+
+
 def _load_config(command: str, path: str | None) -> dict:
     config = defaults.default_config(command)
     if path is None:
         return config
     try:
         with open(path) as fh:
-            user = json.load(fh, parse_float=_finite, parse_constant=_finite)
+            user = json.load(fh, parse_float=_finite, parse_constant=_finite,
+                             object_pairs_hook=_unique_keys)
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}")
     except json.JSONDecodeError as err:
@@ -399,12 +407,15 @@ def cmd_plot(args) -> int:
                 raise ConfigError(f"{path}: expected t and loss columns")
             ti, li = header.index("t"), header.index("loss")
             ts, losses = [], []
-            for line in fh:
+            for number, line in enumerate(fh, start=2):
                 cells = line.strip().split(",")
                 if len(cells) <= max(ti, li):
                     continue
-                ts.append(float(cells[ti]))
-                losses.append(float(cells[li]))
+                try:
+                    ts.append(float(cells[ti]))
+                    losses.append(float(cells[li]))
+                except ValueError as err:
+                    raise ConfigError(f"{path}, line {number}: {err}")
         series.append(Series(p.stem, np.array(ts), np.array(losses)))
     _write(args.out, {"plot.svg": render_line_chart(
         series, title="trajectories", xlabel="t", ylabel="loss", log_y=args.log_scale,

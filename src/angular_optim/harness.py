@@ -140,9 +140,9 @@ def single_run(
     of one).  Never raises on divergence: a run whose gradient, parameters or
     loss turn non-finite stops, its status says why, and the other rows go on.
 
-    One ``value_and_grad`` call at the starts gives the first gradient, and each
-    iteration's call at its stepped params gives the rows' losses and the next
-    gradient, which is checked at the top of the iteration that steps with it.
+    One ``value_and_grad`` call at the starts checks their width and gives the
+    first gradient; each iteration's ``objective.fn`` call at its stepped params
+    gives the rows' losses and the next gradient, checked at the next step.
 
     The loop records the loss, the rate, the stepped params and (with angular
     rows) the phi vectors.  It steps in blocks of K = BLOCK_ITERATIONS, and at
@@ -158,23 +158,21 @@ def single_run(
     milestones = dict(lr_milestones)
     angular = runs.configs.angular is not None
     loss, alpha, phi_mean, step_norm = np.empty((4, iterations, n_runs))
-    path = np.empty((iterations + 1, n_runs, dim)) if record_params else None
+    path = np.empty((iterations, n_runs, dim)) if record_params else None
     # row n holds the params after the block's n-th step
     iterates = np.empty((min(BLOCK_ITERATIONS, iterations) + 1, n_runs, dim))
     scratch = np.empty((len(iterates) - 1, n_runs, dim))
     iterates[0] = runs.params
-    if record_params:
-        path[0] = runs.params
-    # divergence is handled (abort status), so overflow on an exploding
-    # trajectory must not warn
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, grad = objective.value_and_grad(runs.params)
+    # divergence is handled (abort status): an overflow or a perpendicular angle must not warn
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        _, grad = objective.value_and_grad(runs.params)  # checks the starts' width once
+        fn = objective.fn
         for start in range(0, iterations, BLOCK_ITERATIONS):
             n = 0  # the block's steps recorded so far
             for i in range(start + 1, min(start + BLOCK_ITERATIONS, iterations) + 1):
                 if i in milestones:
                     runs.state.alpha_t = runs.state.alpha_t / milestones[i]
-                bad_grad = nonfinite_rows(grad, f"non-finite gradient at iteration {i}")
+                bad_grad = nonfinite_rows(grad, "non-finite gradient at iteration {}", i)
                 new = runs.step(grad, bad_grad)
                 live = runs.live
                 if not live.size:
@@ -183,12 +181,12 @@ def single_run(
                 rows = slice(None) if live.size == n_runs else live
                 n = i - start
                 runs.params = iterates[n, rows] = new
-                row_loss, grad = objective.value_and_grad(new)
+                row_loss, grad = fn(new)
                 loss[i - 1, rows] = row_loss
                 alpha[i - 1, rows] = runs.state.alpha_t[:, 0]
                 if angular:
                     scratch[n - 1, rows] = runs.state.last_phi
-                if failed := nonfinite_rows(row_loss, f"non-finite loss at iteration {i}"):
+                if failed := nonfinite_rows(row_loss, "non-finite loss at iteration {}", i):
                     grad = grad[runs.drop(failed, i)]
                     if not runs.live.size:
                         break
@@ -196,7 +194,7 @@ def single_run(
             # trajectory reads them
             block = slice(start, start + n)
             if record_params:
-                path[start + 1 : start + n + 1] = iterates[1 : n + 1]
+                path[start : start + n] = iterates[1 : n + 1]
             if angular:  # np.mean's own sum-then-divide
                 phi_mean[block] = np.add.reduce(scratch[:n], axis=-1) / dim
             steps = np.subtract(iterates[1 : n + 1], iterates[:n], out=scratch[:n])
@@ -211,7 +209,7 @@ def single_run(
         trajectories.append(Trajectory(
             np.arange(1, n + 1, dtype=np.int64), loss[:n, run].copy(), alpha[:n, run].copy(),
             phi_mean[:n, run].copy() if is_angular else np.ones(n), step_norm[:n, run].copy(),
-            thetas=path[1 : n + 1, run].copy() if record_params else None,
+            thetas=path[:n, run].copy() if record_params else None,
             final_params=runs.final[run], status=status,
         ))
     return trajectories

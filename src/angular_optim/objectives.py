@@ -132,12 +132,14 @@ def rosenbrock(x: Vector) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("rosenbrock needs dim >= 2")
     head = x[..., :-1]
     valley = x[..., 1:] - head**2
-    f = np.add.reduce(100.0 * valley**2 + (1.0 - head) ** 2, axis=-1)
-    g = np.zeros(x.shape)
+    rest = 1.0 - head
+    f = np.add.reduce(100.0 * valley**2 + rest**2, axis=-1)
+    g = np.zeros(x.shape)  # each term adds into its slice: 0.0 + -0.0 is 0.0
+    lo, hi = g[..., :-1], g[..., 1:]
     # d/dx_i of the i-th term: -400 x_i (x_{i+1} - x_i^2) - 2 (1 - x_i)
-    g[..., :-1] += -400.0 * head * valley - 2.0 * (1.0 - head)
+    np.add(lo, -400.0 * head * valley - 2.0 * rest, out=lo)
     # d/dx_{i+1} of the i-th term: 200 (x_{i+1} - x_i^2)
-    g[..., 1:] += 200.0 * valley
+    np.add(hi, 200.0 * valley, out=hi)
     return f, g
 
 

@@ -41,8 +41,8 @@ only, each element meeting the same ufuncs in the same order, so a row gets,
 bit for bit, what its run gets alone.  Bias corrections and RAdam's r_t stay
 Python floats per row: numpy's power differs from Python's in the last ulp.
 ``Runs`` holds the live rows of a stack for both training loops: a run that
-fails before or in its step drops out through it, keeping its final params
-and its reason, and the other rows go on.
+fails drops out with its final params and its reason, and the others go on.
+It skips ``step``'s checks and ``np.errstate``, which its callers hold.
 
 State vectors start at zero, so the gradient "before the first step" is 0 and
 the first angle compares against a zero previous angle.  The counter ``t``
@@ -234,9 +234,9 @@ class OptimizerState:
     * ``prev_angle``: AngularGrad's previous raw angle A_{t-1}; meaningful
       on angular rows only, the only rows a step writes or reads.
     * ``alpha_t``: the live learning rate.
-    * ``last_phi``: a diagnostic slot holding the phi vector AngularGrad
-      applied, so the harness can record it and log its mean; meaningful on
-      angular rows only (the other rows hold their own step scale).
+    * ``last_phi``: the step-scale buffer the state owns, rewritten in place
+      by each step of a stack with diffGrad, RAdam or angular rows; rows outside
+      every family hold 1.0, angular rows the phi the harness records.
 
     Every array slot is (R, D), (1, D) for a lone run, and ``alpha_t``
     repeats each row's rate across it.
@@ -280,19 +280,18 @@ def _angle(gap: np.ndarray, g_t: np.ndarray, g_prev: np.ndarray) -> np.ndarray:
     return np.arctan(gap / np.abs(1.0 + g_t * g_prev))
 
 
-def angular_coefficient(
-    a_min: Vector, variant: str | tuple, lambda1: float, lambda2: float
-) -> Vector:
+def angular_coefficient(a_min: Vector, variant: str | tuple, lambda1: float, lambda2: float,
+                        out: Vector | None = None) -> Vector:
     """phi[i] = tanh(|trig(a_min[i])|) * lambda1 + lambda2, trig = cos or tan.
 
     On a stack ``variant`` may be (cos rows, tan rows), two row selectors
     covering every row.  tan of the float closest to pi/2 is ~1.6e16, which
     tanh saturates to exactly 1.0, so the perpendicular limit yields phi =
     lambda1 + lambda2 without any special casing.  Each step after the trig
-    runs in place in one buffer, with the bits of the out-of-place expression.
+    runs in place in ``out`` or a new buffer, with the bits of the out-of-place expression.
     """
     a_min = np.asarray(a_min, dtype=np.float64)
-    phi = np.empty(a_min.shape)
+    phi = np.empty(a_min.shape) if out is None else out
     if isinstance(variant, tuple):
         for fn, rows in zip((np.cos, np.tan), variant):
             phi[rows] = fn(a_min[rows])
@@ -357,21 +356,26 @@ def _rule_kernel(state, cfg, params, grad):
         mhat[rows], denom[rows] = grad[rows], np.sqrt(v[rows]) + _at(cfg.epsilon, rows)
     scale = 1.0
     if cfg.diffgrad is not None or cfg.radam or cfg.angular is not None:
-        scale = np.ones(grad.shape)
+        if (scale := state.last_phi) is None:  # rows outside every family keep 1.0
+            scale = state.last_phi = np.ones(grad.shape)
+        if cfg.diffgrad is not None or cfg.angular is not None:
+            gap = np.abs(grad - state.prev_grad)
     if (rows := cfg.diffgrad) is not None:  # xi = sigmoid(|g_t - g_{t-1}|)
-        scale[rows] = 1.0 / (1.0 + np.exp(-np.abs(grad[rows] - state.prev_grad[rows])))
+        scale[rows] = 1.0 / (1.0 + np.exp(-gap[rows]))
     for beta2, rows in cfg.radam:  # rows not yet rectifiable step with scale = denom = 1
         if (r_t := radam_terms(t, beta2)[2]) is None:
-            denom[rows] = 1.0
+            scale[rows] = denom[rows] = 1.0
         else:
             scale[rows] = r_t
     if (rows := cfg.angular) is not None:
-        g, g_prev = grad[rows], state.prev_grad[rows]
-        a_t = _angle(np.abs(g - g_prev), g, g_prev)
-        scale[rows] = angular_coefficient(np.minimum(state.prev_angle[rows], a_t), cfg.variant,
-                                          _at(cfg.lambda1, rows), _at(cfg.lambda2, rows))
+        a_t = _angle(gap[rows], grad[rows], state.prev_grad[rows])
+        a_min = np.minimum(state.prev_angle[rows], a_t)
+        lambdas = _at(cfg.lambda1, rows), _at(cfg.lambda2, rows)
+        if isinstance(rows, slice):  # a view: phi is written into the buffer
+            angular_coefficient(a_min, cfg.variant, *lambdas, out=scale[rows])
+        else:
+            scale[rows] = angular_coefficient(a_min, cfg.variant, *lambdas)
         state.prev_angle[rows] = a_t
-        state.last_phi = scale  # phi on the angular rows
     state.t, state.m, state.v = t, m, v
     state.prev_grad = grad.copy()
     return params - state.alpha_t * scale * mhat / denom
@@ -402,42 +406,47 @@ def step(state: OptimizerState, config, params: Vector, grad: Vector) -> Vector:
         raise ValueError("params/grad dim mismatch")
     if params.shape != state.m.shape:
         raise ValueError("state dim mismatch")
-    # overflow here is an expected, handled condition: the guard below turns
-    # any non-finite result into NonFiniteStepError instead of a warning (a
+    # overflow here is an expected, handled condition: the guard turns any
+    # non-finite result into NonFiniteStepError instead of a warning (a
     # perpendicular angle divides by zero on purpose)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if (rows := config.gc) is not None:
-            grad = grad.copy()
-            grad[rows] -= np.mean(grad[rows], axis=-1, keepdims=True)
-        if (rows := config.hgd) is not None:
-            dot = np.vecdot(grad[rows], state.prev_grad[rows])
-            state.alpha_t[rows] = state.alpha_t[rows] + _at(config.omega, rows) * dot[:, None]
-        new = _rule_kernel(state, config, params, grad)
-        if (rows := config.decay) is not None:
-            new[rows] -= state.alpha_t[rows] * _at(config.decay_lambda, rows) * params[rows]
-        # a finite sum needs every entry finite; only a sum that overflows or
-        # meets a NaN or Inf pays for the entrywise check
-        finite = math.isfinite(np.add.reduce(new, axis=None)) or np.isfinite(new).all()
-    if not finite:
-        bad = enumerate(map(first_nonfinite, new.reshape(-1, new.shape[-1])))
-        rules = [c.rule for c in config.configs]
-        errors = {r: NonFiniteStepError(state.t, i, rules[r]) for r, i in bad if i is not None}
-        err = next(iter(errors.values()))
-        err.rows, err.params = errors, new
-        raise err
-    return new
+        return _stacked_step(state, config, params, grad)
+
+
+def _stacked_step(state, config, params, grad):
+    """``step`` on a checked (R, D) stack, for a caller that holds the errstate."""
+    if (rows := config.gc) is not None:
+        grad = grad.copy()
+        grad[rows] -= np.mean(grad[rows], axis=-1, keepdims=True)
+    if (rows := config.hgd) is not None:
+        dot = np.vecdot(grad[rows], state.prev_grad[rows])
+        state.alpha_t[rows] = state.alpha_t[rows] + _at(config.omega, rows) * dot[:, None]
+    new = _rule_kernel(state, config, params, grad)
+    if (rows := config.decay) is not None:
+        new[rows] -= state.alpha_t[rows] * _at(config.decay_lambda, rows) * params[rows]
+    # a finite sum needs every entry finite; only a sum that overflows or
+    # meets a NaN or Inf pays for the entrywise check
+    if math.isfinite(np.add.reduce(new, axis=None)) or np.isfinite(new).all():
+        return new
+    bad = enumerate(map(first_nonfinite, new.reshape(-1, new.shape[-1])))
+    rules = [c.rule for c in config.configs]
+    errors = {r: NonFiniteStepError(state.t, i, rules[r]) for r, i in bad if i is not None}
+    err = next(iter(errors.values()))
+    err.rows, err.params = errors, new
+    raise err
 
 
 # ---------------------------------------------------------------------------
 # A stack of runs
 
 
-def nonfinite_rows(values, reason) -> dict:
-    """Map each row of a stack whose ``values`` hold a NaN or Inf to ``reason``."""
+def nonfinite_rows(values, reason: str, *args) -> dict:
+    """Map each row of a stack whose ``values`` hold a NaN or Inf to ``reason.format(*args)``."""
     ok = np.isfinite(values)
     if np.count_nonzero(ok) == ok.size:  # every entry finite, cheaper than ok.all()
         return {}
-    return dict.fromkeys(np.flatnonzero(~ok.reshape(len(ok), -1).all(axis=1)).tolist(), reason)
+    bad = np.flatnonzero(~ok.reshape(len(ok), -1).all(axis=1)).tolist()
+    return dict.fromkeys(bad, reason.format(*args))
 
 
 class Runs:
@@ -473,15 +482,15 @@ class Runs:
         a failed step, which wins over a rate), the rows whose step fails and
         the HGD rows whose adapted rate is not positive (their step would ascend)
         drop out at their old params."""
-        try:  # the global step, looked up at each call so a wrapper set on it runs
-            new = step(self.state, self.configs, self.params, grad)
+        try:
+            new = _stacked_step(self.state, self.configs, self.params, grad)
         except NonFiniteStepError as err:
             new, failed = err.params, {**err.rows, **failed}
         if (hgd := self.configs.hgd) is not None:
             # alpha_t holds one rate per row, repeated across it
-            ascent = np.arange(len(self.live))[hgd][self.state.alpha_t[hgd, 0] <= 0.0].tolist()
-            reason = f"non-positive learning rate at iteration {self.state.t}"
-            failed = {**dict.fromkeys(ascent, reason), **failed}
+            if ascent := np.arange(len(self.live))[hgd][self.state.alpha_t[hgd, 0] <= 0.0].tolist():
+                reason = f"non-positive learning rate at iteration {self.state.t}"
+                failed = {**dict.fromkeys(ascent, reason), **failed}
         if failed:  # the step just taken does not count for them
             new = new[self.drop(failed, self.state.t - 1)]
         return new

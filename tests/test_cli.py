@@ -592,6 +592,10 @@ def test_empty_optimizer_entry_runs_with_all_defaults(tmp_path):
      "missing config key 'theta0.high' for command 'toy'"),
     ("mlp", '{"layer_sizes": [3, 8, 3], "seeds": [0], "epochs": 1}',
      "layer_sizes[0] is 3, but the data have 2 features per sample"),
+    ("toy", '{"iterations": 5, "optimizers": {"adam": {"rule": "adam", "alpha": 0.1}, '
+            '"adam": {"rule": "sgd", "alpha": 0.5}}}',
+     "config key 'adam' is listed twice"),
+    ("toy", '{"iterations": 5, "iterations": 6}', "config key 'iterations' is listed twice"),
 ], ids=[
     "mlp-seed", "toy-seed", "regret-iterations", "toy-iterations-bool", "mlp-epochs",
     "mlp-batch_size", "mlp-layer_sizes", "mlp-blobs.classes", "rosenbrock-grid.resolution",
@@ -605,6 +609,7 @@ def test_empty_optimizer_entry_runs_with_all_defaults(tmp_path):
     "regret-theta0.typo", "regret-theta0.dim-retired", "toy-milestone-repeated",
     "rosenbrock-grid-missing-resolution", "mlp-blobs-missing-separation",
     "regret-theta0-missing-low", "toy-theta0-missing-high", "mlp-layer_sizes-input-width",
+    "toy-optimizer-repeated", "toy-iterations-repeated",
 ])
 def test_bad_config_number_exits_2(tmp_path, capsys, command, text, message):
     path = tmp_path / "cfg.json"
@@ -661,6 +666,16 @@ class TestPlot:
         out = tmp_path / "a"
         assert run("plot", str(tmp_path / name), "--out", str(out)) == 2
         assert str(tmp_path / name) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_number_names_file_and_line(self, tmp_path, capsys):
+        trajectory = tmp_path / "run.csv"
+        trajectory.write_text("t,loss\n1,2.0\n2,abc\n")
+        out = tmp_path / "a"
+        assert run("plot", str(trajectory), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"{trajectory}, line 3: could not convert string to float: 'abc'" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
 

@@ -33,7 +33,7 @@ from angular_optim.harness import (
     write_text_atomic,
 )
 from angular_optim.numerics import make_rng
-from angular_optim.objectives import get_objective
+from angular_optim.objectives import Objective, get_objective
 from angular_optim.optimizers import ANGLE_VARIANTS, RULES, ConfigStack, OptimizerConfig
 
 
@@ -204,6 +204,31 @@ class TestSingleRun:
         assert len(aborted) == 2 and np.allclose(aborted.alpha, [0.1, 96.1])
         assert plain.status == "ok" and len(plain) == 5
         assert np.array_equal(plain.alpha, np.full(5, 0.1))
+
+    @pytest.mark.filterwarnings("error")
+    def test_perpendicular_angle_and_overflow_do_not_warn(self):
+        # the slope is 2 right of 0 and -0.5 left of it: the angular row's
+        # second step meets 2 * -0.5 == -1, a zero angle denominator; the sgd
+        # rows overflow in their first step and in their first loss
+        def kink(x):
+            slope = np.where(x >= 0.0, 2.0, -0.5)
+            return slope[..., 0] * x[..., 0], slope
+
+        obj = Objective("kink", 1, kink, ((-1.0, 1.0),))
+        stack = ConfigStack([OptimizerConfig(rule="angulargrad", alpha=0.1),
+                             OptimizerConfig(rule="sgd", alpha=1e308),
+                             OptimizerConfig(rule="sgd", alpha=1e-3)])
+        angular, step_overflow, loss_overflow = single_run(
+            obj, stack, np.array([[0.0], [0.0], [1e308]]), 6)
+        assert angular.status == "ok" and len(angular) == 6
+        assert np.isfinite(angular.loss).all()
+        # phi at a_min = arctan(2), the first angle, which the right angle did not undercut
+        assert angular.phi_mean[1] == math.tanh(math.cos(math.atan(2.0))) * 0.5 + 0.5
+        assert step_overflow.status == ("aborted: non-finite parameter at iteration 1, "
+                                        "coordinate 0, rule sgd")
+        assert len(step_overflow) == 0
+        assert loss_overflow.status == "aborted: non-finite loss at iteration 1"
+        assert len(loss_overflow) == 1
 
     def test_aborted_run_keeps_theta_columns(self):
         obj = get_objective("quadratic", dim=1)

@@ -524,6 +524,24 @@ class TestAbortedRow:
         assert record_hex(aborted) == record_hex(stopped)
 
 
+    @pytest.mark.filterwarnings("error")
+    def test_exploding_rates_abort_without_a_warning(self):
+        # sgd at 1.7e308 overflows in its first step, at 1e3 in its second
+        # minibatch loss; the angular rows run on
+        spec = MlpSpec((2, 8, 3))
+        rngs = [make_rng(0), make_rng(1)]
+        data = [make_blobs(g, 20, 3, 4.0) for g in rngs]
+        configs = [OptimizerConfig(rule="angulargrad", alpha=0.01),
+                   OptimizerConfig(rule="sgd", alpha=1.7e308),
+                   OptimizerConfig(rule="sgd", alpha=1e3)]
+        runs = train_mlp(spec, data, ConfigStack([c for c in configs for _ in rngs]), 3, 8, rngs)
+        assert [(r.status, len(r.train_loss)) for r in runs] == [
+            ("ok", 3), ("ok", 3),
+            ("aborted: non-finite parameter at iteration 1, coordinate 9, rule sgd", 0),
+            *[("aborted: non-finite loss at epoch 1, step 2", 0)] * 3,
+        ]
+
+
 class Diverged(RuntimeError):
     """reference_training's own abort: a NaN/Inf batch or full-train loss, or
     a hypergradient rate that is not positive."""

@@ -1047,6 +1047,24 @@ class TestFrozenStep:
                                   random_grads(rng, runs.params.shape))
 
 
+    def test_after_dropping_a_diffgrad_and_a_radam_row(self):
+        # the step scale lives in a buffer the state keeps: the rows left after
+        # the drop step on through RAdam's rectification at t = 5 from it
+        rng = make_rng(11)
+        rows = [("diffgrad", "cos"), ("radam", "cos"), ("adam", "cos"), ("angulargrad", "tan"),
+                ("radam", "cos"), ("diffgrad", "cos"), ("sgd", "cos"), ("angulargrad", "cos")]
+        configs = [dataclasses.replace(random_config(rng, *row, extras=False), beta1=0.5,
+                                       beta2=0.5 if r == 1 else 0.99)
+                   for r, row in enumerate(rows)]
+        runs = Runs(ConfigStack(configs), rng.normal(size=(len(configs), 3)))
+        for grad in random_grads(rng, runs.params.shape, 3):
+            runs.params = runs.step(grad, {})
+        runs.drop({0: "dropped", 1: "dropped"}, runs.state.t)
+        assert [c.rule for c in runs.configs.configs] == [rule for rule, _ in rows[2:]]
+        assert_steps_match_frozen(runs.configs, runs.state, runs.params,
+                                  random_grads(rng, runs.params.shape, 6))
+
+
 class TestLoneRun:
     """A lone run is the one-row stack: ``init_state`` and ``step`` on an
     OptimizerConfig and a vector give the one-row stack's state, slot for slot."""
