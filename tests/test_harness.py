@@ -34,7 +34,13 @@ from angular_optim.harness import (
 )
 from angular_optim.numerics import make_rng
 from angular_optim.objectives import Objective, get_objective
-from angular_optim.optimizers import ANGLE_VARIANTS, RULES, ConfigStack, OptimizerConfig
+from angular_optim.optimizers import (
+    ANGLE_VARIANTS,
+    RULES,
+    ConfigStack,
+    OptimizerConfig,
+    angular_coefficient,
+)
 
 
 def run_alone(objective, config, theta0, iterations, *args, **kwargs) -> Trajectory:
@@ -223,7 +229,7 @@ class TestSingleRun:
         assert angular.status == "ok" and len(angular) == 6
         assert np.isfinite(angular.loss).all()
         # phi at a_min = arctan(2), the first angle, which the right angle did not undercut
-        assert angular.phi_mean[1] == math.tanh(math.cos(math.atan(2.0))) * 0.5 + 0.5
+        assert angular.phi_mean[1] == angular_coefficient(np.arctan([2.0]), "cos", 0.5, 0.5)[0]
         assert step_overflow.status == ("aborted: non-finite parameter at iteration 1, "
                                         "coordinate 0, rule sgd")
         assert len(step_overflow) == 0
