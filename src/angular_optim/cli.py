@@ -70,8 +70,11 @@ def _finite(text: str) -> float:
 
 def _unique_keys(pairs: list) -> dict:
     """json's object builder, rejecting a key one object names twice."""
-    if twice := [key for i, (key, _) in enumerate(pairs) if key in dict(pairs[:i])]:
-        raise ConfigError(f"config key {twice[0]!r} is listed twice")
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ConfigError(f"config key {key!r} is listed twice")
+        seen.add(key)
     return dict(pairs)
 
 
@@ -87,6 +90,8 @@ def _load_config(command: str, path: str | None) -> dict:
         raise ConfigError(f"cannot read config {path}: {err}")
     except json.JSONDecodeError as err:
         raise ConfigError(f"invalid JSON in {path}: {err}")
+    except ConfigError as err:  # a number or a key json's hooks reject
+        raise ConfigError(f"{path}: {err}") from None
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")
 

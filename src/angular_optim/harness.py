@@ -166,13 +166,12 @@ def single_run(
     # divergence is handled (abort status): an overflow or a perpendicular angle must not warn
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         _, grad = objective.value_and_grad(runs.params)  # checks the starts' width once
-        fn = objective.fn
         for start in range(0, iterations, BLOCK_ITERATIONS):
             n = 0  # the block's steps recorded so far
             for i in range(start + 1, min(start + BLOCK_ITERATIONS, iterations) + 1):
                 if i in milestones:
                     runs.state.alpha_t = runs.state.alpha_t / milestones[i]
-                bad_grad = nonfinite_rows(grad, "non-finite gradient at iteration {}", i)
+                bad_grad = nonfinite_rows(grad, f"non-finite gradient at iteration {i}")
                 new = runs.step(grad, bad_grad)
                 live = runs.live
                 if not live.size:
@@ -181,12 +180,12 @@ def single_run(
                 rows = slice(None) if live.size == n_runs else live
                 n = i - start
                 runs.params = iterates[n, rows] = new
-                row_loss, grad = fn(new)
+                row_loss, grad = objective.fn(new)
                 loss[i - 1, rows] = row_loss
                 alpha[i - 1, rows] = runs.state.alpha_t[:, 0]
                 if angular:
                     scratch[n - 1, rows] = runs.state.last_phi
-                if failed := nonfinite_rows(row_loss, "non-finite loss at iteration {}", i):
+                if failed := nonfinite_rows(row_loss, f"non-finite loss at iteration {i}"):
                     grad = grad[runs.drop(failed, i)]
                     if not runs.live.size:
                         break

@@ -335,7 +335,7 @@ def train_mlp(spec: MlpSpec, datasets, stack, epochs: int, batch_size: int, rngs
     mean_batch_loss, train_loss, train_accuracy = np.empty((3, n_runs, epochs))
     finished = np.zeros(n_runs, dtype=np.int64)  # each run's epochs with records
     n_batches = -(-n // batch_size)
-    diverged = "non-finite loss at epoch {}, step {}"
+    diverged = lambda epoch, step: f"non-finite loss at epoch {epoch}, step {step}"
 
     # divergence is handled (the row drops out), so overflow on an exploding
     # run must not warn
@@ -349,7 +349,7 @@ def train_mlp(spec: MlpSpec, datasets, stack, epochs: int, batch_size: int, rngs
                                            np.take(flat_labels, at))
                 batch_losses[runs.live, j] = loss
                 # a row's non-finite loss stops it before its step
-                failed = nonfinite_rows(loss, diverged, epoch, runs.state.t + 1)
+                failed = nonfinite_rows(loss, diverged(epoch, runs.state.t + 1))
                 runs.params = runs.step(grad, failed)
                 if not runs.live.size:
                     break
@@ -363,7 +363,7 @@ def train_mlp(spec: MlpSpec, datasets, stack, epochs: int, batch_size: int, rngs
                     train_loss[live[rows], col], train_accuracy[live[rows], col] = evaluate(
                         runs.params[rows], spec, inputs[s], labels[s])
             finished[live] = epoch
-            if failed := nonfinite_rows(train_loss[live, col], diverged, epoch, runs.state.t):
+            if failed := nonfinite_rows(train_loss[live, col], diverged(epoch, runs.state.t)):
                 runs.drop(failed, runs.state.t)
             if not runs.live.size:
                 break

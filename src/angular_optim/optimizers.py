@@ -280,18 +280,19 @@ def _angle(gap: np.ndarray, g_t: np.ndarray, g_prev: np.ndarray) -> np.ndarray:
     return np.arctan(gap / np.abs(1.0 + g_t * g_prev))
 
 
-def angular_coefficient(a_min: Vector, variant: str | tuple, lambda1: float, lambda2: float,
-                        out: Vector | None = None) -> Vector:
+def angular_coefficient(
+    a_min: Vector, variant: str | tuple, lambda1: float, lambda2: float
+) -> Vector:
     """phi[i] = tanh(|trig(a_min[i])|) * lambda1 + lambda2, trig = cos or tan.
 
     On a stack ``variant`` may be (cos rows, tan rows), two row selectors
     covering every row.  tan of the float closest to pi/2 is ~1.6e16, which
     tanh saturates to exactly 1.0, so the perpendicular limit yields phi =
     lambda1 + lambda2 without any special casing.  Each step after the trig
-    runs in place in ``out`` or a new buffer, with the bits of the out-of-place expression.
+    runs in place in one buffer, with the bits of the out-of-place expression.
     """
     a_min = np.asarray(a_min, dtype=np.float64)
-    phi = np.empty(a_min.shape) if out is None else out
+    phi = np.empty(a_min.shape)
     if isinstance(variant, tuple):
         for fn, rows in zip((np.cos, np.tan), variant):
             phi[rows] = fn(a_min[rows])
@@ -369,12 +370,8 @@ def _rule_kernel(state, cfg, params, grad):
             scale[rows] = r_t
     if (rows := cfg.angular) is not None:
         a_t = _angle(gap[rows], grad[rows], state.prev_grad[rows])
-        a_min = np.minimum(state.prev_angle[rows], a_t)
-        lambdas = _at(cfg.lambda1, rows), _at(cfg.lambda2, rows)
-        if isinstance(rows, slice):  # a view: phi is written into the buffer
-            angular_coefficient(a_min, cfg.variant, *lambdas, out=scale[rows])
-        else:
-            scale[rows] = angular_coefficient(a_min, cfg.variant, *lambdas)
+        scale[rows] = angular_coefficient(np.minimum(state.prev_angle[rows], a_t), cfg.variant,
+                                          _at(cfg.lambda1, rows), _at(cfg.lambda2, rows))
         state.prev_angle[rows] = a_t
     state.t, state.m, state.v = t, m, v
     state.prev_grad = grad.copy()
@@ -440,13 +437,12 @@ def _stacked_step(state, config, params, grad):
 # A stack of runs
 
 
-def nonfinite_rows(values, reason: str, *args) -> dict:
-    """Map each row of a stack whose ``values`` hold a NaN or Inf to ``reason.format(*args)``."""
+def nonfinite_rows(values, reason) -> dict:
+    """Map each row of a stack whose ``values`` hold a NaN or Inf to ``reason``."""
     ok = np.isfinite(values)
     if np.count_nonzero(ok) == ok.size:  # every entry finite, cheaper than ok.all()
         return {}
-    bad = np.flatnonzero(~ok.reshape(len(ok), -1).all(axis=1)).tolist()
-    return dict.fromkeys(bad, reason.format(*args))
+    return dict.fromkeys(np.flatnonzero(~ok.reshape(len(ok), -1).all(axis=1)).tolist(), reason)
 
 
 class Runs:
@@ -488,9 +484,9 @@ class Runs:
             new, failed = err.params, {**err.rows, **failed}
         if (hgd := self.configs.hgd) is not None:
             # alpha_t holds one rate per row, repeated across it
-            if ascent := np.arange(len(self.live))[hgd][self.state.alpha_t[hgd, 0] <= 0.0].tolist():
-                reason = f"non-positive learning rate at iteration {self.state.t}"
-                failed = {**dict.fromkeys(ascent, reason), **failed}
+            ascent = np.arange(len(self.live))[hgd][self.state.alpha_t[hgd, 0] <= 0.0].tolist()
+            reason = f"non-positive learning rate at iteration {self.state.t}"
+            failed = {**dict.fromkeys(ascent, reason), **failed}
         if failed:  # the step just taken does not count for them
             new = new[self.drop(failed, self.state.t - 1)]
         return new

@@ -623,6 +623,17 @@ def test_bad_config_number_exits_2(tmp_path, capsys, command, text, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"optimizers": {"adam": {"rule": "adam", "rule": "sgd"}}}', "rule"),
+    ('{"iterations": 5, "iterations": 6}', "iterations"),
+], ids=["nested", "root"])
+def test_repeated_config_key_names_the_file(tmp_path, capsys, text, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert run("toy", "--config", str(path), "--out", str(tmp_path / "a")) == 2
+    assert f"{path}: config key {key!r} is listed twice" in capsys.readouterr().err
+
+
 class TestGradcheck:
     def test_passes(self, tmp_path, capsys):
         assert run("gradcheck", "--out", str(tmp_path / "a")) == 0
