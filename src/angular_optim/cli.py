@@ -26,7 +26,6 @@ from angular_optim import defaults
 from angular_optim.harness import (
     ROSENBROCK_DIST_THRESHOLD,
     Chunks,
-    ExperimentSpec,
     Trajectory,
     _csv,
     aggregate,
@@ -41,7 +40,7 @@ from angular_optim.harness import (
 )
 from angular_optim.models import MlpRun, MlpSpec, init_params, loss_and_grad, make_blobs, train_mlp
 from angular_optim.numerics import finite_diff_grad, make_rng, mean_std, relative_error
-from angular_optim.objectives import get_objective
+from angular_optim.objectives import Objective, get_objective
 from angular_optim.optimizers import ConfigStack, OptimizerConfig
 from angular_optim.svgplot import Series, render_line_chart, render_overlay
 
@@ -86,7 +85,7 @@ def _load_config(command: str, path: str | None) -> dict:
         with open(path) as fh:
             user = json.load(fh, parse_float=_finite, parse_constant=_finite,
                              object_pairs_hook=_unique_keys)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}")
     except json.JSONDecodeError as err:
         raise ConfigError(f"invalid JSON in {path}: {err}")
@@ -140,8 +139,10 @@ def _apply_overrides(config: dict, args) -> dict:
         if not config["seeds"]:
             raise ConfigError("empty --seeds list")
     seeds = config["seeds"]
-    for i, seed in enumerate(seeds):  # a repeat would overwrite a CSV
-        if seed in seeds[:i]:
+    for i, seed in enumerate(seeds):
+        if seed < 0:  # make_rng takes none, and toy would write it in a file name
+            raise ConfigError(f"seed {seed} must be >= 0")
+        if seed in seeds[:i]:  # a repeat would overwrite a CSV
             raise ConfigError(f"seed {seed!r} is listed twice")
     if getattr(args, "iters", None) is not None:
         if args.iters < 1:
@@ -166,37 +167,27 @@ def _apply_overrides(config: dict, args) -> dict:
     return config
 
 
-def _build_optimizers(config: dict) -> tuple[tuple[str, OptimizerConfig], ...]:
-    out = []
+def _build_optimizers(config: dict) -> dict[str, OptimizerConfig]:
+    optimizers = {}
     for name, fields in config["optimizers"].items():
         try:
-            out.append((name, OptimizerConfig(**fields)))
+            optimizers[name] = OptimizerConfig(**fields)
         except ValueError as err:
             raise ConfigError(f"optimizer {name!r}: {err}")
-    return tuple(out)
+    return optimizers
 
 
-def _run(
-    config: dict, task: str, record_params: bool
-) -> tuple[ExperimentSpec, dict[str, list[Trajectory]]]:
-    """Build the ExperimentSpec a protocol config describes for ``task`` and run
-    it; the protocol, not its config, says whether the runs record parameters."""
+def _run(config: dict, objective: Objective, record_params: bool) -> dict[str, list[Trajectory]]:
+    """The runs a protocol config describes on ``objective``; the protocol,
+    not its config, says whether they record parameters."""
     milestones = config["lr_milestones"]
     for pair in milestones:  # the config check has no default item to type these by
         if not (type(pair) is list and len(pair) == 2 and type(pair[0]) is int
                 and type(pair[1]) in (int, float)):
             raise ConfigError(f"lr_milestones items must be [integer, number] pairs, not {pair!r}")
-    spec = ExperimentSpec(
-        task=task,
-        optimizers=_build_optimizers(config),
-        iterations=config["iterations"],
-        seeds=tuple(config["seeds"]),
-        theta0=config["theta0"],
-        record_params=record_params,
-        lr_milestones=tuple((it, float(div)) for it, div in milestones),
-        dim=config.get("dim"),
-    )
-    return spec, run_experiment(spec)
+    return run_experiment(objective, _build_optimizers(config), config["seeds"], config["theta0"],
+                          config["iterations"], [(it, float(div)) for it, div in milestones],
+                          record_params)
 
 
 def _run_files(prefix: str, seeds, runs: dict, to_csv) -> tuple[dict, list[str]]:
@@ -218,16 +209,17 @@ def _run_files(prefix: str, seeds, runs: dict, to_csv) -> tuple[dict, list[str]]
 
 
 def _toy(config: dict, log_scale: bool) -> tuple[dict, list[str]]:
-    if wide := [task for task in config["tasks"] if get_objective(task).dim != 1]:
+    objectives = [(task, get_objective(task)) for task in config["tasks"]]
+    if wide := [task for task, objective in objectives if objective.dim != 1]:
         raise ConfigError(f"toy tasks must be 1-D, not {', '.join(wide)}")
     files, statuses = {}, []
-    for task in config["tasks"]:
-        spec, runs = _run(config, task, record_params=True)
-        csvs, task_statuses = _run_files(f"toy_{task}", spec.seeds, runs, trajectory_to_csv)
+    for task, objective in objectives:
+        runs = _run(config, objective, record_params=True)
+        csvs, task_statuses = _run_files(f"toy_{task}", config["seeds"], runs, trajectory_to_csv)
         statuses += task_statuses
         firsts = {name: trajs[0] for name, trajs in runs.items()}
         files |= csvs | {
-            f"toy_{task}_summary.json": summary_to_json(aggregate(runs, spec.iterations)),
+            f"toy_{task}_summary.json": summary_to_json(aggregate(runs, config["iterations"])),
             f"toy_{task}_loss.svg": render_line_chart(
                 [Series(name, first.t, first.loss) for name, first in firsts.items()],
                 title=f"{task}: loss vs iteration",
@@ -245,9 +237,9 @@ def _rosenbrock(config: dict) -> tuple[dict, list[str]]:
     objective, grid = get_objective("rosenbrock"), config["grid"]
     # a bad grid exits before any run
     xs, ys, Z = grid_eval(objective, grid["x_range"], grid["y_range"], grid["resolution"])
-    spec, runs = _run(config, "rosenbrock", record_params=True)
+    runs = _run(config, objective, record_params=True)
     target = np.array(objective.known_minima[0][0])
-    files, statuses = _run_files("rosenbrock", spec.seeds, runs, trajectory_to_csv)
+    files, statuses = _run_files("rosenbrock", config["seeds"], runs, trajectory_to_csv)
 
     def dist_threshold(traj):
         # a diverged run's thetas may square to inf, which never meets it
@@ -256,7 +248,7 @@ def _rosenbrock(config: dict) -> tuple[dict, list[str]]:
         return dist, ROSENBROCK_DIST_THRESHOLD
 
     files["rosenbrock_summary.json"] = summary_to_json(
-        aggregate(runs, spec.iterations, threshold_fn=dist_threshold))
+        aggregate(runs, config["iterations"], threshold_fn=dist_threshold))
     files["rosenbrock_grid.csv"] = grid_to_csv(xs, ys, Z)
     paths = [Series(name, *trajs[0].thetas.T) for name, trajs in runs.items()]
     files["rosenbrock_overlay.svg"] = render_overlay(
@@ -279,10 +271,10 @@ def _mlp(config: dict) -> tuple[dict, list[str]]:
     rngs = [make_rng(seed) for seed in seeds]
     data = [make_blobs(rng, *shape) for rng in rngs]
     trained = iter(train_mlp(
-        mlp_spec, data, ConfigStack(c for _, c in optimizers for _ in seeds),
+        mlp_spec, data, ConfigStack(c for c in optimizers.values() for _ in seeds),
         config["epochs"], config["batch_size"], rngs,
     ))
-    runs = {name: [next(trained) for _ in seeds] for name, _ in optimizers}
+    runs = {name: [next(trained) for _ in seeds] for name in optimizers}
     files, statuses = _run_files("mlp", seeds, runs, _mlp_to_csv)
     summary = {}
     for name, results in runs.items():
@@ -298,13 +290,13 @@ def _mlp(config: dict) -> tuple[dict, list[str]]:
 
 
 def _regret(config: dict) -> tuple[dict, list[str]]:
-    spec, runs = _run(config, config["task"], record_params=False)
-    objective = get_objective(config["task"], dim=spec.dim)
+    objective = get_objective(config["task"], dim=config["dim"])
+    runs = _run(config, objective, record_params=False)
     records = {
         name: [compute_regret(traj, objective) for traj in trajs]
         for name, trajs in runs.items()
     }
-    files, statuses = _run_files("regret", spec.seeds, records, regret_to_csv)
+    files, statuses = _run_files("regret", config["seeds"], records, regret_to_csv)
     files["regret_avg.svg"] = render_line_chart(
         [Series(name, recs[0].t, recs[0].average) for name, recs in records.items()],
         title="average regret vs t", xlabel="t", ylabel="R(t)/t", log_x=True, log_y=True,
@@ -403,22 +395,24 @@ def cmd_plot(args) -> int:
     for path in args.files:
         p = Path(path)
         try:
-            fh = open(p)
+            fh = open(p, "rb")
         except OSError as err:
             raise ConfigError(f"cannot read trajectory file {path}: {err}")
-        with fh:
-            header = fh.readline().strip().split(",")
+        with fh:  # binary, so that each line is decoded alone and a bad byte names its line
+            try:
+                header = fh.readline().decode().strip().split(",")
+            except UnicodeDecodeError as err:
+                raise ConfigError(f"{path}, line 1: {err}")
             if "t" not in header or "loss" not in header:
                 raise ConfigError(f"{path}: expected t and loss columns")
             ti, li = header.index("t"), header.index("loss")
             ts, losses = [], []
             for number, line in enumerate(fh, start=2):
-                cells = line.strip().split(",")
-                if len(cells) <= max(ti, li):
-                    continue
-                try:
-                    ts.append(float(cells[ti]))
-                    losses.append(float(cells[li]))
+                try:  # a cell that is not a number, or a byte that is not UTF-8
+                    cells = line.decode().strip().split(",")
+                    if len(cells) > max(ti, li):
+                        ts.append(float(cells[ti]))
+                        losses.append(float(cells[li]))
                 except ValueError as err:
                     raise ConfigError(f"{path}, line {number}: {err}")
         series.append(Series(p.stem, np.array(ts), np.array(losses)))

@@ -1,15 +1,15 @@
 """Experiment execution: deterministic runs, regret tracking, aggregation, IO.
 
-A run is a pure function of its ExperimentSpec.  Its (optimizer, seed) runs,
-each from its own seeded start, are stacked as the rows of (R, D) arrays and
-advanced together: each iteration makes one step and one value-and-gradient
-call for all of them, and a run that aborts drops out of the stack through
-``optimizers.Runs`` while the others go on.  Each row's trajectory is bit for
-bit the one its run gives alone.  The stack steps in blocks of
-``BLOCK_ITERATIONS``: only one block of iterates and phi vectors is held at a
-time (the whole path only when the spec records parameters), so a run's
-memory does not grow with its length times its width.  The results are keyed
-by optimizer name in spec order.
+``run_experiment`` runs every (optimizer, seed) pair on one objective, each
+from its own seeded start, and is a pure function of its arguments.  The runs
+are stacked as the rows of (R, D) arrays and advanced together: each
+iteration makes one step and one value-and-gradient call for all of them, and
+a run that aborts drops out of the stack through ``optimizers.Runs`` while
+the others go on.  Each row's trajectory is bit for bit the one its run gives
+alone.  The stack steps in blocks of ``BLOCK_ITERATIONS``: only one block of
+iterates and phi vectors is held at a time (the whole path only when the runs
+record parameters), so a run's memory does not grow with its length times its
+width.  The results are keyed by optimizer name in the given order.
 
 Every serializer returns its artifact as ``Chunks``, made piece by piece as
 it is written, so no artifact is held whole in memory.  CSV floats are
@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from angular_optim.numerics import Vector, make_rng, mean_std
-from angular_optim.objectives import Objective, get_objective
+from angular_optim.objectives import Objective
 from angular_optim.optimizers import ConfigStack, OptimizerConfig, Runs, nonfinite_rows
 
 # Loss threshold used for iterations-to-threshold on the 1-D functions; the
@@ -42,45 +42,6 @@ ROSENBROCK_DIST_THRESHOLD = 0.1
 BLOCK_ITERATIONS = 128
 # Rows per chunk of a CSV artifact.
 CSV_BLOCK_ROWS = 1024
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Declarative description of one experiment.
-
-    ``theta0`` is either an explicit start vector or an init-rule mapping
-    {"rule": "uniform", "low": a, "high": b} drawn per seed at the objective's dim.
-    ``lr_milestones`` lists (iteration, divisor) pairs; at each named
-    iteration (>= 1; one past the budget never acts) the live learning rate is
-    divided once, before that step, by a finite divisor > 0.
-    """
-
-    task: str
-    optimizers: tuple[tuple[str, OptimizerConfig], ...]
-    iterations: int
-    seeds: tuple[int, ...]
-    theta0: object
-    record_params: bool = False
-    lr_milestones: tuple[tuple[int, float], ...] = ()
-    dim: int | None = None
-
-    def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if not self.optimizers:
-            raise ValueError("need at least one optimizer")
-        if not self.seeds:
-            raise ValueError("need at least one seed")
-        names = [name for name, _ in self.optimizers]
-        if len(set(names)) != len(names):
-            raise ValueError("optimizer names must be unique")
-        if not all(0.0 < div < float("inf") for _, div in self.lr_milestones):
-            raise ValueError("lr_milestones divisors must be finite and > 0")
-        if not all(it >= 1 for it, _ in self.lr_milestones):
-            raise ValueError("lr_milestones iterations must be >= 1")
-        at = [it for it, _ in self.lr_milestones]  # single_run keeps one divisor each
-        if twice := [it for i, it in enumerate(at) if it in at[:i]]:
-            raise ValueError(f"lr_milestones iteration {twice[0]} is listed twice")
 
 
 @dataclass
@@ -152,7 +113,18 @@ def single_run(
     buffer that holds the phi vectors and then the steps.  Both are row-wise
     reductions, so no bit depends on where a block starts.  The whole path is
     kept only with ``record_params``, and then the trajectories carry it.
+    At each (iteration >= 1, finite divisor > 0) pair of ``lr_milestones`` the
+    live rate is divided once, before that step; one past the budget never acts.
     """
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
+    if not all(0.0 < div < float("inf") for _, div in lr_milestones):
+        raise ValueError("lr_milestones divisors must be finite and > 0")
+    if not all(it >= 1 for it, _ in lr_milestones):
+        raise ValueError("lr_milestones iterations must be >= 1")
+    at = [it for it, _ in lr_milestones]  # one divisor each
+    if twice := [it for i, it in enumerate(at) if it in at[:i]]:
+        raise ValueError(f"lr_milestones iteration {twice[0]} is listed twice")
     runs = Runs(stack, np.array(theta0, dtype=np.float64).reshape(len(stack.configs), -1))
     n_runs, dim = runs.params.shape
     milestones = dict(lr_milestones)
@@ -214,17 +186,18 @@ def single_run(
     return trajectories
 
 
-def run_experiment(spec: ExperimentSpec) -> dict[str, list[Trajectory]]:
-    """All (optimizer, seed) runs of a spec, stepped as one stack, keyed in
-    optimizer then seed order."""
-    objective = get_objective(spec.task, dim=spec.dim)
-    starts = [resolve_theta0(spec.theta0, objective.dim, s) for s in spec.seeds]
-    stack = ConfigStack(config for _, config in spec.optimizers for _ in spec.seeds)
+def run_experiment(objective: Objective, optimizers: dict[str, OptimizerConfig], seeds, theta0,
+                   iterations: int, lr_milestones=(), record_params=False):
+    """Each optimizer's runs on ``objective``, one per seed from its
+    ``resolve_theta0`` start, stepped as one ``single_run`` stack and keyed by
+    name in ``optimizers`` order; the result maps each name to its trajectories."""
+    starts = [resolve_theta0(theta0, objective.dim, seed) for seed in seeds]
+    stack = ConfigStack(config for config in optimizers.values() for _ in seeds)
     trajectories = iter(single_run(
-        objective, stack, np.array(starts * len(spec.optimizers)),
-        spec.iterations, spec.lr_milestones, spec.record_params,
+        objective, stack, np.array(starts * len(optimizers)),
+        iterations, lr_milestones, record_params,
     ))
-    return {name: [next(trajectories) for _ in spec.seeds] for name, _ in spec.optimizers}
+    return {name: [next(trajectories) for _ in seeds] for name in optimizers}
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,8 @@ class ConfigStack:
 
     def __init__(self, configs, width: int = 1):
         self.configs = cs = tuple(configs)
+        if not cs:
+            raise ValueError("need at least one run")
         self.width = width
         column = lambda values: _column(values, width)
         for name in ("epsilon", "lambda1", "lambda2"):

@@ -89,6 +89,16 @@ class TestToy:
         bad.write_text("{not json")
         assert run("toy", "--config", str(bad), "--out", str(tmp_path / "a")) == 2
 
+    def test_config_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"iterations": 5}\xff')
+        out = tmp_path / "a"
+        assert run("toy", "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read config {cfg}: 'utf-8' codec can't decode byte 0xff" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_bad_seeds_exits_2(self, tmp_path):
         code = run("toy", "--config", toy_config(tmp_path),
                    "--out", str(tmp_path / "a"), "--seeds", "zero")
@@ -198,6 +208,16 @@ def test_log_scale_only_where_it_acts(tmp_path, capsys, command, flag):
         run(command, *flag, "--out", str(tmp_path / "a"))
     assert exc.value.code == 2
     assert flag[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["toy", "rosenbrock", "mlp", "regret", "gradcheck"])
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "a"
+    assert run(command, "--out", str(out), "--seeds=-1") == 2
+    err = capsys.readouterr().err
+    assert "seed -1 must be >= 0" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 class TestRosenbrock:
@@ -528,6 +548,8 @@ def test_empty_optimizer_entry_runs_with_all_defaults(tmp_path):
 @pytest.mark.parametrize("command, text, message", [
     ("mlp", '{"seeds": [0, 0.5]}', "seeds[1] must be an integer, not 0.5"),
     ("toy", '{"seeds": [0.5]}', "seeds[0] must be an integer, not 0.5"),
+    ("toy", '{"seeds": [0, -2]}', "seed -2 must be >= 0"),
+    ("toy", '{"iterations": 0}', "iterations must be >= 1"),
     ("regret", '{"iterations": 2.5}', "iterations must be an integer, not 2.5"),
     ("toy", '{"iterations": true}', "iterations must be an integer, not True"),
     ("mlp", '{"epochs": 2.0}', "epochs must be an integer, not 2.0"),
@@ -599,7 +621,8 @@ def test_empty_optimizer_entry_runs_with_all_defaults(tmp_path):
     ("toy", '{"optimizers": {"adam": {"rule": "adam", "rule": "sgd"}}}',
      "cfg.json: config key 'rule' is listed twice"),
 ], ids=[
-    "mlp-seed", "toy-seed", "regret-iterations", "toy-iterations-bool", "mlp-epochs",
+    "mlp-seed", "toy-seed", "toy-seed-negative", "toy-iterations-zero", "regret-iterations",
+    "toy-iterations-bool", "mlp-epochs",
     "mlp-batch_size", "mlp-layer_sizes", "mlp-blobs.classes", "rosenbrock-grid.resolution",
     "regret-dim", "regret-theta0.dim", "regret-milestone-iteration", "regret-Infinity",
     "toy-NaN", "toy-1e400", "toy-seeds-number", "toy-seeds-object", "toy-tasks-number",
@@ -677,6 +700,22 @@ class TestPlot:
         assert run("plot", str(trajectory), "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert f"{trajectory}, line 3: could not convert string to float: 'abc'" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    # a text-mode reader decodes a whole chunk of lines at once, so "late"
+    # would name an earlier line
+    @pytest.mark.parametrize("data, line", [
+        (b"t,loss\n1,2.0\n2,\xff3.0\n", 3), (b"\xfft,loss\n1,2.0\n", 1),
+        (b"t,loss\n" + b"1,2.0\n" * 3000 + b"2,\xff\n", 3002),
+    ], ids=["row", "header", "late"])
+    def test_undecodable_byte_names_file_and_line(self, tmp_path, capsys, data, line):
+        trajectory = tmp_path / "run.csv"
+        trajectory.write_bytes(data)
+        out = tmp_path / "a"
+        assert run("plot", str(trajectory), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"{trajectory}, line {line}: 'utf-8' codec can't decode byte 0xff" in err
         assert "Traceback" not in err
         assert not out.exists()
 

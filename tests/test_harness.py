@@ -16,7 +16,6 @@ from angular_optim.harness import (
     BLOCK_ITERATIONS,
     CSV_BLOCK_ROWS,
     LOSS_THRESHOLD_1D,
-    ExperimentSpec,
     Trajectory,
     _csv,
     aggregate,
@@ -64,27 +63,34 @@ def make_traj(losses, thetas=None, ts=None):
 
 
 class TestSpecValidation:
+    """single_run checks the iteration count and milestones it uses, and a
+    stack with no run is an error on every route."""
+
+    ADAM = {"adam": OptimizerConfig()}
+
     def test_bad_iterations(self):
-        with pytest.raises(ValueError):
-            ExperimentSpec("f1", (("adam", OptimizerConfig()),), 0, (0,), [0.0])
+        with pytest.raises(ValueError, match=r"^iterations must be >= 1$"):
+            run_alone(get_objective("f1"), OptimizerConfig(), [0.0], 0)
 
     def test_no_optimizers(self):
-        with pytest.raises(ValueError):
-            ExperimentSpec("f1", (), 10, (0,), [0.0])
+        with pytest.raises(ValueError, match=r"^need at least one run$"):
+            run_experiment(get_objective("f1"), {}, (0,), [0.0], 10)
 
     def test_no_seeds(self):
-        with pytest.raises(ValueError):
-            ExperimentSpec("f1", (("adam", OptimizerConfig()),), 10, (), [0.0])
+        with pytest.raises(ValueError, match=r"^need at least one run$"):
+            run_experiment(get_objective("f1"), self.ADAM, (), [0.0], 10)
 
-    def test_duplicate_names(self):
-        with pytest.raises(ValueError):
-            ExperimentSpec(
-                "f1",
-                (("adam", OptimizerConfig()), ("adam", OptimizerConfig(alpha=0.1))),
-                10,
-                (0,),
-                [0.0],
-            )
+    @pytest.mark.parametrize("milestones, message", [
+        ([(2, 0.0)], r"^lr_milestones divisors must be finite and > 0$"),
+        ([(2, math.inf)], r"^lr_milestones divisors must be finite and > 0$"),
+        ([(2, 10.0), (2, 0.5)], r"^lr_milestones iteration 2 is listed twice$"),
+        ([(0, 10.0)], r"^lr_milestones iterations must be >= 1$"),
+    ], ids=["zero-divisor", "infinite-divisor", "repeated-iteration", "at-zero"])
+    def test_milestones_checked_on_a_direct_call(self, milestones, message):
+        with pytest.raises(ValueError, match=message):
+            run_alone(get_objective("f1"), OptimizerConfig(), [0.5], 5, milestones)
+        with pytest.raises(ValueError, match=message):
+            run_experiment(get_objective("f1"), self.ADAM, (0,), [0.5], 5, milestones)
 
 
 class TestResolveTheta0:
@@ -252,20 +258,15 @@ class TestBlocks:
         # The regret protocol's three optimizers at dim 1000 for 2000
         # iterations: the whole path and phi vectors would be 2 x 2000 x 3 x
         # 1000 float64s (96 MB).
-        spec = ExperimentSpec(
-            task="quadratic",
-            optimizers=tuple(
-                (name, OptimizerConfig(**fields))
-                for name, fields in DEFAULT_REGRET["optimizers"].items()
-            ),
-            iterations=2000,
-            seeds=(0,),
-            theta0={"rule": "uniform", "low": -1.0, "high": 1.0},
-            dim=1000,
-        )
+        objective = get_objective("quadratic", dim=1000)
+        optimizers = {
+            name: OptimizerConfig(**fields)
+            for name, fields in DEFAULT_REGRET["optimizers"].items()
+        }
+        theta0 = {"rule": "uniform", "low": -1.0, "high": 1.0}
         tracemalloc.start()
         try:
-            runs = run_experiment(spec)
+            runs = run_experiment(objective, optimizers, (0,), theta0, 2000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -308,26 +309,22 @@ class TestBlocks:
 
 
 class TestRunExperiment:
-    def spec(self, seeds=(0, 1)):
-        return ExperimentSpec(
-            task="f1",
-            optimizers=(
-                ("adam", OptimizerConfig(rule="adam", alpha=0.1)),
-                ("ag_cos", OptimizerConfig(rule="angulargrad", alpha=0.1)),
-            ),
-            iterations=20,
-            seeds=seeds,
-            theta0=[-1.0],
-        )
+    @staticmethod
+    def run():
+        optimizers = {
+            "adam": OptimizerConfig(rule="adam", alpha=0.1),
+            "ag_cos": OptimizerConfig(rule="angulargrad", alpha=0.1),
+        }
+        return run_experiment(get_objective("f1"), optimizers, (0, 1), [-1.0], 20)
 
     def test_keys_and_counts(self):
-        runs = run_experiment(self.spec())
-        assert set(runs) == {"adam", "ag_cos"}
+        runs = self.run()
+        assert list(runs) == ["adam", "ag_cos"]
         assert all(len(v) == 2 for v in runs.values())
 
     def test_repeat_runs_identical(self):
-        a = run_experiment(self.spec())
-        b = run_experiment(self.spec())
+        a = self.run()
+        b = self.run()
         assert "".join(trajectory_to_csv(a["adam"][0])) == "".join(trajectory_to_csv(b["adam"][0]))
 
 
@@ -371,27 +368,17 @@ class TestStackedRuns:
     ):
         name, dim = task
         objective = get_objective(name, dim=dim)
-        spec = ExperimentSpec(
-            task=name,
-            optimizers=tuple(
-                (f"o{i}", OptimizerConfig(**c)) for i, c in enumerate(configs)
-            ),
-            iterations=iterations,
-            seeds=tuple(seeds),
-            theta0={"rule": "uniform", "low": -2.0, "high": 2.0},
-            record_params=record_params,
-            lr_milestones=tuple(milestones),
-            dim=dim,
-        )
+        optimizers = {f"o{i}": OptimizerConfig(**c) for i, c in enumerate(configs)}
+        rule = {"rule": "uniform", "low": -2.0, "high": 2.0}
 
         def alone(config, seed):
-            theta0 = resolve_theta0(spec.theta0, objective.dim, seed)
-            return run_alone(
-                objective, config, theta0, iterations, spec.lr_milestones, record_params
-            )
+            theta0 = resolve_theta0(rule, objective.dim, seed)
+            return run_alone(objective, config, theta0, iterations, milestones, record_params)
 
-        expected = {n: [alone(c, s) for s in seeds] for n, c in spec.optimizers}
-        runs = run_experiment(spec)
+        expected = {n: [alone(c, s) for s in seeds] for n, c in optimizers.items()}
+        runs = run_experiment(
+            objective, optimizers, seeds, rule, iterations, milestones, record_params
+        )
         assert list(runs) == list(expected)
         for n, trajs in expected.items():
             for want, got in zip(trajs, runs[n], strict=True):

@@ -79,6 +79,10 @@ class TestConfigValidation:
         with pytest.raises(dataclasses.FrozenInstanceError):
             OptimizerConfig().alpha = 0.5  # type: ignore[misc]
 
+    def test_empty_stack(self):
+        with pytest.raises(ValueError, match=r"^need at least one run$"):
+            ConfigStack([])
+
     def test_rule_table_complete(self):
         assert set(RULES) >= set(MOMENT_RULES)
         assert ANGLE_VARIANTS == ("cos", "tan")
