@@ -57,6 +57,15 @@ class ConfigError(Exception):
 _JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
                list: "a list", dict: "an object"}
 _OPTIMIZER_FIELDS = {f.name: f.default for f in dataclasses.fields(OptimizerConfig)}
+_INT64 = range(-2**63, 2**63)
+
+
+def _int64(text: str) -> int:
+    """json's int reader, rejecting an integer outside int64 (as a float it may overflow)."""
+    value = int(text)
+    if value not in _INT64:
+        raise ConfigError(f"integer {text} in config is outside int64")
+    return value
 
 
 def _finite(text: str) -> float:
@@ -83,7 +92,7 @@ def _load_config(command: str, path: str | None) -> dict:
         return config
     try:
         with open(path) as fh:
-            user = json.load(fh, parse_float=_finite, parse_constant=_finite,
+            user = json.load(fh, parse_float=_finite, parse_int=_int64, parse_constant=_finite,
                              object_pairs_hook=_unique_keys)
     except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}")
@@ -142,11 +151,15 @@ def _apply_overrides(config: dict, args) -> dict:
     for i, seed in enumerate(seeds):
         if seed < 0:  # make_rng takes none, and toy would write it in a file name
             raise ConfigError(f"seed {seed} must be >= 0")
+        if seed not in _INT64:  # a flag's; a config file's is checked as it is read
+            raise ConfigError(f"seed {seed} is outside int64")
         if seed in seeds[:i]:  # a repeat would overwrite a CSV
             raise ConfigError(f"seed {seed!r} is listed twice")
     if getattr(args, "iters", None) is not None:
         if args.iters < 1:
             raise ConfigError("--iters must be >= 1")
+        if args.iters not in _INT64:
+            raise ConfigError(f"--iters {args.iters} is outside int64")
         if "iterations" in config:
             config["iterations"] = args.iters
         elif "epochs" in config:
@@ -463,8 +476,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, KeyError, ValueError) as err:
-        print(f"config error: {err}", file=sys.stderr)
+    except (ConfigError, KeyError, ValueError, MemoryError) as err:
+        # a MemoryError is a run too large to allocate; Python's own has no message
+        print(f"config error: {str(err) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -289,9 +289,9 @@ class Chunks:
     function that makes its str only when the text is iterated, so the whole
     text is never held at once; ``"".join(chunks)`` is the text.
 
-    Each iteration makes the chunks again, two Chunks are equal when their
-    texts are, and ``len`` is the number of chunks, not of characters (the
-    benchmark's tracer records ``len`` of every serializer's result).
+    Each iteration makes the chunks again, and ``len`` is the number of
+    chunks, not of characters (the benchmark's tracer records ``len`` of every
+    serializer's result).
     """
 
     def __init__(self, parts: Iterable[str | Callable[[], str]]):
@@ -302,9 +302,6 @@ class Chunks:
 
     def __len__(self) -> int:
         return len(self._parts)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Chunks) and "".join(self) == "".join(other)
 
 
 def _cells(column) -> list[str]:

@@ -3,7 +3,7 @@
 The network is the many-parameter, stochastic-minibatch counterpart to the
 analytic objectives: parameters live in one plain (P,) vector so the
 optimizers drive it through the exact same stepping contract, and the spec's
-``layout`` (``layout_for``, built once per spec) carves it into layers.  Only
+``layout`` (built once per spec) carves it into layers.  Only
 dense layers are provided; the update rules under test act per coordinate,
 so dense layers exercise them fully.
 
@@ -60,8 +60,17 @@ class MlpSpec:
 
     @cached_property
     def layout(self) -> tuple[LayerSlot, ...]:
-        """This spec's layout_for, built once."""
-        return layout_for(self)
+        """Per-layer slots covering the flat vector exactly once, no gaps;
+        built once per spec."""
+        slots = []
+        offset = 0
+        for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
+            w_start = offset
+            offset += fan_in * fan_out
+            b_start = offset
+            offset += fan_out
+            slots.append(LayerSlot(w_start, (fan_out, fan_in), b_start, offset))
+        return tuple(slots)
 
 
 @dataclass(frozen=True)
@@ -72,19 +81,6 @@ class LayerSlot:
     w_shape: tuple[int, int]  # (fan_out, fan_in)
     b_start: int
     b_end: int
-
-
-def layout_for(spec: MlpSpec) -> tuple[LayerSlot, ...]:
-    """Per-layer slots covering the flat vector exactly once, no gaps."""
-    slots = []
-    offset = 0
-    for fan_in, fan_out in zip(spec.layer_sizes[:-1], spec.layer_sizes[1:]):
-        w_start = offset
-        offset += fan_in * fan_out
-        b_start = offset
-        offset += fan_out
-        slots.append(LayerSlot(w_start, (fan_out, fan_in), b_start, offset))
-    return tuple(slots)
 
 
 def layer_weights(params: np.ndarray, slot: LayerSlot) -> np.ndarray:

@@ -23,14 +23,6 @@ import numpy as np
 Vector = np.ndarray
 
 
-def as_vector(values) -> Vector:
-    """Copy ``values`` into a fresh 1-D float64 array."""
-    arr = np.array(values, dtype=np.float64, copy=True)
-    if arr.ndim != 1:
-        arr = arr.reshape(-1)
-    return arr
-
-
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded PCG64 generator; equal seeds give equal streams everywhere."""
     return np.random.Generator(np.random.PCG64(seed))

@@ -1,12 +1,13 @@
 """Analytic test objectives: three 1-D piecewise functions, Rosenbrock, quadratic.
 
-Each objective carries one function that gives its value and analytic
-gradient together, a documented per-coordinate domain, known minima, and the
-list of non-smooth boundary points.  The function works over the last axis,
-so one call takes a parameter vector or an (R, D) stack of them.  Branch
-conditions are applied exactly as written in the piecewise definitions below
-("x <= 0" takes the left branch at 0), and at a boundary the gradient of the
-branch selected by that convention is returned.
+``get_objective`` builds every ``Objective``; the quadratic is the squared norm
+||x||^2, minimum 0 at the origin.  Each objective carries one function that
+gives its value and analytic gradient together, a documented per-coordinate
+domain, known minima, and the list of non-smooth boundary points.  The
+function works over the last axis, so one call takes a parameter vector or an
+(R, D) stack of them.  Branch conditions are applied exactly as written in the
+piecewise definitions below ("x <= 0" takes the left branch at 0), and at a
+boundary the gradient of the branch selected by that convention is returned.
 
 Continuity at the branch boundaries was checked numerically:
 
@@ -24,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from angular_optim.numerics import Vector, as_vector
+from angular_optim.numerics import Vector
 
 # Measured at x = -0.9: left branch 0.85 minus right branch
 # (-0.9)^3 + (-0.9) sin(-7.2) + 0.85 = 0.8353010774642377.
@@ -143,15 +144,10 @@ def rosenbrock(x: Vector) -> tuple[np.ndarray, np.ndarray]:
     return f, g
 
 
-def quadratic(x: Vector, center: Vector) -> tuple[np.ndarray, np.ndarray]:
-    """(f, g) of the squared distance f = ||x - center||^2 (per row: vecdot
-    matches a lone np.dot)."""
-    x = np.asarray(x, dtype=np.float64)
-    center = np.asarray(center, dtype=np.float64)
-    if x.shape[-1:] != center.shape:
-        raise ValueError("dim mismatch between x and center")
-    d = x - center
-    return np.vecdot(d, d), 2.0 * d
+def quadratic(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(f, g) of the squared norm f = ||x||^2, minimum 0 at the origin (per row:
+    vecdot matches a lone np.dot)."""
+    return np.vecdot(x, x), 2.0 * x
 
 
 # ---------------------------------------------------------------------------
@@ -168,19 +164,6 @@ def _per_row(fn, x: np.ndarray) -> np.ndarray:
         except OverflowError:
             out.append(math.inf)
     return np.array(out).reshape(x.shape[:-1])
-
-
-def _scalar_objective(name, fn, deriv, domain, minima, nonsmooth) -> Objective:
-    return Objective(
-        name=name,
-        dim=1,
-        # two passes, not one fused one: a value that overflows keeps its
-        # finite derivative (f1(1e200) is inf, f1'(1e200) is 2e200)
-        fn=lambda x: (_per_row(fn, x), _per_row(deriv, x)[..., None]),
-        domain=(domain,),
-        known_minima=minima,
-        nonsmooth_points=nonsmooth,
-    )
 
 
 # (function, derivative, domain, known minima, non-smooth points).  The f2
@@ -201,43 +184,31 @@ _SCALAR_OBJECTIVES = {
 }
 
 
-def rosenbrock_objective(dim: int = 2) -> Objective:
-    if dim < 2:
-        raise ValueError("rosenbrock needs dim >= 2")
-    return Objective(
-        name=f"rosenbrock{dim}" if dim != 2 else "rosenbrock",
-        dim=dim,
-        fn=rosenbrock,
-        domain=tuple((-2.048, 2.048) for _ in range(dim)),
-        known_minima=(((1.0,) * dim, 0.0),),
-        nonsmooth_points=(),
-    )
-
-
-def quadratic_objective(center: Vector) -> Objective:
-    center = as_vector(center)
-    return Objective(
-        name="quadratic",
-        dim=center.size,
-        fn=lambda x: quadratic(x, center),
-        domain=tuple((-5.0, 5.0) for _ in range(center.size)),
-        known_minima=((tuple(center.tolist()), 0.0),),
-        nonsmooth_points=(),
-    )
-
-
 def get_objective(name: str, dim: int | None = None) -> Objective:
-    """Look up an objective by name.
+    """Build an objective by name; every ``Objective`` is made here.
 
-    ``dim`` applies to "rosenbrock" (default 2) and "quadratic" (default 10,
-    centered at the origin); the 1-D functions reject any other dim.
+    ``dim`` applies to "rosenbrock" (default 2) and "quadratic" (default 10);
+    the 1-D functions reject any other dim.
     """
     if name == "rosenbrock":
-        return rosenbrock_objective(2 if dim is None else dim)
+        dim = 2 if dim is None else dim
+        if dim < 2:
+            raise ValueError("rosenbrock needs dim >= 2")
+        return Objective(name=f"rosenbrock{dim}" if dim != 2 else "rosenbrock", dim=dim,
+                         fn=rosenbrock, domain=((-2.048, 2.048),) * dim,
+                         known_minima=(((1.0,) * dim, 0.0),))
     if name == "quadratic":
-        return quadratic_objective(np.zeros(10 if dim is None else dim))
+        dim = 10 if dim is None else dim
+        if dim < 1:
+            raise ValueError("quadratic needs dim >= 1")
+        return Objective(name="quadratic", dim=dim, fn=quadratic, domain=((-5.0, 5.0),) * dim,
+                         known_minima=(((0.0,) * dim, 0.0),))
     if not isinstance(name, str) or name not in _SCALAR_OBJECTIVES:
         raise KeyError(f"unknown objective {name!r}")
     if dim is not None and dim != 1:
         raise ValueError(f"{name} is 1-D")
-    return _scalar_objective(name, *_SCALAR_OBJECTIVES[name])
+    fn, deriv, domain, minima, nonsmooth = _SCALAR_OBJECTIVES[name]
+    # two passes, not one fused one: a value that overflows keeps its
+    # finite derivative (f1(1e200) is inf, f1'(1e200) is 2e200)
+    return Objective(name, 1, lambda x: (_per_row(fn, x), _per_row(deriv, x)[..., None]),
+                     (domain,), known_minima=minima, nonsmooth_points=nonsmooth)

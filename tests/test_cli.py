@@ -540,11 +540,18 @@ def test_empty_optimizer_entry_runs_with_all_defaults(tmp_path):
     assert (out / "regret_plain_s0.csv").read_text() == (out / "regret_adam_s0.csv").read_text()
 
 
+# an integer literal beyond int64, even where a number is expected
+HUGE = "1" + "0" * 400
+# iterations whose records no 64-bit address space holds, though their byte
+# count fits in an int64: numpy's allocation fails at once
+UNALLOCATABLE = 10**16
+
+
 # a value without the JSON type of its default (a float or a bool for an
 # integer, a bool or a string for a number, a string for a bool), an empty list
-# whose default is not, a key its default lacks and any non-finite number (json
-# reads NaN, Infinity and 1e400 as floats) exit 2 before anything is written or
-# printed
+# whose default is not, a key its default lacks, any non-finite number (json
+# reads NaN, Infinity and 1e400 as floats), an integer beyond int64 and a run
+# too large to allocate exit 2 before anything is written or printed
 @pytest.mark.parametrize("command, text, message", [
     ("mlp", '{"seeds": [0, 0.5]}', "seeds[1] must be an integer, not 0.5"),
     ("toy", '{"seeds": [0.5]}', "seeds[0] must be an integer, not 0.5"),
@@ -620,6 +627,24 @@ def test_empty_optimizer_entry_runs_with_all_defaults(tmp_path):
     ("toy", '{"iterations": 5, "iterations": 6}', "cfg.json: config key 'iterations' is listed twice"),
     ("toy", '{"optimizers": {"adam": {"rule": "adam", "rule": "sgd"}}}',
      "cfg.json: config key 'rule' is listed twice"),
+    ("regret", f'{{"lr_milestones": [[5, {HUGE}]], "iterations": 10}}',
+     f"cfg.json: integer {HUGE} in config is outside int64"),
+    ("toy", f'{{"theta0": [{HUGE}]}}', f"cfg.json: integer {HUGE} in config is outside int64"),
+    ("toy", f'{{"optimizers": {{"adam": {{"rule": "adam", "alpha": {HUGE}}}}}}}',
+     f"cfg.json: integer {HUGE} in config is outside int64"),
+    ("regret", f'{{"theta0": {{"rule": "uniform", "low": -{HUGE}, "high": 1.0}}}}',
+     f"cfg.json: integer -{HUGE} in config is outside int64"),
+    ("rosenbrock",
+     f'{{"grid": {{"x_range": [-{HUGE}, 2], "y_range": [-1, 3], "resolution": 5}}}}',
+     f"cfg.json: integer -{HUGE} in config is outside int64"),
+    ("regret", f'{{"iterations": {HUGE}}}', f"cfg.json: integer {HUGE} in config is outside int64"),
+    ("regret", f'{{"seeds": [{HUGE}]}}', f"cfg.json: integer {HUGE} in config is outside int64"),
+    ("regret", f'{{"seeds": [{2**63}]}}', f"cfg.json: integer {2**63} in config is outside int64"),
+    ("regret", f'{{"iterations": {UNALLOCATABLE}}}', "Unable to allocate"),
+    ("regret", f'{{"dim": {2**63 - 1}}}', "config error: out of memory"),
+    ("regret", '{"dim": 0}', "quadratic needs dim >= 1"),
+    ("regret", '{"dim": -1}', "quadratic needs dim >= 1"),
+    ("regret", '{"dim": -1, "theta0": [1.0]}', "quadratic needs dim >= 1"),
 ], ids=[
     "mlp-seed", "toy-seed", "toy-seed-negative", "toy-iterations-zero", "regret-iterations",
     "toy-iterations-bool", "mlp-epochs",
@@ -635,12 +660,34 @@ def test_empty_optimizer_entry_runs_with_all_defaults(tmp_path):
     "rosenbrock-grid-missing-resolution", "mlp-blobs-missing-separation",
     "regret-theta0-missing-low", "toy-theta0-missing-high", "mlp-layer_sizes-input-width",
     "toy-optimizer-repeated", "toy-iterations-repeated", "toy-rule-repeated",
+    "regret-milestone-divisor-huge", "toy-theta0-huge", "toy-alpha-huge", "regret-low-huge",
+    "rosenbrock-x_range-huge", "regret-iterations-huge", "regret-seed-huge", "regret-seed-2**63",
+    "regret-iterations-unallocatable", "regret-dim-int64-max", "regret-dim-zero",
+    "regret-dim-negative", "regret-dim-negative-theta0",
 ])
 def test_bad_config_number_exits_2(tmp_path, capsys, command, text, message):
     path = tmp_path / "cfg.json"
     path.write_text(text)
     out = tmp_path / "a"
     assert run(command, "--config", str(path), "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["toy", "--iters", str(UNALLOCATABLE)], "Unable to allocate"),
+    (["toy", "--iters", HUGE], f"--iters {HUGE} is outside int64"),
+    (["regret", "--seeds", HUGE], f"seed {HUGE} is outside int64"),
+    (["gradcheck", "--seeds", HUGE], f"seed {HUGE} is outside int64"),
+], ids=["toy-iters-unallocatable", "toy-iters-huge", "regret-seeds-huge", "gradcheck-seeds-huge"])
+def test_huge_flag_exits_2(tmp_path, capsys, argv, message):
+    """A flag beyond int64, or a run too large to allocate, is a config error
+    like a config file's."""
+    out = tmp_path / "a"
+    assert run(*argv, "--out", str(out)) == 2
     captured = capsys.readouterr()
     assert message in captured.err
     assert "Traceback" not in captured.err

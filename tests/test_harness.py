@@ -383,7 +383,7 @@ class TestStackedRuns:
         for n, trajs in expected.items():
             for want, got in zip(trajs, runs[n], strict=True):
                 assert got.status == want.status
-                assert trajectory_to_csv(got) == trajectory_to_csv(want)
+                assert "".join(trajectory_to_csv(got)) == "".join(trajectory_to_csv(want))
                 assert got.final_params.tobytes() == want.final_params.tobytes()
 
 

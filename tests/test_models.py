@@ -20,7 +20,6 @@ from angular_optim.models import (
     evaluate,
     init_params,
     layer_weights,
-    layout_for,
     loss_and_grad,
     make_blobs,
     n_params,
@@ -82,7 +81,7 @@ class TestSpecAndLayout:
 
     def test_layout_covers_flat_vector_exactly(self):
         spec = MlpSpec(layer_sizes=(2, 4, 2))
-        layout = layout_for(spec)
+        layout = spec.layout
         assert layout[0].w_start == 0
         assert layout[0].w_shape == (4, 2)
         assert layout[0].b_start == 8
@@ -92,7 +91,7 @@ class TestSpecAndLayout:
         assert layout[1].b_start == 20
         assert layout[1].b_end == 22
         # the spec builds its layout once
-        assert spec.layout == layout and spec.layout is spec.layout
+        assert spec.layout is spec.layout
 
     def test_views_share_storage(self):
         spec = MlpSpec(layer_sizes=(2, 3, 2))

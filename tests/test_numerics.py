@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from angular_optim.harness import _csv
 from angular_optim.numerics import (
-    as_vector,
     finite_diff_grad,
     first_nonfinite,
     make_rng,
@@ -125,12 +124,6 @@ class TestFormatting:
     def test_first_nonfinite(self):
         assert first_nonfinite(np.array([1.0, 2.0])) is None
         assert first_nonfinite(np.array([1.0, np.inf, np.nan])) == 1
-
-    def test_as_vector_copies(self):
-        src = np.array([1.0, 2.0])
-        out = as_vector(src)
-        out[0] = 9.0
-        assert src[0] == 1.0
 
 
 @settings(max_examples=50, deadline=None)
