@@ -8,6 +8,12 @@ the built-in defaults; command-line flags override file values (flags > file
 run_protocol writes them under --out after every run has finished.
 gradcheck runs one fixed check set and takes only a seed.
 
+Importing this module loads only what every protocol runs: numerics,
+optimizers, objectives, defaults and harness.  Each command imports the rest
+itself: mlp and gradcheck load models, and toy, rosenbrock, regret and plot
+load svgplot.  Without a bytecode cache every start compiles what it imports,
+so no command compiles a module it never runs.
+
 Exit codes: 0 success, 1 run divergence, 2 config error, 3 check failure.
 """
 
@@ -38,11 +44,9 @@ from angular_optim.harness import (
     trajectory_to_csv,
     write_text_atomic,
 )
-from angular_optim.models import MlpRun, MlpSpec, init_params, loss_and_grad, make_blobs, train_mlp
-from angular_optim.numerics import finite_diff_grad, make_rng, mean_std, relative_error
+from angular_optim.numerics import finite_diff_grad, make_rng, mean_std, relative_error, sized_by
 from angular_optim.objectives import Objective, get_objective
 from angular_optim.optimizers import ConfigStack, OptimizerConfig
-from angular_optim.svgplot import Series, render_line_chart, render_overlay
 
 
 class ConfigError(Exception):
@@ -222,6 +226,7 @@ def _run_files(prefix: str, seeds, runs: dict, to_csv) -> tuple[dict, list[str]]
 
 
 def _toy(config: dict, log_scale: bool) -> tuple[dict, list[str]]:
+    from angular_optim.svgplot import Series, render_line_chart
     objectives = [(task, get_objective(task)) for task in config["tasks"]]
     if wide := [task for task, objective in objectives if objective.dim != 1]:
         raise ConfigError(f"toy tasks must be 1-D, not {', '.join(wide)}")
@@ -247,9 +252,11 @@ def _toy(config: dict, log_scale: bool) -> tuple[dict, list[str]]:
 
 
 def _rosenbrock(config: dict) -> tuple[dict, list[str]]:
+    from angular_optim.svgplot import Series, render_overlay
     objective, grid = get_objective("rosenbrock"), config["grid"]
     # a bad grid exits before any run
-    xs, ys, Z = grid_eval(objective, grid["x_range"], grid["y_range"], grid["resolution"])
+    with sized_by("grid.resolution", grid["resolution"]):
+        xs, ys, Z = grid_eval(objective, grid["x_range"], grid["y_range"], grid["resolution"])
     runs = _run(config, objective, record_params=True)
     target = np.array(objective.known_minima[0][0])
     files, statuses = _run_files("rosenbrock", config["seeds"], runs, trajectory_to_csv)
@@ -269,20 +276,23 @@ def _rosenbrock(config: dict) -> tuple[dict, list[str]]:
     return files, statuses
 
 
-def _mlp_to_csv(run: MlpRun) -> Chunks:
+def _mlp_to_csv(run) -> Chunks:
+    """An MlpRun's per-epoch records."""
     return _csv(["epoch", "mean_batch_loss", "train_loss", "train_accuracy"],
                 np.arange(1, run.train_loss.size + 1), run.mean_batch_loss, run.train_loss,
                 run.train_accuracy)
 
 
 def _mlp(config: dict) -> tuple[dict, list[str]]:
+    from angular_optim.models import MlpSpec, make_blobs, train_mlp
     mlp_spec = MlpSpec(tuple(config["layer_sizes"]), config["activation"], config["loss"])
     blobs = config["blobs"]
     shape = (blobs["n_per_class"], blobs["classes"], float(blobs["separation"]))
     seeds = config["seeds"]
     optimizers = _build_optimizers(config)
     rngs = [make_rng(seed) for seed in seeds]
-    data = [make_blobs(rng, *shape) for rng in rngs]
+    with sized_by("blobs.n_per_class", blobs["n_per_class"]):
+        data = [make_blobs(rng, *shape) for rng in rngs]
     trained = iter(train_mlp(
         mlp_spec, data, ConfigStack(c for c in optimizers.values() for _ in seeds),
         config["epochs"], config["batch_size"], rngs,
@@ -303,6 +313,7 @@ def _mlp(config: dict) -> tuple[dict, list[str]]:
 
 
 def _regret(config: dict) -> tuple[dict, list[str]]:
+    from angular_optim.svgplot import Series, render_line_chart
     objective = get_objective(config["task"], dim=config["dim"])
     runs = _run(config, objective, record_params=False)
     records = {
@@ -359,6 +370,7 @@ def cmd_gradcheck(args) -> int:
     """Check every analytic gradient against central differences: each
     objective at 100 points at least 1e-3 from its non-smooth points
     (tolerance 1e-5), the MLP on one random batch (tolerance 1e-4)."""
+    from angular_optim.models import MlpSpec, init_params, loss_and_grad
     seed = 0
     if args.seeds is not None:  # parsed as the protocols parse theirs
         seed, *more = _apply_overrides({}, args)["seeds"]
@@ -404,6 +416,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    from angular_optim.svgplot import Series, render_line_chart
     series = []
     for path in args.files:
         p = Path(path)

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from angular_optim.numerics import Vector, make_rng, mean_std
+from angular_optim.numerics import Vector, make_rng, mean_std, sized_by
 from angular_optim.objectives import Objective
 from angular_optim.optimizers import ConfigStack, OptimizerConfig, Runs, nonfinite_rows
 
@@ -129,7 +129,8 @@ def single_run(
     n_runs, dim = runs.params.shape
     milestones = dict(lr_milestones)
     angular = runs.configs.angular is not None
-    loss, alpha, phi_mean, step_norm = np.empty((4, iterations, n_runs))
+    with sized_by("iterations", iterations):
+        loss, alpha, phi_mean, step_norm = np.empty((4, iterations, n_runs))
     path = np.empty((iterations, n_runs, dim)) if record_params else None
     # row n holds the params after the block's n-th step
     iterates = np.empty((min(BLOCK_ITERATIONS, iterations) + 1, n_runs, dim))

@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from angular_optim.numerics import Vector
+from angular_optim.numerics import Vector, sized_by
 
 ACTIVATIONS = ("tanh", "relu")
 LOSSES = ("mse", "softmax_cross_entropy")
@@ -328,7 +328,8 @@ def train_mlp(spec: MlpSpec, datasets, stack, epochs: int, batch_size: int, rngs
     flat_inputs, flat_labels = inputs.reshape(-1, width), labels.reshape(-1)
     seed_of = np.arange(n_runs) % seeds
     runs = Runs(stack, np.array([init_params(spec, g) for g in rngs])[seed_of])
-    mean_batch_loss, train_loss, train_accuracy = np.empty((3, n_runs, epochs))
+    with sized_by("epochs", epochs):
+        mean_batch_loss, train_loss, train_accuracy = np.empty((3, n_runs, epochs))
     finished = np.zeros(n_runs, dtype=np.int64)  # each run's epochs with records
     n_batches = -(-n // batch_size)
     diverged = lambda epoch, step: f"non-finite loss at epoch {epoch}, step {step}"

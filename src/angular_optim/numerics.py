@@ -16,6 +16,7 @@ explicit start never needs.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from typing import Callable
 
 import numpy as np
@@ -37,6 +38,20 @@ def mean_std(values) -> tuple[float, float]:
         if len(values) > 1:
             return mean, float(np.std(values, ddof=1))
     return mean, 0.0 if math.isfinite(mean) else math.nan
+
+
+@contextmanager
+def sized_by(key: str, value: int):
+    """Name ``key`` in numpy's error for an array, sized by ``value``, whose
+    byte count its shape arithmetic cannot hold (one too large to allocate
+    is a MemoryError, which passes as it stands).  Wrap only the allocation
+    that ``key`` alone can make too large."""
+    try:
+        yield
+    except ValueError as err:
+        if not str(err).startswith("array is too big"):
+            raise
+        raise ValueError(f"{key} {value} is too large: {err}") from None
 
 
 def finite_diff_grad(

@@ -545,6 +545,8 @@ HUGE = "1" + "0" * 400
 # iterations whose records no 64-bit address space holds, though their byte
 # count fits in an int64: numpy's allocation fails at once
 UNALLOCATABLE = 10**16
+# a size inside int64 whose arrays' byte count is not: numpy cannot size them
+TOO_BIG = 2**62
 
 
 # a value without the JSON type of its default (a float or a bool for an
@@ -645,6 +647,15 @@ UNALLOCATABLE = 10**16
     ("regret", '{"dim": 0}', "quadratic needs dim >= 1"),
     ("regret", '{"dim": -1}', "quadratic needs dim >= 1"),
     ("regret", '{"dim": -1, "theta0": [1.0]}', "quadratic needs dim >= 1"),
+    ("regret", f'{{"iterations": {TOO_BIG}}}',
+     f"iterations {TOO_BIG} is too large: array is too big"),
+    ("rosenbrock",
+     f'{{"grid": {{"x_range": [-2, 2], "y_range": [-1, 3], "resolution": {TOO_BIG}}}}}',
+     f"grid.resolution {TOO_BIG} is too large: array is too big"),
+    ("mlp", f'{{"blobs": {{"classes": 3, "n_per_class": {TOO_BIG}, "separation": 4.0}}}}',
+     f"blobs.n_per_class {TOO_BIG} is too large: array is too big"),
+    # too many parameters: numpy's message alone, not the epochs key
+    ("mlp", f'{{"layer_sizes": [2, {2**60}, 3], "epochs": 1}}', "config error: array is too big"),
 ], ids=[
     "mlp-seed", "toy-seed", "toy-seed-negative", "toy-iterations-zero", "regret-iterations",
     "toy-iterations-bool", "mlp-epochs",
@@ -663,7 +674,9 @@ UNALLOCATABLE = 10**16
     "regret-milestone-divisor-huge", "toy-theta0-huge", "toy-alpha-huge", "regret-low-huge",
     "rosenbrock-x_range-huge", "regret-iterations-huge", "regret-seed-huge", "regret-seed-2**63",
     "regret-iterations-unallocatable", "regret-dim-int64-max", "regret-dim-zero",
-    "regret-dim-negative", "regret-dim-negative-theta0",
+    "regret-dim-negative", "regret-dim-negative-theta0", "regret-iterations-too-big",
+    "rosenbrock-grid.resolution-too-big", "mlp-blobs.n_per_class-too-big",
+    "mlp-layer_sizes-too-big",
 ])
 def test_bad_config_number_exits_2(tmp_path, capsys, command, text, message):
     path = tmp_path / "cfg.json"
@@ -682,7 +695,10 @@ def test_bad_config_number_exits_2(tmp_path, capsys, command, text, message):
     (["toy", "--iters", HUGE], f"--iters {HUGE} is outside int64"),
     (["regret", "--seeds", HUGE], f"seed {HUGE} is outside int64"),
     (["gradcheck", "--seeds", HUGE], f"seed {HUGE} is outside int64"),
-], ids=["toy-iters-unallocatable", "toy-iters-huge", "regret-seeds-huge", "gradcheck-seeds-huge"])
+    (["toy", "--iters", str(TOO_BIG)], f"iterations {TOO_BIG} is too large: array is too big"),
+    (["mlp", "--iters", str(TOO_BIG)], f"epochs {TOO_BIG} is too large: array is too big"),
+], ids=["toy-iters-unallocatable", "toy-iters-huge", "regret-seeds-huge", "gradcheck-seeds-huge",
+        "toy-iters-too-big", "mlp-iters-too-big"])
 def test_huge_flag_exits_2(tmp_path, capsys, argv, message):
     """A flag beyond int64, or a run too large to allocate, is a config error
     like a config file's."""
@@ -812,16 +828,23 @@ def test_import_loads_no_network_xml_or_email_modules():
 
 
 def test_protocols_load_only_what_they_run(tmp_path):
-    """In one fresh interpreter: importing the CLI loads no html; the default
-    toy and rosenbrock and a rosenbrock from a config theta0 draw nothing, so
-    load neither numpy.random nor hashlib; and the default mlp, whose label
-    check needs no np.unique, loads no numpy.ma.  Each check sees every module
-    the steps before it loaded."""
+    """In two fresh interpreters: importing the CLI loads no html and neither
+    the MLP nor the SVG module.  toy, rosenbrock, regret and plot never load
+    the MLP module, and mlp and gradcheck never the SVG one.  The default toy
+    and rosenbrock and a rosenbrock from a config theta0 draw nothing, so load
+    neither numpy.random nor hashlib; and the default mlp, whose label check
+    needs no np.unique, loads no numpy.ma, nor do the chart commands.  Each
+    check sees every module the steps before it loaded in its interpreter."""
+    out = tmp_path / "a"
     cfg = tmp_path / "theta0.json"
     cfg.write_text('{"theta0": [-1.5, 2.5]}')
-    drawless = ["numpy.random", "hashlib"]
-    steps = [([], ["html"]), (["toy"], drawless), (["rosenbrock"], drawless),
-             (["rosenbrock", "--config", str(cfg)], drawless), (["mlp"], ["numpy.ma"])]
+    no_mlp, no_svg = ["angular_optim.models"], ["angular_optim.svgplot"]
+    drawless = ["numpy.random", "hashlib", *no_mlp]
+    charts = [([], ["html", *no_mlp, *no_svg]), (["toy"], drawless), (["rosenbrock"], drawless),
+              (["rosenbrock", "--config", str(cfg)], drawless),
+              (["regret", "--iters", "10"], no_mlp),
+              (["plot", str(out / "toy_f1_adam_s0.csv")], ["numpy.ma", *no_mlp])]
+    mlp = [(["mlp"], ["numpy.ma", *no_svg]), (["gradcheck"], no_svg)]
     code = (
         "import json, sys\n"
         "import angular_optim.cli\n"
@@ -830,12 +853,13 @@ def test_protocols_load_only_what_they_run(tmp_path):
         "    if argv:\n"
         "        assert angular_optim.cli.main(argv + ['--out', sys.argv[2]]) == 0\n"
         "    found.append([m for m in unwanted if m in sys.modules])\n"
-        "print(json.dumps(found))\n"
+        "print(json.dumps(found))\n"  # the last line, after gradcheck's report
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    argv = [sys.executable, "-W", "error", "-c", code, json.dumps(steps), str(tmp_path / "a")]
-    done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
-    assert json.loads(done.stdout) == [[] for _ in steps]
+    for steps in (charts, mlp):
+        argv = [sys.executable, "-W", "error", "-c", code, json.dumps(steps), str(out)]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+        assert json.loads(done.stdout.splitlines()[-1]) == [[] for _ in steps]
 
 
 # sha256 of every file the default protocols write, so any change to the
