@@ -227,7 +227,10 @@ def _run_files(prefix: str, seeds, runs: dict, to_csv) -> tuple[dict, list[str]]
 
 def _toy(config: dict, log_scale: bool) -> tuple[dict, list[str]]:
     from angular_optim.svgplot import Series, render_line_chart
-    objectives = [(task, get_objective(task)) for task in config["tasks"]]
+    tasks = config["tasks"]
+    if twice := [task for i, task in enumerate(tasks) if task in tasks[:i]]:  # it would run twice
+        raise ConfigError(f"task {twice[0]!r} is listed twice")
+    objectives = [(task, get_objective(task)) for task in tasks]
     if wide := [task for task, objective in objectives if objective.dim != 1]:
         raise ConfigError(f"toy tasks must be 1-D, not {', '.join(wide)}")
     files, statuses = {}, []
@@ -255,6 +258,9 @@ def _rosenbrock(config: dict) -> tuple[dict, list[str]]:
     from angular_optim.svgplot import Series, render_overlay
     objective, grid = get_objective("rosenbrock"), config["grid"]
     # a bad grid exits before any run
+    for key in ("x_range", "y_range"):  # the config check types its items, not their count
+        if len(grid[key]) != 2:
+            raise ConfigError(f"grid.{key} must be [low, high], not {grid[key]!r}")
     with sized_by("grid.resolution", grid["resolution"]):
         xs, ys, Z = grid_eval(objective, grid["x_range"], grid["y_range"], grid["resolution"])
     runs = _run(config, objective, record_params=True)
@@ -367,9 +373,9 @@ def run_protocol(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    """Check every analytic gradient against central differences: each
-    objective at 100 points at least 1e-3 from its non-smooth points
-    (tolerance 1e-5), the MLP on one random batch (tolerance 1e-4)."""
+    """Check every analytic gradient against central differences on the stacks the
+    protocols step: each objective on one stack of 100 points at least 1e-3 from its
+    non-smooth points (tolerance 1e-5), the MLP's one-row stack on a random batch (1e-4)."""
     from angular_optim.models import MlpSpec, init_params, loss_and_grad
     seed = 0
     if args.seeds is not None:  # parsed as the protocols parse theirs
@@ -397,19 +403,16 @@ def cmd_gradcheck(args) -> int:
                    for dim in (2, 5, 10)]
     objectives.append(("quadratic", get_objective("quadratic", dim=10)))
     for label, objective in objectives:
+        x = np.array([sample(objective) for _ in range(100)])
         f = lambda x: objective.value_and_grad(x)[0]
-        errors = []
-        for _ in range(100):
-            x = sample(objective)
-            errors.append(relative_error(objective.value_and_grad(x)[1], finite_diff_grad(f, x)))
-        check(label, np.max(errors), 1e-5)
+        check(label, relative_error(objective.value_and_grad(x)[1], finite_diff_grad(f, x)), 1e-5)
 
     mlp_spec = MlpSpec(layer_sizes=(4, 8, 8, 3))
-    params = init_params(mlp_spec, rng)
-    X = rng.normal(size=(8, 4))
-    y = np.arange(8) % 3  # every class present, contiguous from 0
+    params = init_params(mlp_spec, rng)[None]
+    X = rng.normal(size=(1, 8, 4))
+    y = np.arange(8)[None] % 3  # every class present, contiguous from 0
     _, analytic = loss_and_grad(params, mlp_spec, X, y)
-    fd = finite_diff_grad(lambda flat: loss_and_grad(flat, mlp_spec, X, y)[0], params)
+    fd = finite_diff_grad(lambda stack: loss_and_grad(stack, mlp_spec, X, y)[0], params)
     check(f"mlp {list(mlp_spec.layer_sizes)}", relative_error(analytic, fd), 1e-4)
 
     return 3 if failures else 0

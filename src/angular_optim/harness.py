@@ -84,7 +84,10 @@ def resolve_theta0(theta0, dim: int, seed: int) -> Vector:
     if isinstance(theta0, dict):
         if theta0.get("rule") != "uniform":
             raise ValueError(f"unknown init rule {theta0!r}")
-        return make_rng(seed).uniform(float(theta0["low"]), float(theta0["high"]), size=dim)
+        low, high = float(theta0["low"]), float(theta0["high"])
+        if low > high:
+            raise ValueError(f"theta0.low {low!r} is above theta0.high {high!r}")
+        return make_rng(seed).uniform(low, high, size=dim)
     return np.array(theta0, dtype=np.float64, copy=True).reshape(-1)
 
 

@@ -10,10 +10,10 @@ so dense layers exercise them fully.
 The run axis: R runs train as one stack, an (R, P) array whose weights are
 (R, fan_out, fan_in) views, through stacked matmuls and per-row reductions
 over the last axes.  A run whose loss or step turns non-finite drops out of
-the stack through ``optimizers.Runs``.  Training and ``evaluate`` take only
-stacks (a lone run is a one-row stack), and each row is bit for bit its run
-trained alone.  The per-epoch records are (R, epochs) arrays, and each run
-keeps its row's first columns, one per epoch it finished.
+the stack through ``optimizers.Runs``.  Training, ``loss_and_grad`` and
+``evaluate`` take only stacks (a lone run is a one-row stack), and each row
+is bit for bit its run trained alone.  The per-epoch records are (R, epochs)
+arrays, and each run keeps its row's first columns, one per epoch it finished.
 Each minibatch gathers every row's samples from one (S * n, F) table of all
 seeds' data, and each epoch ends with one evaluation per seed of that seed's
 live rows, a (k, P) stack on its (n, F) data.  The forward and backward
@@ -233,19 +233,19 @@ def _loss(spec: MlpSpec, out: np.ndarray, y: np.ndarray, grad: bool = True):
 
 def loss_and_grad(
     params: np.ndarray, spec: MlpSpec, X: np.ndarray, y: np.ndarray
-) -> tuple[float, Vector]:
-    """Mean batch loss and its gradient w.r.t. the flat parameter vector.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean batch losses and their gradients w.r.t. the flat parameter vectors.
 
     (R, P) parameters with (R, B, F) inputs and (R, B) labels give R losses
-    and an (R, P) gradient; a lone call gives a float loss and checks its labels.
+    and an (R, P) gradient (a lone run is the one-row stack).  Labels are not
+    checked here: train_mlp checks them once per dataset, evaluate on each call.
     """
+    if params.ndim != 2:  # a vector would reach the bias reduce with its axes swapped
+        raise ValueError(f"params must be an (R, P) stack, not shape {params.shape}")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.shape[-2] == 0:
         raise ValueError("batch must be non-empty")
-    lone = params.ndim == 1
-    if lone:  # train_mlp checks its labels once per dataset
-        _check_labels(y, spec.layer_sizes[-1])
     acts = _forward(params, spec, X)
     loss, delta = _loss(spec, acts[-1], y)
 
@@ -254,7 +254,7 @@ def loss_and_grad(
         slot = spec.layout[i]
         gw = np.matmul(delta.swapaxes(-1, -2), acts[i])
         grad[..., slot.w_start : slot.b_start] = gw.reshape(*gw.shape[:-2], -1)
-        if lone or delta.shape[-1] < 2:
+        if delta.shape[-1] < 2:
             grad[..., slot.b_start : slot.b_end] = delta.sum(axis=-2)
         else:
             # numpy sums a stacked delta's batch axis left to right when it is
@@ -265,7 +265,7 @@ def loss_and_grad(
         if i > 0:
             delta = np.matmul(delta, layer_weights(params, slot))
             delta *= _act_deriv(spec, acts[i])
-    return (float(loss) if lone else loss), grad
+    return loss, grad
 
 
 def evaluate(params: np.ndarray, spec: MlpSpec, X: np.ndarray, y: np.ndarray):
@@ -327,10 +327,11 @@ def train_mlp(spec: MlpSpec, datasets, stack, epochs: int, batch_size: int, rngs
     # every seed's samples in one (S * n, F) table: seed s's sample i is row s * n + i
     flat_inputs, flat_labels = inputs.reshape(-1, width), labels.reshape(-1)
     seed_of = np.arange(n_runs) % seeds
-    runs = Runs(stack, np.array([init_params(spec, g) for g in rngs])[seed_of])
+    with sized_by("layer_sizes", list(spec.layer_sizes)):
+        starts = np.array([init_params(spec, g) for g in rngs])
+    runs = Runs(stack, starts[seed_of])
     with sized_by("epochs", epochs):
         mean_batch_loss, train_loss, train_accuracy = np.empty((3, n_runs, epochs))
-    finished = np.zeros(n_runs, dtype=np.int64)  # each run's epochs with records
     n_batches = -(-n // batch_size)
     diverged = lambda epoch, step: f"non-finite loss at epoch {epoch}, step {step}"
 
@@ -359,13 +360,12 @@ def train_mlp(spec: MlpSpec, datasets, stack, epochs: int, batch_size: int, rngs
                 if rows.size:
                     train_loss[live[rows], col], train_accuracy[live[rows], col] = evaluate(
                         runs.params[rows], spec, inputs[s], labels[s])
-            finished[live] = epoch
             if failed := nonfinite_rows(train_loss[live, col], diverged(epoch, runs.state.t)):
                 runs.drop(failed, runs.state.t)
             if not runs.live.size:
                 break
     runs.finish()
+    finished = (runs.steps // n_batches).tolist()  # the epochs whose every step it kept
     return [MlpRun(final, mean_batch_loss[run, :done], train_loss[run, :done],
                    train_accuracy[run, :done], status)
-            for run, (final, done, status) in enumerate(zip(runs.final, finished.tolist(),
-                                                              runs.status))]
+            for run, (final, done, status) in enumerate(zip(runs.final, finished, runs.status))]

@@ -41,7 +41,7 @@ def mean_std(values) -> tuple[float, float]:
 
 
 @contextmanager
-def sized_by(key: str, value: int):
+def sized_by(key: str, value):
     """Name ``key`` in numpy's error for an array, sized by ``value``, whose
     byte count its shape arithmetic cannot hold (one too large to allocate
     is a MemoryError, which passes as it stands).  Wrap only the allocation
@@ -55,27 +55,25 @@ def sized_by(key: str, value: int):
 
 
 def finite_diff_grad(
-    f: Callable[[Vector], float], x: Vector, h: float = 1e-6
+    f: Callable[[Vector], np.ndarray], x: Vector, h: float = 1e-6
 ) -> Vector:
-    """Central-difference gradient (f(x+h*e_i) - f(x-h*e_i)) / (2h).
-
-    The default h = 1e-6 balances truncation against rounding for function
-    values of order 1.  Raises if any probe evaluates non-finite.
+    """Central-difference gradient (f(x+h*e_i) - f(x-h*e_i)) / (2h) over the
+    last axis: of a vector, or row by row of an (R, D) stack for an ``f`` that
+    gives one value per row.  The default h = 1e-6 balances truncation against
+    rounding for values of order 1.  Raises if any probe evaluates non-finite.
     """
     if h <= 0:
         raise ValueError("step h must be positive")
     x = np.asarray(x, dtype=np.float64)
     grad = np.empty_like(x)
-    for i in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        fp = float(f(xp))
-        fm = float(f(xm))
-        if not (np.isfinite(fp) and np.isfinite(fm)):
+    for i in range(x.shape[-1]):
+        xp, xm = x.copy(), x.copy()
+        xp[..., i] += h
+        xm[..., i] -= h
+        fp, fm = f(xp), f(xm)
+        if not (np.isfinite(fp).all() and np.isfinite(fm).all()):
             raise ValueError(f"non-finite evaluation near coordinate {i}")
-        grad[i] = (fp - fm) / (2.0 * h)
+        grad[..., i] = (fp - fm) / (2.0 * h)
     return grad
 
 

@@ -56,7 +56,7 @@ produce a non-finite parameter raises NonFiniteStepError carrying
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -236,9 +236,9 @@ class OptimizerState:
     * ``prev_angle``: AngularGrad's previous raw angle A_{t-1}; meaningful
       on angular rows only, the only rows a step writes or reads.
     * ``alpha_t``: the live learning rate.
-    * ``last_phi``: the step-scale buffer the state owns, rewritten in place
-      by each step of a stack with diffGrad, RAdam or angular rows; rows outside
-      every family hold 1.0, angular rows the phi the harness records.
+    * ``last_phi``: the step-scale buffer the state owns, ones from ``init_state``,
+      rewritten in place by each step on diffGrad, RAdam and angular rows; other
+      rows keep 1.0, angular rows hold the phi the harness records.
 
     Every array slot is (R, D), (1, D) for a lone run, and ``alpha_t``
     repeats each row's rate across it.
@@ -250,7 +250,7 @@ class OptimizerState:
     prev_grad: Vector
     prev_angle: Vector
     alpha_t: np.ndarray
-    last_phi: Vector | None = field(default=None)
+    last_phi: Vector
 
     def rows(self, keep: np.ndarray) -> OptimizerState:
         """The state of the rows of a stack a bool mask keeps."""
@@ -259,13 +259,14 @@ class OptimizerState:
 
 
 def init_state(config: OptimizerConfig | ConfigStack, dim: int) -> OptimizerState:
-    """Zeroed (R, dim) state for a ConfigStack of R, (1, dim) for one run."""
+    """Zeroed (R, dim) state for a ConfigStack of R, (1, dim) for one run; last_phi is ones."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
     configs = (config,) if isinstance(config, OptimizerConfig) else config.configs
     alpha_t = np.array([[c.alpha] * dim for c in configs], float)
     z = lambda: np.zeros(alpha_t.shape, dtype=np.float64)
-    return OptimizerState(t=0, m=z(), v=z(), prev_grad=z(), prev_angle=z(), alpha_t=alpha_t)
+    return OptimizerState(t=0, m=z(), v=z(), prev_grad=z(), prev_angle=z(), alpha_t=alpha_t,
+                          last_phi=np.ones(alpha_t.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +358,9 @@ def _rule_kernel(state, cfg, params, grad):
     if (rows := cfg.rmsprop) is not None:
         # rmsprop's numerator is the raw gradient: 0 * m + g would turn -0.0 into 0.0
         mhat[rows], denom[rows] = grad[rows], np.sqrt(v[rows]) + _at(cfg.epsilon, rows)
-    scale = 1.0
-    if cfg.diffgrad is not None or cfg.radam or cfg.angular is not None:
-        if (scale := state.last_phi) is None:  # rows outside every family keep 1.0
-            scale = state.last_phi = np.ones(grad.shape)
-        if cfg.diffgrad is not None or cfg.angular is not None:
-            gap = np.abs(grad - state.prev_grad)
+    scale = state.last_phi  # rows outside every family keep 1.0
+    if cfg.diffgrad is not None or cfg.angular is not None:
+        gap = np.abs(grad - state.prev_grad)
     if (rows := cfg.diffgrad) is not None:  # xi = sigmoid(|g_t - g_{t-1}|)
         scale[rows] = 1.0 / (1.0 + np.exp(-gap[rows]))
     for beta2, rows in cfg.radam:  # rows not yet rectifiable step with scale = denom = 1

@@ -654,8 +654,16 @@ TOO_BIG = 2**62
      f"grid.resolution {TOO_BIG} is too large: array is too big"),
     ("mlp", f'{{"blobs": {{"classes": 3, "n_per_class": {TOO_BIG}, "separation": 4.0}}}}',
      f"blobs.n_per_class {TOO_BIG} is too large: array is too big"),
-    # too many parameters: numpy's message alone, not the epochs key
-    ("mlp", f'{{"layer_sizes": [2, {2**60}, 3], "epochs": 1}}', "config error: array is too big"),
+    # too many parameters name layer_sizes, not the epochs key
+    ("mlp", f'{{"layer_sizes": [2, {2**60}, 3], "epochs": 1}}',
+     f"config error: layer_sizes [2, {2**60}, 3] is too large: array is too big"),
+    ("toy", '{"tasks": ["f1", "f1"], "iterations": 5}', "task 'f1' is listed twice"),
+    ("rosenbrock", '{"grid": {"x_range": [1.0], "y_range": [-1, 3], "resolution": 5}}',
+     "grid.x_range must be [low, high], not [1.0]"),
+    ("rosenbrock", '{"grid": {"x_range": [-2, 2], "y_range": [-1, 0, 3], "resolution": 5}}',
+     "grid.y_range must be [low, high], not [-1, 0, 3]"),
+    *[(command, '{"theta0": {"rule": "uniform", "low": 2.0, "high": -2.0}, "iterations": 5}',
+       "theta0.low 2.0 is above theta0.high -2.0") for command in ("toy", "rosenbrock", "regret")],
 ], ids=[
     "mlp-seed", "toy-seed", "toy-seed-negative", "toy-iterations-zero", "regret-iterations",
     "toy-iterations-bool", "mlp-epochs",
@@ -676,7 +684,9 @@ TOO_BIG = 2**62
     "regret-iterations-unallocatable", "regret-dim-int64-max", "regret-dim-zero",
     "regret-dim-negative", "regret-dim-negative-theta0", "regret-iterations-too-big",
     "rosenbrock-grid.resolution-too-big", "mlp-blobs.n_per_class-too-big",
-    "mlp-layer_sizes-too-big",
+    "mlp-layer_sizes-too-big", "toy-task-repeated", "rosenbrock-grid.x_range-one",
+    "rosenbrock-grid.y_range-three", "toy-theta0-low-above-high",
+    "rosenbrock-theta0-low-above-high", "regret-theta0-low-above-high",
 ])
 def test_bad_config_number_exits_2(tmp_path, capsys, command, text, message):
     path = tmp_path / "cfg.json"
@@ -711,12 +721,53 @@ def test_huge_flag_exits_2(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+# gradcheck's seed-0 report, the same on the AVX-512 and the X86_V3 paths
+GRADCHECK_SEED_0 = [
+    "f1: worst relative error 1.231e-10 ok",
+    "f2: worst relative error 2.155e-10 ok",
+    "f3: worst relative error 1.418e-10 ok",
+    "rosenbrock dim 2: worst relative error 2.303e-09 ok",
+    "rosenbrock dim 5: worst relative error 8.370e-08 ok",
+    "rosenbrock dim 10: worst relative error 7.445e-08 ok",
+    "quadratic: worst relative error 9.166e-09 ok",
+    "mlp [4, 8, 8, 3]: worst relative error 1.827e-10 ok",
+]
+
+
 class TestGradcheck:
     def test_passes(self, tmp_path, capsys):
         assert run("gradcheck", "--out", str(tmp_path / "a")) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 8  # f1 f2 f3, rosenbrock x3, quadratic, mlp
         assert all(line.endswith("ok") for line in lines)
+
+    def test_seed_0_report(self, tmp_path, capsys):
+        assert run("gradcheck", "--seeds", "0", "--out", str(tmp_path / "a")) == 0
+        assert capsys.readouterr().out.splitlines() == GRADCHECK_SEED_0
+
+    def test_checks_the_stacks_the_protocols_step(self, tmp_path, capsys, monkeypatch):
+        # each objective is checked on one (100, D) stack: the analytic call and
+        # every probe of the differences; the MLP only through one-row stacks
+        calls, mlp_params = [], []
+        value_and_grad, loss_and_grad = objectives.Objective.value_and_grad, models.loss_and_grad
+
+        def objective_spy(objective, x):
+            calls.append((objective.name, np.shape(x)))
+            return value_and_grad(objective, x)
+
+        def mlp_spy(params, *rest):
+            mlp_params.append(params.shape)
+            return loss_and_grad(params, *rest)
+
+        monkeypatch.setattr(objectives.Objective, "value_and_grad", objective_spy)
+        monkeypatch.setattr(models, "loss_and_grad", mlp_spy)
+        assert run("gradcheck", "--out", str(tmp_path / "a")) == 0
+        dims = {"f1": 1, "f2": 1, "f3": 1, "rosenbrock": 2, "rosenbrock5": 5, "rosenbrock10": 10,
+                "quadratic": 10}
+        assert calls == [(name, (100, dim)) for name, dim in dims.items()
+                         for _ in range(1 + 2 * dim)]
+        n_params = models.n_params(models.MlpSpec((4, 8, 8, 3)))
+        assert mlp_params == [(1, n_params)] * (1 + 2 * n_params)
 
     # a wrong gradient and a NaN one each fail their check
     @pytest.mark.parametrize("module, name, wrong, label, verdict", [

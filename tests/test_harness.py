@@ -119,6 +119,12 @@ class TestResolveTheta0:
         c = resolve_theta0(rule, 10, 4)
         assert not np.array_equal(a, c)
 
+    def test_uniform_rule_bounds(self):
+        # low == high draws that value; low above high names both keys
+        assert resolve_theta0({"rule": "uniform", "low": 2.0, "high": 2.0}, 3, 0).tolist() == [2.0] * 3
+        with pytest.raises(ValueError, match=r"^theta0\.low 2\.0 is above theta0\.high -2\.0$"):
+            resolve_theta0({"rule": "uniform", "low": 2.0, "high": -2.0}, 3, 0)
+
     def test_unknown_rule(self):
         with pytest.raises(ValueError):
             resolve_theta0({"rule": "normal"}, 2, 0)

@@ -62,6 +62,21 @@ class TestFiniteDiff:
         with pytest.raises(ValueError):
             finite_diff_grad(lambda x: float("inf"), np.array([0.0]))
 
+    @pytest.mark.parametrize("name, dim", [("f2", None), ("rosenbrock", 5), ("quadratic", 10)])
+    def test_stack_is_its_rows_alone(self, name, dim):
+        # the differences run over the last axis: each row's are its lone call's
+        objective = get_objective(name, dim=dim)
+        lo, hi = objective.domain[0]
+        x = make_rng(17).uniform(lo, hi, size=(6, objective.dim))
+        stacked = finite_diff_grad(value(objective), x)
+        assert stacked.shape == x.shape
+        for row, alone in zip(stacked, x):
+            assert row.tobytes() == finite_diff_grad(value(objective), alone).tobytes()
+
+    def test_nonfinite_row_rejected(self):
+        with pytest.raises(ValueError, match="^non-finite evaluation near coordinate 0$"):
+            finite_diff_grad(lambda x: np.array([0.0, np.inf]), np.zeros((2, 3)))
+
 
 class TestRng:
     def test_equal_seeds_equal_streams(self):

@@ -510,7 +510,7 @@ class TestSharedContract:
         for vec in (state.m, state.v, state.prev_grad, state.prev_angle):
             assert np.array_equal(vec, np.zeros((1, 3)))
         assert np.array_equal(state.alpha_t, np.full((1, 3), 1e-3))
-        assert state.last_phi is None
+        assert np.array_equal(state.last_phi, np.ones((1, 3)))
 
     def test_init_state_bad_dim(self):
         with pytest.raises(ValueError):
@@ -990,7 +990,7 @@ class TestFrozenStep:
             # the frozen lone form keeps 1-D slots and a float rate
             z = lambda: np.zeros(dim)
             lone = OptimizerState(t=0, m=z(), v=z(), prev_grad=z(), prev_angle=z(),
-                                  alpha_t=config.alpha)
+                                  alpha_t=config.alpha, last_phi=None)
             assert_steps_match_frozen(config, init_state(config, dim), rng.normal(size=dim),
                                       random_grads(rng, (dim,)), lone)
 
