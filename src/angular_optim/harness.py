@@ -6,10 +6,11 @@ are stacked as the rows of (R, D) arrays and advanced together: each
 iteration makes one step and one value-and-gradient call for all of them, and
 a run that aborts drops out of the stack through ``optimizers.Runs`` while
 the others go on.  Each row's trajectory is bit for bit the one its run gives
-alone.  The stack steps in blocks of ``BLOCK_ITERATIONS``: only one block of
-iterates and phi vectors is held at a time (the whole path only when the runs
-record parameters), so a run's memory does not grow with its length times its
-width.  The results are keyed by optimizer name in the given order.
+alone, and its fields are read-only views of the stack's records.  The stack
+steps in blocks sized by ``BLOCK_BYTES``: only one block of iterates and phi
+vectors is held at a time (the whole path only when the runs record
+parameters), so a run's memory is its records plus about 1 MiB, however long
+or wide the stack.  The results are keyed by optimizer name in the given order.
 
 Every serializer returns its artifact as ``Chunks``, made piece by piece as
 it is written, so no artifact is held whole in memory.  CSV floats are
@@ -37,9 +38,12 @@ from angular_optim.optimizers import ConfigStack, OptimizerConfig, Runs, nonfini
 # Rosenbrock runs instead use distance <= 0.1 to the known minimum.
 LOSS_THRESHOLD_1D = 1e-3
 ROSENBROCK_DIST_THRESHOLD = 0.1
-# Iterations per block of single_run's two (K, R, D) float64 buffers: at 128
-# a dim-1000 stack of three runs holds 6 MB of them.
+# single_run's two float64 block buffers, (K + 1, R, D) and (K, R, D), hold
+# about 16 K R D bytes: K is the most iterations, up to BLOCK_ITERATIONS, that
+# keep them within BLOCK_BYTES, and at least 1 (a stack wider than 64Ki
+# params then holds 24 R D bytes).  A stack of up to 512 params keeps K = 128.
 BLOCK_ITERATIONS = 128
+BLOCK_BYTES = 2**20
 # Rows per chunk of a CSV artifact.
 CSV_BLOCK_ROWS = 1024
 
@@ -52,6 +56,8 @@ class Trajectory:
     the live learning rate that produced the step, the mean angular
     coefficient (1.0 for rules that have none), and the step 2-norm.  If the
     run aborts on a non-finite step, rows stop early and ``status`` says why.
+    ``single_run`` gives read-only views: every array field views the records,
+    path, iteration numbers or final params that its stack's trajectories share.
     """
 
     t: np.ndarray
@@ -87,6 +93,8 @@ def resolve_theta0(theta0, dim: int, seed: int) -> Vector:
         low, high = float(theta0["low"]), float(theta0["high"])
         if low > high:
             raise ValueError(f"theta0.low {low!r} is above theta0.high {high!r}")
+        if not np.isfinite(high - low):  # numpy's draw would raise OverflowError
+            raise ValueError(f"theta0.high - theta0.low overflows: {low!r} to {high!r} is too wide")
         return make_rng(seed).uniform(low, high, size=dim)
     return np.array(theta0, dtype=np.float64, copy=True).reshape(-1)
 
@@ -109,13 +117,19 @@ def single_run(
     gives the rows' losses and the next gradient, checked at the next step.
 
     The loop records the loss, the rate, the stepped params and (with angular
-    rows) the phi vectors.  It steps in blocks of K = BLOCK_ITERATIONS, and at
-    the end of each block takes the block's step norms and phi means from its
-    buffers before they are reused: a ``(K + 1, R, D)`` buffer of iterates
-    whose row 0 carries the previous block's last row, and a ``(K, R, D)``
-    buffer that holds the phi vectors and then the steps.  Both are row-wise
-    reductions, so no bit depends on where a block starts.  The whole path is
-    kept only with ``record_params``, and then the trajectories carry it.
+    rows) the phi vectors.  It steps in blocks of K iterations, and at the end
+    of each block takes the block's step norms and phi means from its buffers
+    before they are reused: a ``(K + 1, R, D)`` buffer of iterates whose row 0
+    carries the previous block's last row, and a ``(K, R, D)`` buffer that
+    holds the phi vectors and then the steps.  K = min(BLOCK_ITERATIONS,
+    max(1, BLOCK_BYTES // (16 R D))), so the two stay within about 1 MiB.
+    Both are row-wise reductions, so no bit depends on where a block starts.
+    The whole path is kept only with ``record_params``.
+
+    Each trajectory's fields are read-only views, never copies: its column of
+    the ``(4, iterations, R)`` records, its column of the path, a prefix of one
+    shared ``arange`` of iteration numbers (and, for a rule with no angle, of
+    one shared ones vector), and its row of the final params.
     At each (iteration >= 1, finite divisor > 0) pair of ``lr_milestones`` the
     live rate is divided once, before that step; one past the budget never acts.
     """
@@ -133,18 +147,20 @@ def single_run(
     milestones = dict(lr_milestones)
     angular = runs.configs.angular is not None
     with sized_by("iterations", iterations):
-        loss, alpha, phi_mean, step_norm = np.empty((4, iterations, n_runs))
+        records = np.empty((4, iterations, n_runs))
+    loss, alpha, phi_mean, step_norm = records
     path = np.empty((iterations, n_runs, dim)) if record_params else None
+    block_size = min(BLOCK_ITERATIONS, max(1, BLOCK_BYTES // (16 * n_runs * dim)), iterations)
     # row n holds the params after the block's n-th step
-    iterates = np.empty((min(BLOCK_ITERATIONS, iterations) + 1, n_runs, dim))
-    scratch = np.empty((len(iterates) - 1, n_runs, dim))
+    iterates = np.empty((block_size + 1, n_runs, dim))
+    scratch = np.empty((block_size, n_runs, dim))
     iterates[0] = runs.params
     # divergence is handled (abort status): an overflow or a perpendicular angle must not warn
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         _, grad = objective.value_and_grad(runs.params)  # checks the starts' width once
-        for start in range(0, iterations, BLOCK_ITERATIONS):
+        for start in range(0, iterations, block_size):
             n = 0  # the block's steps recorded so far
-            for i in range(start + 1, min(start + BLOCK_ITERATIONS, iterations) + 1):
+            for i in range(start + 1, min(start + block_size, iterations) + 1):
                 if i in milestones:
                     runs.state.alpha_t = runs.state.alpha_t / milestones[i]
                 bad_grad = nonfinite_rows(grad, f"non-finite gradient at iteration {i}")
@@ -178,13 +194,17 @@ def single_run(
             if not runs.live.size:
                 break
         runs.finish()
+    t, ones = np.arange(1, iterations + 1, dtype=np.int64), np.ones(iterations)
+    for shared in (records, loss, alpha, phi_mean, step_norm, path, t, ones, runs.final):
+        if shared is not None:
+            shared.flags.writeable = False
     trajectories = []
     for run, (n, status) in enumerate(zip(runs.steps.tolist(), runs.status)):
         is_angular = stack.configs[run].rule == "angulargrad"
         trajectories.append(Trajectory(
-            np.arange(1, n + 1, dtype=np.int64), loss[:n, run].copy(), alpha[:n, run].copy(),
-            phi_mean[:n, run].copy() if is_angular else np.ones(n), step_norm[:n, run].copy(),
-            thetas=path[:n, run].copy() if record_params else None,
+            t[:n], loss[:n, run], alpha[:n, run],
+            phi_mean[:n, run] if is_angular else ones[:n], step_norm[:n, run],
+            thetas=path[:n, run] if record_params else None,
             final_params=runs.final[run], status=status,
         ))
     return trajectories
@@ -218,7 +238,7 @@ def compute_regret(trajectory: Trajectory, objective: Objective) -> RegretRecord
         cumulative = np.cumsum(excess)
     average = cumulative / trajectory.t
     return RegretRecord(
-        t=trajectory.t.copy(),
+        t=trajectory.t,
         cumulative=cumulative,
         average=average,
         status=trajectory.status,

@@ -664,6 +664,9 @@ TOO_BIG = 2**62
      "grid.y_range must be [low, high], not [-1, 0, 3]"),
     *[(command, '{"theta0": {"rule": "uniform", "low": 2.0, "high": -2.0}, "iterations": 5}',
        "theta0.low 2.0 is above theta0.high -2.0") for command in ("toy", "rosenbrock", "regret")],
+    *[(command, '{"theta0": {"rule": "uniform", "low": -1e308, "high": 1e308}, "iterations": 3}',
+       "config error: theta0.high - theta0.low overflows: -1e+308 to 1e+308 is too wide")
+      for command in ("toy", "rosenbrock", "regret")],
 ], ids=[
     "mlp-seed", "toy-seed", "toy-seed-negative", "toy-iterations-zero", "regret-iterations",
     "toy-iterations-bool", "mlp-epochs",
@@ -687,6 +690,8 @@ TOO_BIG = 2**62
     "mlp-layer_sizes-too-big", "toy-task-repeated", "rosenbrock-grid.x_range-one",
     "rosenbrock-grid.y_range-three", "toy-theta0-low-above-high",
     "rosenbrock-theta0-low-above-high", "regret-theta0-low-above-high",
+    "toy-theta0-span-overflows", "rosenbrock-theta0-span-overflows",
+    "regret-theta0-span-overflows",
 ])
 def test_bad_config_number_exits_2(tmp_path, capsys, command, text, message):
     path = tmp_path / "cfg.json"

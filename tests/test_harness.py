@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from angular_optim.defaults import DEFAULT_REGRET
+from angular_optim.defaults import DEFAULT_REGRET, DEFAULT_ROSENBROCK
 from angular_optim.harness import (
+    BLOCK_BYTES,
     BLOCK_ITERATIONS,
     CSV_BLOCK_ROWS,
     LOSS_THRESHOLD_1D,
@@ -124,6 +125,11 @@ class TestResolveTheta0:
         assert resolve_theta0({"rule": "uniform", "low": 2.0, "high": 2.0}, 3, 0).tolist() == [2.0] * 3
         with pytest.raises(ValueError, match=r"^theta0\.low 2\.0 is above theta0\.high -2\.0$"):
             resolve_theta0({"rule": "uniform", "low": 2.0, "high": -2.0}, 3, 0)
+
+    @pytest.mark.parametrize("low, high", [(-1e308, 1e308), (0.0, math.inf), (-math.inf, 0.0)])
+    def test_uniform_rule_span_must_be_finite(self, low, high):
+        with pytest.raises(ValueError, match=r"^theta0\.high - theta0\.low overflows: "):
+            resolve_theta0({"rule": "uniform", "low": low, "high": high}, 3, 0)
 
     def test_unknown_rule(self):
         with pytest.raises(ValueError):
@@ -257,6 +263,16 @@ class TestSingleRun:
         assert "".join(trajectory_to_csv(traj)).splitlines()[0].endswith(",theta_0")
 
 
+def traced_peak(call):
+    """``call()`` and the peak bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestBlocks:
     """single_run holds one block of iterates and phi vectors at a time."""
 
@@ -270,14 +286,32 @@ class TestBlocks:
             for name, fields in DEFAULT_REGRET["optimizers"].items()
         }
         theta0 = {"rule": "uniform", "low": -1.0, "high": 1.0}
-        tracemalloc.start()
-        try:
-            runs = run_experiment(objective, optimizers, (0,), theta0, 2000)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        runs, peak = traced_peak(lambda: run_experiment(objective, optimizers, (0,), theta0, 2000))
         assert [len(trajs[0]) for trajs in runs.values()] == [2000] * 3
         assert peak < 20e6
+
+    def test_wide_stack_peak_is_the_budget_not_the_blocks(self):
+        # 10 seeds of the regret protocol's three optimizers at dim 1000: 128
+        # iterations of a (30, 1000) stack would be two 31 MB block buffers.
+        # The peak is the stack's state (the peak of a one-iteration run),
+        # one byte budget of blocks and the (4, iterations, 30) records.
+        objective = get_objective("quadratic", dim=1000)
+        optimizers = {
+            name: OptimizerConfig(**fields)
+            for name, fields in DEFAULT_REGRET["optimizers"].items()
+        }
+        theta0 = {"rule": "uniform", "low": -1.0, "high": 1.0}
+        seeds, iterations = range(10), 200
+
+        def run(iterations):
+            return run_experiment(objective, optimizers, seeds, theta0, iterations)
+
+        run(1)  # loads what a first run loads
+        _, state = traced_peak(lambda: run(1))
+        runs, peak = traced_peak(lambda: run(iterations))
+        assert [len(traj) for trajs in runs.values() for traj in trajs] == [iterations] * 30
+        records = 4 * iterations * 30 * 8
+        assert peak < state + BLOCK_BYTES + records
 
     @pytest.mark.parametrize("record_params", [False, True])
     def test_row_aborting_mid_block_matches_its_lone_run(self, record_params):
@@ -312,6 +346,54 @@ class TestBlocks:
                 assert got.step_norm.tobytes() == norms.tobytes()
             else:
                 assert got.thetas is None
+
+
+class TestTrajectoryViews:
+    """A stack's trajectories are read-only views of the records they share."""
+
+    def test_fields_view_the_shared_records_and_are_read_only(self):
+        obj = get_objective("quadratic", dim=3)
+        configs = [
+            OptimizerConfig(rule="adam", alpha=0.1),
+            OptimizerConfig(rule="sgd", alpha=2.132),  # aborts near iteration 300
+            OptimizerConfig(rule="angulargrad", alpha=0.1),
+            OptimizerConfig(rule="sgd", alpha=0.1),
+        ]
+        starts = make_rng(0).uniform(-1.0, 1.0, size=(4, 3))
+        trajs = single_run(obj, ConfigStack(configs), starts, 400, record_params=True)
+        assert trajs[1].status.startswith("aborted") and 0 < len(trajs[1]) < 400
+        first = trajs[0]
+        records, path = first.loss.base, first.thetas.base
+        assert records.shape == (4, 400, 4) and path.shape == (400, 4, 3)
+        for traj in trajs:
+            for field in ("loss", "alpha", "step_norm"):
+                assert np.shares_memory(getattr(traj, field), records)
+            assert np.shares_memory(traj.thetas, path)
+            assert np.shares_memory(traj.t, first.t)
+            assert np.shares_memory(traj.final_params, first.final_params.base)
+            for field in ("t", "loss", "alpha", "phi_mean", "step_norm", "thetas", "final_params"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(traj, field)[0] = 0
+        assert np.shares_memory(trajs[2].phi_mean, records)  # angular: its own column
+        assert np.shares_memory(trajs[1].phi_mean, trajs[3].phi_mean)  # one shared ones vector
+        assert not np.shares_memory(trajs[0].phi_mean, records)
+        regret = compute_regret(trajs[0], obj)
+        assert np.shares_memory(regret.t, first.t)
+
+    def test_default_rosenbrock_peak_is_its_records_and_one_budget(self):
+        # the default rosenbrock run keeps its (4, 5000, 8) records and its
+        # (5000, 8, 2) path; copying each run's rows of them would add 2.2 MB
+        config = DEFAULT_ROSENBROCK
+        optimizers = {name: OptimizerConfig(**fields)
+                      for name, fields in config["optimizers"].items()}
+        iterations, rows = config["iterations"], len(optimizers) * len(config["seeds"])
+        runs, peak = traced_peak(lambda: run_experiment(
+            get_objective("rosenbrock"), optimizers, config["seeds"], config["theta0"],
+            iterations, config["lr_milestones"], record_params=True,
+        ))
+        assert [len(traj) for trajs in runs.values() for traj in trajs] == [iterations] * rows
+        records, path = 4 * iterations * rows * 8, iterations * rows * 2 * 8
+        assert peak < records + path + BLOCK_BYTES
 
 
 class TestRunExperiment:
